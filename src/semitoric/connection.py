@@ -19,7 +19,6 @@ from .fans import (
     Decomposition,
     GroupElement,
     Support,
-    cached_faces,
     validate_decomposition,
     zero_cone,
 )
@@ -271,7 +270,7 @@ def _face_decomposition(atlas: BoundaryAtlas) -> Decomposition:
     probe_dec = Decomposition(atlas.rank, (), linear_group, support)
     ball = probe_dec.linear_ball(2)
     for p in atlas.points:
-        for f in cached_faces(p.cone):
+        for f in p.cone.faces():
             if not f.generators:
                 piece = zero_cone(atlas.rank)
                 if not support.include_origin:

@@ -19,11 +19,11 @@ from .lattice import (
     Cone,
     IntMatrix,
     Vector,
+    _dot_sign,
     as_vector,
     complete_to_basis,
     cone_from_inequalities,
     cone_intersection,
-    faces,
     is_strongly_convex,
     is_unimodular_part_of_basis,
     mat_rank,
@@ -159,16 +159,6 @@ def _act_linear(t: IntMatrix, cone: Cone) -> Cone:
     return Cone(cone.rank, [t.apply(g) for g in cone.generators], relint=cone.relint)
 
 
-_FACE_CACHE: dict = {}
-
-
-def cached_faces(cone: Cone) -> list:
-    key = (cone.rank, cone.generators)
-    if key not in _FACE_CACHE:
-        _FACE_CACHE[key] = faces(cone.closure())
-    return _FACE_CACHE[key]
-
-
 # -- validation ---------------------------------------------------------------
 
 
@@ -211,10 +201,10 @@ def _quick_separation(a: Cone, b: Cone) -> bool:
     or a span equation of b with a fixed strict sign on the interior of a."""
     normals, equations = b.dual_description()
     for n in normals:
-        if all(n.dot(g).sign() <= 0 for g in a.generators):
+        if all(_dot_sign(n, g) <= 0 for g in a.generators):
             return True
     for e in equations:
-        signs = [e.dot(g).sign() for g in a.generators]
+        signs = [_dot_sign(e, g) for g in a.generators]
         if any(signs) and (all(s >= 0 for s in signs) or all(s <= 0 for s in signs)):
             return True
     return False
@@ -239,11 +229,11 @@ def _meets_probe(member: Cone, probe: Cone) -> bool:
         return True  # the origin lies in every closed probe cone
     normals, equations = probe.dual_description()
     for n in normals:
-        signs = [n.dot(g).sign() for g in member.generators]
+        signs = [_dot_sign(n, g) for g in member.generators]
         if any(s < 0 for s in signs) and all(s <= 0 for s in signs):
             return False
     for e in equations:
-        signs = [e.dot(g).sign() for g in member.generators]
+        signs = [_dot_sign(e, g) for g in member.generators]
         if any(signs) and (all(s >= 0 for s in signs) or all(s <= 0 for s in signs)):
             return False
     inter = cone_intersection(member.closure(), probe)
@@ -309,18 +299,18 @@ def validate_decomposition(
         if m.dim() != d_max or not m.generators:
             continue
         closure = m.closure()
-        for f in cached_faces(closure):
+        for f in closure.faces():
             if f.dim() != d_max - 1:
                 continue
             sf = f.interior_sample()
-            if any(n.dot(sf).sign() == 0 for n in support_normals):
+            if any(_dot_sign(n, sf) == 0 for n in support_normals):
                 continue  # facet sits on the support boundary
             normal = _facet_normal(closure, f)
             matched = False
             for other in all_cones:
                 if other.dim() != d_max or other.generators == m.generators:
                     continue
-                if normal.dot(other.interior_sample()).sign() >= 0:
+                if _dot_sign(normal, other.interior_sample()) >= 0:
                     continue
                 if all(other.closure().contains(g) for g in f.generators):
                     matched = True
@@ -356,7 +346,7 @@ def validate_decomposition(
     for m in P.members:
         if not m.generators:
             continue
-        for f in cached_faces(m.closure()):
+        for f in m.faces():
             if f.generators == m.generators or not f.generators:
                 continue
             if not sup.contains_point(f.interior_sample()):
@@ -495,7 +485,7 @@ def _facet_normal(cone: Cone, facet: Cone) -> Vector:
     """Facet normal of ``cone`` vanishing on ``facet``, positive inside."""
     normals, _ = cone.dual_description()
     for n in normals:
-        if all(n.dot(g).sign() == 0 for g in facet.generators) and facet.generators:
+        if all(_dot_sign(n, g) == 0 for g in facet.generators) and facet.generators:
             return n
     raise DegenerateInputError("facet normal not found")
 
@@ -520,7 +510,7 @@ def sbb_decomposition(support: Support, group=()) -> Decomposition:
     rank = support.cone.rank
     members = []
     if support.is_rational and not support.interior_only:
-        for f in cached_faces(support.cone):
+        for f in support.cone.faces():
             if not f.generators:
                 if support.include_origin:
                     members.append(zero_cone(rank))

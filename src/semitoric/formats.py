@@ -31,6 +31,26 @@ def canonical_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _is_int(x) -> bool:
+    """JSON integers only: ``bool`` is a subclass of ``int`` in Python."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _int_list(obj, length=None) -> bool:
+    return (
+        isinstance(obj, list)
+        and (length is None or len(obj) == length)
+        and all(_is_int(x) for x in obj)
+    )
+
+
+def _list_of(obj, key, path: str) -> list:
+    items = obj.get(key, [])
+    if not isinstance(items, list):
+        raise FormatError(f"{path}.{key}: expected a list")
+    return items
+
+
 def frac_str(f: Fraction) -> str:
     f = Fraction(f)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
@@ -61,7 +81,7 @@ def parse_scalar(obj, path: str) -> ExactScalar:
             if key not in obj:
                 raise FormatError(f"{path}: scalar object needs the key {key!r}")
         D = obj["D"]
-        if not isinstance(D, int):
+        if not _is_int(D):
             raise FormatError(f"{path}.D: expected an integer")
         return ExactScalar(
             parse_frac(obj["a"], f"{path}.a"), parse_frac(obj["b"], f"{path}.b"), D
@@ -107,7 +127,7 @@ def dump_support(s: Support) -> dict:
 
 def parse_support(obj, path: str) -> Support:
     rank = _require(obj, "rank", path)
-    if not isinstance(rank, int) or rank < 1:
+    if not _is_int(rank) or rank < 1:
         raise FormatError(f"{path}.rank: expected a positive integer")
     gens = _require(obj, "generators", path)
     if not isinstance(gens, list):
@@ -134,14 +154,11 @@ def parse_group_element(obj, rank: int, path: str) -> GroupElement:
     if (
         not isinstance(linear, list)
         or len(linear) != rank
-        or any(not isinstance(r, list) or len(r) != rank for r in linear)
-        or any(not isinstance(x, int) for r in linear for x in r)
+        or not all(_int_list(r, rank) for r in linear)
     ):
         raise FormatError(f"{path}.linear: expected a {rank}x{rank} integer matrix")
     translation = obj.get("translation", [])
-    if not isinstance(translation, list) or any(
-        not isinstance(x, int) for x in translation
-    ):
+    if not _int_list(translation):
         raise FormatError(f"{path}.translation: expected a list of integers")
     try:
         return GroupElement(IntMatrix([tuple(r) for r in linear]), tuple(translation))
@@ -164,7 +181,7 @@ def dump_fan(P: Decomposition) -> dict:
 def load_fan(obj, path: str = "fan") -> Decomposition:
     _check_format(obj, FAN_FORMAT, path)
     rank = _require(obj, "rank", path)
-    if not isinstance(rank, int) or rank < 1:
+    if not _is_int(rank) or rank < 1:
         raise FormatError(f"{path}.rank: expected a positive integer")
     support = parse_support(_require(obj, "support", path), f"{path}.support")
     members_obj = _require(obj, "members", path)
@@ -173,6 +190,8 @@ def load_fan(obj, path: str = "fan") -> Decomposition:
     members = []
     for i, m in enumerate(members_obj):
         gens_obj = _require(m, "generators", f"{path}.members[{i}]")
+        if not isinstance(gens_obj, list):
+            raise FormatError(f"{path}.members[{i}].generators: expected a list")
         vectors = [
             parse_vector(g, rank, f"{path}.members[{i}].generators[{j}]")
             for j, g in enumerate(gens_obj)
@@ -180,7 +199,7 @@ def load_fan(obj, path: str = "fan") -> Decomposition:
         members.append(Cone(rank, vectors, relint=True))
     group = [
         parse_group_element(g, rank, f"{path}.group[{i}]")
-        for i, g in enumerate(obj.get("group", []))
+        for i, g in enumerate(_list_of(obj, "group", path))
     ]
     try:
         return Decomposition(rank, tuple(members), tuple(group), support)
@@ -207,21 +226,20 @@ def dump_chain(chain: VertexChain) -> dict:
 def load_chain(obj, path: str = "chain") -> VertexChain:
     _check_format(obj, CHAIN_FORMAT, path)
     D = _require(obj, "discriminant", path)
-    if not isinstance(D, int):
+    if not _is_int(D):
         raise FormatError(f"{path}.discriminant: expected an integer")
     alpha = parse_scalar(_require(obj, "alpha", path), f"{path}.alpha")
     beta = parse_scalar(_require(obj, "beta", path), f"{path}.beta")
     unit = parse_scalar(_require(obj, "unit", path), f"{path}.unit")
     vertices = _require(obj, "vertices", path)
     b = _require(obj, "b", path)
-    if not isinstance(vertices, list) or any(
-        not isinstance(v, list) or len(v) != 2 or any(not isinstance(x, int) for x in v)
-        for v in vertices
-    ):
+    if not isinstance(vertices, list) or not all(_int_list(v, 2) for v in vertices):
         raise FormatError(f"{path}.vertices: expected a list of integer pairs")
-    if not isinstance(b, list) or any(not isinstance(x, int) for x in b):
+    if not _int_list(b):
         raise FormatError(f"{path}.b: expected a list of integers")
     box = obj.get("box", 0)
+    if not _is_int(box):
+        raise FormatError(f"{path}.box: expected an integer")
     try:
         cusp = CuspData(QuadIdeal(alpha, beta, D), unit)
         return VertexChain(cusp, tuple(tuple(v) for v in vertices), tuple(b), box)
@@ -263,7 +281,7 @@ def dump_atlas(atlas: BoundaryAtlas) -> dict:
 def load_atlas(obj, path: str = "atlas") -> BoundaryAtlas:
     _check_format(obj, ATLAS_FORMAT, path)
     rank = _require(obj, "rank", path)
-    if not isinstance(rank, int) or rank < 1:
+    if not _is_int(rank) or rank < 1:
         raise FormatError(f"{path}.rank: expected a positive integer")
     points = []
     points_obj = _require(obj, "points", path)
@@ -273,10 +291,8 @@ def load_atlas(obj, path: str = "atlas") -> BoundaryAtlas:
         ppath = f"{path}.points[{i}]"
         label = _require(p, "label", ppath)
         cone_rows = _require(p, "cone", ppath)
-        if not isinstance(cone_rows, list) or any(
-            not isinstance(r, list) or len(r) != rank for r in cone_rows
-        ):
-            raise FormatError(f"{ppath}.cone: expected generator rows of length {rank}")
+        if not isinstance(cone_rows, list) or not all(_int_list(r, rank) for r in cone_rows):
+            raise FormatError(f"{ppath}.cone: expected integer generator rows of length {rank}")
         frame_rows = _require(p, "frame", ppath)
         if not isinstance(frame_rows, list):
             raise FormatError(f"{ppath}.frame: expected a matrix")
@@ -292,7 +308,7 @@ def load_atlas(obj, path: str = "atlas") -> BoundaryAtlas:
             raise FormatError(f"{ppath}: {e}") from None
     group = [
         parse_group_element(g, rank, f"{path}.group[{i}]")
-        for i, g in enumerate(obj.get("group", []))
+        for i, g in enumerate(_list_of(obj, "group", path))
     ]
     support = obj.get("support")
     support = parse_support(support, f"{path}.support") if support else None
@@ -349,7 +365,7 @@ def load_monodromy(obj, path: str = "monodromy") -> dict:
         )
     if obj.get("weight") is not None:
         w = obj["weight"]
-        if not isinstance(w, int):
+        if not _is_int(w):
             raise FormatError(f"{path}.weight: expected an integer")
         out["weight"] = w
     return out
@@ -396,12 +412,12 @@ def load_series(obj, path: str = "series") -> FormalSeries:
     _check_format(obj, SERIES_FORMAT, path)
     rank = _require(obj, "rank", path)
     truncation = _require(obj, "truncation", path)
-    if not isinstance(rank, int) or rank < 1:
+    if not _is_int(rank) or rank < 1:
         raise FormatError(f"{path}.rank: expected a positive integer")
-    if not isinstance(truncation, int) or truncation < 0:
+    if not _is_int(truncation) or truncation < 0:
         raise FormatError(f"{path}.truncation: expected a nonnegative integer")
     complete = obj.get("complete_order", truncation)
-    if not isinstance(complete, int):
+    if not _is_int(complete):
         raise FormatError(f"{path}.complete_order: expected an integer")
     terms_obj = _require(obj, "terms", path)
     if not isinstance(terms_obj, list):
@@ -410,11 +426,7 @@ def load_series(obj, path: str = "series") -> FormalSeries:
     for i, t in enumerate(terms_obj):
         tpath = f"{path}.terms[{i}]"
         expo = _require(t, "exponent", tpath)
-        if (
-            not isinstance(expo, list)
-            or len(expo) != rank
-            or any(not isinstance(x, int) for x in expo)
-        ):
+        if not _int_list(expo, rank):
             raise FormatError(f"{tpath}.exponent: expected {rank} integers")
         coeff = parse_frac(_require(t, "coefficient", tpath), f"{tpath}.coefficient")
         terms.append((tuple(expo), coeff))

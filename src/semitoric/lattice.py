@@ -1,18 +1,25 @@
 """Exact scalars, integer matrices and rational polyhedral cones.
 
 Scalars live in Q or in a fixed real quadratic field Q(sqrt(D)); all
-arithmetic and sign decisions are exact.  Cones are given by finitely many
-generators and carry a closed / relative-interior interpretation flag.
-Facet enumeration is done by brute force over generator subsets, which is
-adequate for ambient rank up to 4 (the supported bound).
+arithmetic and sign decisions are exact.  Integral vectors (every rational
+ray, facet normal and span equation, once made primitive) keep their
+coordinates as int tuples, and dot products, containment, ranks and dual
+descriptions on them use plain integer arithmetic: fraction-free Bareiss
+elimination and cofactor normals.  ExactScalar arithmetic is for quadratic
+data, such as the irrational rays of a cusp's support cone.
+
+Cones are given by finitely many generators and carry a closed /
+relative-interior interpretation flag.  Facet enumeration is done by brute
+force over generator subsets, which is adequate for ambient rank up to 4
+(the supported bound).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
+from operator import add, mul
 
 from .errors import (
     DegenerateInputError,
@@ -243,25 +250,58 @@ ZERO = ExactScalar(0)
 ONE = ExactScalar(1)
 
 
-class Vector:
-    """Immutable vector of ExactScalar entries."""
+def _as_int(x):
+    """The value of a scalar-like x as an int, or None when it is not an integer."""
+    if type(x) is int:
+        return x
+    if isinstance(x, ExactScalar):
+        return x.a.numerator if not x.b and x.a.denominator == 1 else None
+    f = Fraction(x)
+    return f.numerator if f.denominator == 1 else None
 
-    __slots__ = ("entries",)
+
+class Vector:
+    """Immutable vector of exact scalars.
+
+    When every entry is an integer the coordinates are kept in ``ints`` as an
+    int tuple, arithmetic stays in integers, and the ExactScalar ``entries``
+    are built only when asked for.  Otherwise ``ints`` is None.
+    """
+
+    __slots__ = ("ints", "_entries")
 
     def __init__(self, entries):
-        object.__setattr__(
-            self, "entries", tuple(ExactScalar.lift(e) for e in entries)
-        )
+        entries = tuple(entries)
+        ints = tuple(map(_as_int, entries))
+        if None in ints:
+            ints, entries = None, tuple(ExactScalar.lift(e) for e in entries)
+        else:
+            entries = None
+        object.__setattr__(self, "ints", ints)
+        object.__setattr__(self, "_entries", entries)
+
+    @classmethod
+    def _from_ints(cls, ints: tuple) -> "Vector":
+        v = object.__new__(cls)
+        object.__setattr__(v, "ints", ints)
+        object.__setattr__(v, "_entries", None)
+        return v
 
     def __setattr__(self, name, value):
         raise AttributeError("Vector is immutable")
 
     @property
+    def entries(self) -> tuple:
+        if self._entries is None:
+            object.__setattr__(self, "_entries", tuple(ExactScalar(x) for x in self.ints))
+        return self._entries
+
+    @property
     def rank(self) -> int:
-        return len(self.entries)
+        return len(self)
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.ints if self.ints is not None else self._entries)
 
     def __iter__(self):
         return iter(self.entries)
@@ -270,19 +310,28 @@ class Vector:
         return self.entries[i]
 
     def __add__(self, other):
+        if self.ints is not None and other.ints is not None:
+            return Vector._from_ints(tuple(map(add, self.ints, other.ints)))
         return Vector(x + y for x, y in zip(self.entries, other.entries))
 
     def __sub__(self, other):
         return Vector(x - y for x, y in zip(self.entries, other.entries))
 
     def __neg__(self):
+        if self.ints is not None:
+            return Vector._from_ints(tuple(-x for x in self.ints))
         return Vector(-x for x in self.entries)
 
     def scale(self, c) -> "Vector":
+        k = _as_int(c) if self.ints is not None else None
+        if k is not None:
+            return Vector._from_ints(tuple(k * x for x in self.ints))
         c = ExactScalar.lift(c)
         return Vector(c * x for x in self.entries)
 
     def dot(self, other) -> ExactScalar:
+        if self.ints is not None and other.ints is not None:
+            return ExactScalar(sum(map(mul, self.ints, other.ints)))
         acc = ZERO
         for x, y in zip(self.entries, other.entries):
             acc = acc + x * y
@@ -290,23 +339,22 @@ class Vector:
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.entries)
+        return not any(self.ints if self.ints is not None else self._entries)
 
     @property
     def is_rational(self) -> bool:
-        return all(e.is_rational for e in self.entries)
+        return self.ints is not None or all(e.is_rational for e in self._entries)
 
     def as_fractions(self) -> tuple:
         return tuple(e.as_fraction() for e in self.entries)
 
     def as_integers(self) -> tuple:
-        out = []
-        for e in self.entries:
-            f = e.as_fraction()
-            if f.denominator != 1:
-                raise DegenerateInputError(f"{self} is not integral")
-            out.append(f.numerator)
-        return tuple(out)
+        if self.ints is not None:
+            return self.ints
+        for e in self._entries:
+            if e.as_fraction().denominator != 1:
+                break
+        raise DegenerateInputError(f"{self} is not integral")
 
     def primitive(self) -> "Vector":
         """Canonical representative of the positive ray through this vector.
@@ -315,41 +363,51 @@ class Vector:
         scale so the first nonzero entry is +-1.  Only positive scalings are
         used, so the ray direction is preserved.
         """
-        if self.is_zero:
-            return self
+        if self.ints is not None:
+            g = math.gcd(*self.ints)
+            return self if g <= 1 else Vector._from_ints(tuple(x // g for x in self.ints))
         if self.is_rational:
             fr = self.as_fractions()
-            den = 1
-            for f in fr:
-                den = den * f.denominator // math.gcd(den, f.denominator)
-            ints = [f.numerator * (den // f.denominator) for f in fr]
-            g = 0
-            for v in ints:
-                g = math.gcd(g, v)
-            return Vector(Fraction(v, g) for v in ints)
-        for e in self.entries:
+            den = math.lcm(*(f.denominator for f in fr))
+            ints = tuple(f.numerator * (den // f.denominator) for f in fr)
+            return Vector._from_ints(ints).primitive()
+        for e in self._entries:
             if e:
                 return self.scale(abs(e).inverse())
         return self
 
     def key(self):
-        return tuple((e.a, e.b, e.D) for e in self.entries)
+        if self.ints is not None:
+            return tuple((x, 0, None) for x in self.ints)
+        return tuple((e.a, e.b, e.D) for e in self._entries)
 
     def __eq__(self, other):
         if not isinstance(other, Vector):
             return NotImplemented
-        return self.entries == other.entries
+        # canonical storage: equal vectors are both integral or both not
+        if self.ints is not None or other.ints is not None:
+            return self.ints == other.ints
+        return self._entries == other._entries
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash(self.ints if self.ints is not None else self._entries)
 
     def __repr__(self):
         return "(" + ", ".join(repr(e) for e in self.entries) + ")"
 
 
+def _dot_sign(u: Vector, v: Vector) -> int:
+    """Sign of <u, v>, in integers when both vectors are integral."""
+    a, b = u.ints, v.ints
+    if a is None or b is None:
+        return u.dot(v).sign()
+    s = sum(map(mul, a, b))
+    return (s > 0) - (s < 0)
+
+
 def as_vector(v, rank=None) -> Vector:
     vec = v if isinstance(v, Vector) else Vector(v)
-    if rank is not None and vec.rank != rank:
+    if rank is not None and len(vec) != rank:
         raise DegenerateInputError(f"expected rank {rank}, got vector of rank {vec.rank}")
     return vec
 
@@ -402,7 +460,10 @@ class IntMatrix:
     def __hash__(self):
         return hash(self.rows)
 
-    def apply(self, v: Vector) -> Vector:
+    def apply(self, v) -> Vector:
+        v = v if isinstance(v, Vector) else Vector(v)
+        if v.ints is not None:
+            return Vector._from_ints(tuple(sum(map(mul, row, v.ints)) for row in self.rows))
         return Vector(
             sum((ExactScalar.lift(c) * x for c, x in zip(row, v)), start=ZERO)
             for row in self.rows
@@ -414,27 +475,10 @@ class IntMatrix:
     def det(self) -> int:
         if self.nrows != self.ncols:
             raise DegenerateInputError("determinant of a non-square matrix")
-        n = self.nrows
-        if n == 0:
+        if not self.rows:
             return 1
-        # Bareiss fraction-free elimination
-        m = [list(r) for r in self.rows]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+        m, pivots, sign = _int_echelon(self.rows)
+        return sign * m[-1][-1] if len(pivots) == self.nrows else 0
 
     def is_unimodular(self) -> bool:
         return self.nrows == self.ncols and self.det() in (1, -1)
@@ -528,15 +572,6 @@ def _zero_one_like(sample):
     return Fraction(0), Fraction(1)
 
 
-def mat_mul(A, B):
-    bt = list(zip(*B))
-    return [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in A]
-
-
-def mat_vec(A, v):
-    return [sum(a * b for a, b in zip(row, v)) for row in A]
-
-
 def mat_inverse(A):
     """Inverse of a square matrix over Fraction; None if singular."""
     n = len(A)
@@ -562,6 +597,78 @@ def solve_linear(A, b):
     for r, p in enumerate(pivots):
         x[p] = rref[r][n]
     return x
+
+
+# -- fraction-free integer linear algebra ---------------------------------------
+
+
+def _int_echelon(rows):
+    """Fraction-free Gauss-Jordan (Bareiss) elimination of an integer matrix.
+
+    Returns (m, pivots, sign).  Row r < len(pivots) of m has the common
+    nonzero pivot value m[r][pivots[r]] and zeros in the other pivot
+    columns; the remaining rows are zero.  For a nonsingular square input the
+    pivot value times ``sign`` (the sign of the row swaps) is the
+    determinant.  Every division is exact because each entry is a minor of
+    the input.
+    """
+    m = [list(r) for r in rows]
+    pivots = []
+    sign = 1
+    if not m:
+        return m, pivots, sign
+    prev = 1
+    for c in range(len(m[0])):
+        r = len(pivots)
+        i = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if i is None:
+            continue
+        if i != r:
+            m[r], m[i] = m[i], m[r]
+            sign = -sign
+        top = m[r]
+        p = top[c]
+        for i, row in enumerate(m):
+            if i != r:
+                f = row[c]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+        pivots.append(c)
+        if len(pivots) == len(m):
+            break
+    return m, pivots, sign
+
+
+def _int_kernel(vectors, ncols: int) -> list:
+    """Basis of {x : <v, x> = 0 for the given integral vectors}, one vector
+    per free column: the rational reduced-echelon kernel basis, each scaled
+    to a primitive integer vector."""
+    m, pivots, _ = _int_echelon([v.ints for v in vectors])
+    d = m[0][pivots[0]] if pivots else 1
+    s = 1 if d > 0 else -1
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        x = [0] * ncols
+        x[f] = s * d
+        for r, p in enumerate(pivots):
+            x[p] = -s * m[r][f]
+        basis.append(Vector._from_ints(tuple(x)).primitive())
+    return basis
+
+
+def _exact_kernel(vectors, ncols: int) -> list:
+    """The same basis as ``_int_kernel`` over Q or Q(sqrt(D)), each vector
+    made primitive."""
+    return [Vector(k).primitive() for k in kernel_basis([list(v) for v in vectors], ncols)]
+
+
+def _vector_rank(vectors) -> int:
+    rows = [v.ints for v in vectors]
+    if any(r is None for r in rows):
+        return mat_rank([list(v) for v in vectors])
+    return len(_int_echelon(rows)[1])
 
 
 # -- integer normal forms -----------------------------------------------------
@@ -743,7 +850,7 @@ class Cone:
     hashing are structural for strongly convex cones.
     """
 
-    __slots__ = ("rank", "generators", "relint", "_dual")
+    __slots__ = ("rank", "generators", "relint", "_dual", "_dim", "_closure", "_faces")
 
     def __init__(self, rank, generators, relint=False, _reduce=True):
         rank = int(rank)
@@ -767,7 +874,8 @@ class Cone:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "generators", tuple(gens))
         object.__setattr__(self, "relint", bool(relint))
-        object.__setattr__(self, "_dual", None)
+        for slot in ("_dual", "_dim", "_closure", "_faces"):
+            object.__setattr__(self, slot, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cone is immutable")
@@ -775,9 +883,9 @@ class Cone:
     # -- basic structure ----------------------------------------------------
 
     def dim(self) -> int:
-        if not self.generators:
-            return 0
-        return mat_rank([list(g) for g in self.generators])
+        if self._dim is None:
+            object.__setattr__(self, "_dim", _vector_rank(self.generators))
+        return self._dim
 
     @property
     def is_rational(self) -> bool:
@@ -792,22 +900,36 @@ class Cone:
         return self._dual
 
     def closure(self) -> "Cone":
-        return self if not self.relint else Cone(self.rank, self.generators, relint=False, _reduce=False)
+        """The closed cone; built once per relative interior, so what is
+        cached on it (dual description, faces) is kept with this cone."""
+        if not self.relint:
+            return self
+        if self._closure is None:
+            closed = Cone(self.rank, self.generators, relint=False, _reduce=False)
+            object.__setattr__(self, "_closure", closed)
+        return self._closure
 
     def relative_interior(self) -> "Cone":
-        return self if self.relint else Cone(self.rank, self.generators, relint=True, _reduce=False)
+        if self.relint:
+            return self
+        inner = Cone(self.rank, self.generators, relint=True, _reduce=False)
+        object.__setattr__(inner, "_closure", self)
+        return inner
+
+    def faces(self) -> list:
+        """``faces`` of the closure, computed once and kept with the closure."""
+        closed = self.closure()
+        if closed._faces is None:
+            object.__setattr__(closed, "_faces", faces(closed))
+        return closed._faces
 
     def contains(self, v, relint=None) -> bool:
         v = as_vector(v, self.rank)
         strict = self.relint if relint is None else relint
+        if strict and not self.generators:
+            return v.is_zero
         normals, equations = self.dual_description()
-        if any(e.dot(v) for e in equations):
-            return False
-        if strict:
-            if not self.generators:
-                return v.is_zero
-            return all(n.dot(v).sign() > 0 for n in normals)
-        return all(n.dot(v).sign() >= 0 for n in normals)
+        return _satisfies(v, normals, equations, strict)
 
     def interior_sample(self) -> Vector:
         """A point of the relative interior (the sum of the generators)."""
@@ -842,7 +964,7 @@ def _extremal_subset(gens, rank):
     """Drop generators lying in the cone of the others."""
     if len(gens) <= 1:
         return list(gens)
-    if len(gens) <= rank and mat_rank([list(g) for g in gens]) == len(gens):
+    if len(gens) <= rank and _vector_rank(gens) == len(gens):
         return list(gens)  # simplicial: every generator is extremal
     out = list(gens)
     changed = True
@@ -859,44 +981,58 @@ def _extremal_subset(gens, rank):
 
 def _cone_membership(v, gens, rank) -> bool:
     normals, equations = _dual_description(tuple(gens), rank)
-    if any(e.dot(v) for e in equations):
-        return False
-    return all(n.dot(v).sign() >= 0 for n in normals)
+    return _satisfies(v, normals, equations, False)
+
+
+def _satisfies(v, normals, equations, strict: bool) -> bool:
+    """Whether <e, v> = 0 for every equation and <n, v> >= 0 (> 0 when
+    strict) for every normal."""
+    x = v.ints
+    for e in equations:
+        a = e.ints
+        if sum(map(mul, a, x)) if a is not None and x is not None else e.dot(v):
+            return False
+    for n in normals:
+        a = n.ints
+        s = sum(map(mul, a, x)) if a is not None and x is not None else n.dot(v).sign()
+        if s < 0 or (strict and s == 0):
+            return False
+    return True
 
 
 def _dual_description(gens, rank):
-    """Facet normals and span equations for cone(gens) in ambient ``rank``."""
+    """Facet normals and span equations for cone(gens) in ambient ``rank``,
+    each primitive, normals sorted.  Integral generators take the integer
+    kernel; quadratic data takes the ExactScalar one."""
     if rank > MAX_CONE_RANK:
         raise UnsupportedRankError(
             f"facet enumeration supports rank <= {MAX_CONE_RANK}, got {rank}"
         )
-    gens = [as_vector(g, rank) for g in gens if not as_vector(g, rank).is_zero]
-    rows = [list(g) for g in gens]
-    equations = [Vector(k).primitive() for k in kernel_basis(rows, ncols=rank)]
+    gens = [v for v in (as_vector(g, rank) for g in gens) if not v.is_zero]
+    integral = all(g.ints is not None for g in gens)
+    return _describe(gens, rank, _int_kernel if integral else _exact_kernel)
+
+
+def _describe(gens, rank, kernel):
+    """Brute-force facet enumeration: each normal is the kernel line of d - 1
+    generators plus the span equations, oriented nonnegative on ``gens``."""
+    equations = kernel(gens, rank)
     d = rank - len(equations)
     if d == 0:
         return (), tuple(equations)
-    normals = []
-    seen = set()
-    eq_rows = [list(e) for e in equations]
-    for subset in combinations(range(len(gens)), d - 1):
-        sys_rows = [rows[i] for i in subset] + eq_rows
-        kern = kernel_basis(sys_rows, ncols=rank)
+    normals = set()
+    for subset in combinations(gens, d - 1):
+        kern = kernel(list(subset) + equations, rank)
         if len(kern) != 1:
             continue
-        n = Vector(kern[0]).primitive()
-        signs = [n.dot(g).sign() for g in gens]
-        if all(s >= 0 for s in signs):
-            pass
-        elif all(s <= 0 for s in signs):
-            n = (-n).primitive()
-        else:
-            continue
-        if n.key() not in seen:
-            seen.add(n.key())
-            normals.append(n)
-    normals.sort(key=Vector.key)
-    return tuple(normals), tuple(equations)
+        n = kern[0]
+        signs = {_dot_sign(n, g) for g in gens}
+        if -1 in signs:
+            if 1 in signs:
+                continue
+            n = -n
+        normals.add(n)
+    return tuple(sorted(normals, key=Vector.key)), tuple(equations)
 
 
 def cone_from_inequalities(normals, equations, rank: int) -> Cone:
@@ -927,10 +1063,7 @@ def is_strongly_convex(c: Cone) -> bool:
     """True iff the closure contains no line (equivalently, no nontrivial
     nonnegative combination of generators vanishes)."""
     normals, equations = c.dual_description()
-    rows = [list(n) for n in normals] + [list(e) for e in equations]
-    if not rows:
-        return c.rank == 0
-    return mat_rank(rows) == c.rank
+    return _vector_rank(normals + equations) == c.rank
 
 
 def faces(c: Cone) -> list:
@@ -949,7 +1082,7 @@ def faces(c: Cone) -> list:
         seen[key] = cur
         normals, _ = cur.dual_description()
         for n in normals:
-            sub = [g for g in cur.generators if n.dot(g).sign() == 0]
+            sub = [g for g in cur.generators if _dot_sign(n, g) == 0]
             stack.append(Cone(c.rank, sub, _reduce=False))
     out = list(seen.values())
     out.sort(key=lambda f: (f.dim(), [g.key() for g in f.generators]))
@@ -965,14 +1098,9 @@ def is_unimodular_part_of_basis(c: Cone, rank=None) -> bool:
         return True
     if not c.is_rational:
         raise RequiresRationalConeError("unimodularity needs rational generators")
-    rows = []
-    for g in c.generators:
-        fr = g.as_fractions()
-        if any(f.denominator != 1 for f in fr):
-            return False
-        rows.append([f.numerator for f in fr])
+    rows = [g.ints for g in c.generators]  # rational generators are primitive
     k = len(rows)
-    if mat_rank([[Fraction(x) for x in row] for row in rows]) != k:
+    if _vector_rank(c.generators) != k:
         return False
     g = 0
     for cols in combinations(range(rank), k):

@@ -6,7 +6,8 @@ separate derivations of the same quantities.
 """
 
 from fractions import Fraction
-from math import gcd, isqrt
+from itertools import combinations
+from math import gcd, isqrt, lcm
 
 
 # -- minus continued fractions --------------------------------------------------
@@ -434,3 +435,42 @@ def primitive(vec):
     for x in vec:
         g = gcd(g, abs(x))
     return tuple(x // g for x in vec) if g else tuple(vec)
+
+
+# -- cone duals -------------------------------------------------------------------
+
+
+def kernel(rows, n: int) -> list:
+    """Basis of {x : rows . x = 0}, one vector per free column of the
+    reduced echelon form, each scaled to a primitive integer vector."""
+    red = rref(rows)
+    pivots = [next(j for j, x in enumerate(row) if x != 0) for row in red]
+    out = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        vec = [Fraction(int(j == f)) for j in range(n)]
+        for row, p in zip(red, pivots):
+            vec[p] = -row[f]
+        den = lcm(*(x.denominator for x in vec))
+        out.append(primitive([int(x * den) for x in vec]))
+    return out
+
+
+def dual_description(gens, n: int):
+    """(sorted primitive facet normals, span equations) of the cone on the
+    integer vectors ``gens``: every normal is the kernel line of d - 1
+    generators plus the span equations, oriented nonnegative on all of them."""
+    gens = [tuple(g) for g in gens if any(g)]
+    equations = kernel(gens, n)
+    d = n - len(equations)
+    normals = set()
+    for subset in combinations(gens, d - 1) if d else ():
+        kern = kernel(list(subset) + equations, n)
+        if len(kern) != 1:
+            continue
+        dots = [sum(a * b for a, b in zip(kern[0], g)) for g in gens]
+        if min(dots) < 0 < max(dots):
+            continue
+        normals.add(tuple(-x for x in kern[0]) if min(dots) < 0 else kern[0])
+    return sorted(normals), equations

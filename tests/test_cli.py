@@ -256,6 +256,23 @@ def test_input_errors_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_boolean_integer_fields_exit_two(tmp_path, capsys):
+    fan_doc = dump_fan(build_fan(CuspData.standard(5)))
+    bad_rank = _write(tmp_path, "rank.json", {**fan_doc, "rank": True})
+    assert cli.main(["fan", "validate", bad_rank]) == 2
+    identity = {"linear": [[True, False], [False, True]], "translation": []}
+    bool_group = {**fan_doc, "group": [identity]}
+    assert cli.main(["fan", "validate", _write(tmp_path, "group.json", bool_group)]) == 2
+    members = [{"generators": 5}] + fan_doc["members"][1:]
+    bad_member = _write(tmp_path, "member.json", {**fan_doc, "members": members})
+    assert cli.main(["fan", "validate", bad_member]) == 2
+    atlas_doc = dump_atlas(atlas_from_fan(build_fan(CuspData.standard(5))))
+    bool_atlas = _write(tmp_path, "atlas.json", {**atlas_doc, "rank": True})
+    assert cli.main(["atlas", "check", bool_atlas]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+
+
 def test_resource_bounds_exit_three(capsys):
     assert cli.main(["cusp", "resolve", "-D", "61", "--pell-bound", "3"]) == 3
     err = capsys.readouterr().err

@@ -203,3 +203,57 @@ def test_group_element_identity_matrix_round_trips():
     assert doc["group"] == []
     parsed = load_fan(json.loads(canonical_dumps(doc)))
     assert parsed.group == ()
+
+
+def test_booleans_are_not_integers():
+    fan_doc = json.loads(canonical_dumps(dump_fan(build_fan(CuspData.standard(5)))))
+    atlas = atlas_from_fan(build_fan(CuspData.standard(5)))
+    atlas_doc = json.loads(canonical_dumps(dump_atlas(atlas)))
+    chain_doc = json.loads(canonical_dumps(dump_chain(hull_vertices(CuspData.standard(5)))))
+    series_doc = {
+        "format": "series/1",
+        "rank": 2,
+        "truncation": 4,
+        "terms": [{"exponent": [1, 0], "coefficient": "1"}],
+    }
+
+    def patched(doc, edit):
+        out = json.loads(json.dumps(doc))
+        edit(out)
+        return out
+
+    cases = [
+        (load_fan, patched(fan_doc, lambda d: d.update(rank=True)), r"fan\.rank"),
+        (load_fan, patched(fan_doc, lambda d: d["support"].update(rank=True)),
+         r"fan\.support\.rank"),
+        (load_fan, patched(fan_doc, lambda d: d["group"][0].update(
+            linear=[[True, False], [False, True]])), r"fan\.group\[0\]\.linear"),
+        (load_fan, patched(fan_doc, lambda d: d["group"][0].update(translation=[True])),
+         r"fan\.group\[0\]\.translation"),
+        (load_fan, patched(fan_doc, lambda d: d["members"][0].update(generators=5)),
+         r"fan\.members\[0\]\.generators: expected a list"),
+        (load_fan, patched(fan_doc, lambda d: d.update(group=5)), r"fan\.group: expected a list"),
+        (load_atlas, patched(atlas_doc, lambda d: d.update(rank=True)), r"atlas\.rank"),
+        (load_atlas, patched(atlas_doc, lambda d: d["points"][0]["cone"][0].__setitem__(0, True)),
+         r"atlas\.points\[0\]\.cone"),
+        (load_chain, patched(chain_doc, lambda d: d.update(discriminant=True)),
+         r"chain\.discriminant"),
+        (load_chain, patched(chain_doc, lambda d: d["vertices"][0].__setitem__(0, False)),
+         r"chain\.vertices"),
+        (load_chain, patched(chain_doc, lambda d: d.update(b=[True])), r"chain\.b"),
+        (load_chain, patched(chain_doc, lambda d: d.update(box=True)), r"chain\.box"),
+        (load_monodromy, {"format": "monodromy/1", "operators": [[["1"]]], "weight": True},
+         r"monodromy\.weight"),
+        (load_series, patched(series_doc, lambda d: d.update(rank=True)), r"series\.rank"),
+        (load_series, patched(series_doc, lambda d: d.update(truncation=True)),
+         r"series\.truncation"),
+        (load_series, patched(series_doc, lambda d: d.update(complete_order=False)),
+         r"series\.complete_order"),
+        (load_series, patched(series_doc, lambda d: d["terms"][0].update(exponent=[True, 0])),
+         r"series\.terms\[0\]\.exponent"),
+    ]
+    for load, doc, where in cases:
+        with pytest.raises(FormatError, match=where):
+            load(doc)
+    with pytest.raises(FormatError, match=r"x\.D"):
+        parse_scalar({"a": "0", "b": "1", "D": True}, "x")

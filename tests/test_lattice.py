@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -23,7 +24,15 @@ from semitoric import (
     is_unimodular_part_of_basis,
     smith_normal_form,
 )
-from semitoric.lattice import mat_rank, solve_linear
+from semitoric.lattice import (
+    _describe,
+    _dual_description,
+    _exact_kernel,
+    _int_echelon,
+    _int_kernel,
+    mat_rank,
+    solve_linear,
+)
 
 
 def rand_scalar(rng, D):
@@ -318,3 +327,168 @@ def test_mat_rank_matches_oracle():
         n, m = rng.randrange(2, 5), rng.randrange(2, 5)
         rows = [[Fraction(rng.randrange(-4, 5)) for _ in range(m)] for _ in range(n)]
         assert mat_rank(rows) == oracles.rank(rows)
+
+
+# -- the integer path against the ExactScalar / Fraction path -------------------
+#
+# Integral generators take the integer kernel; the ExactScalar kernel and
+# ExactScalar dot products are the path quadratic data still takes, here run
+# on the same integral input as one reference, with tests/oracles.py as the
+# other.
+
+
+def _exact_dual_description(gens, n):
+    return _describe(gens, n, _exact_kernel)
+
+
+def _random_gens(rng, n, count=None):
+    count = rng.randrange(1, n + 3) if count is None else count
+    return [Vector(tuple(rng.randrange(-3, 4) for _ in range(n))) for _ in range(count)]
+
+
+def _exact_dot(u, v):
+    acc = ExactScalar(0)
+    for x, y in zip(u.entries, v.entries):
+        acc = acc + x * y
+    return acc
+
+
+def _exact_contains(desc, v, strict):
+    normals, equations = desc
+    if any(_exact_dot(e, v) for e in equations):
+        return False
+    if strict:
+        return all(_exact_dot(nrm, v).sign() > 0 for nrm in normals)
+    return all(_exact_dot(nrm, v).sign() >= 0 for nrm in normals)
+
+
+def _exact_double_dual(normals, equations, n):
+    dual_gens = list(normals) + list(equations) + [-e for e in equations]
+    dn, de = _exact_dual_description(dual_gens, n)
+    return list(dn) + list(de) + [-e for e in de], bool(de)
+
+
+def _exact_faces(c):
+    seen = set()
+    stack = [c.generators]
+    while stack:
+        gens = stack.pop()
+        if gens in seen:
+            continue
+        seen.add(gens)
+        normals, _ = _exact_dual_description(list(gens), c.rank)
+        for nrm in normals:
+            stack.append(tuple(g for g in gens if not _exact_dot(nrm, g)))
+    return sorted(
+        seen, key=lambda gens: (oracles.rank([g.ints for g in gens]), [g.ints for g in gens])
+    )
+
+
+def _leibniz_det(rows):
+    total = 0
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(perm[j] > perm[i] for i in range(len(perm)) for j in range(i))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def test_integer_echelon_rank_kernel_and_det_match_oracles():
+    rng = random.Random(40)
+    for _ in range(300):
+        ncols = rng.randrange(1, 5)
+        vectors = _random_gens(rng, ncols, rng.randrange(0, 6))
+        if vectors and rng.random() < 0.4:  # force a dependent row
+            a, b = rng.choice(vectors), rng.choice(vectors)
+            vectors.append(a.scale(2) + b.scale(-3))
+        rows = [v.ints for v in vectors]
+        assert len(_int_echelon(rows)[1]) == oracles.rank(rows)
+        assert [v.ints for v in _int_kernel(vectors, ncols)] == oracles.kernel(rows, ncols)
+        square = [v.ints for v in _random_gens(rng, ncols, ncols)]
+        assert IntMatrix(square).det() == _leibniz_det(square)
+
+
+def test_integer_dual_description_matches_exact_path():
+    rng = random.Random(41)
+    for _ in range(200):
+        n = rng.randrange(2, 5)
+        gens = _random_gens(rng, n)
+        got = _dual_description(gens, n)
+        assert got == _exact_dual_description([g for g in gens if not g.is_zero], n)
+        normals, equations = got
+        assert all(v.ints is not None for v in normals + equations)
+        expected = oracles.dual_description([g.ints for g in gens], n)
+        assert ([v.ints for v in normals], [v.ints for v in equations]) == expected
+
+
+def test_integer_dim_matches_oracle_rank():
+    rng = random.Random(42)
+    for _ in range(200):
+        n = rng.randrange(2, 5)
+        c = Cone(n, _random_gens(rng, n))
+        rows = [g.ints for g in c.generators]
+        assert c.dim() == oracles.rank(rows) == mat_rank([list(g) for g in c.generators])
+
+
+def test_integer_containment_matches_exact_path():
+    rng = random.Random(43)
+    for _ in range(60):
+        n = rng.randrange(2, 5)
+        c = Cone(n, _random_gens(rng, n))
+        desc = _exact_dual_description(list(c.generators), n)
+        points = [Vector([0] * n)] + _random_gens(rng, n, 8)
+        for _ in range(6):  # points on faces: sums of generator subsets
+            pick = [g for g in c.generators if rng.random() < 0.5]
+            points.append(sum(pick[1:], pick[0]) if pick else Vector([0] * n))
+        for v in points:
+            for strict in (False, True):
+                assert c.contains(v, relint=strict) == _exact_contains(desc, v, strict)
+            assert c.relative_interior().contains(v) == _exact_contains(desc, v, True)
+
+
+def test_integer_intersection_matches_exact_path():
+    rng = random.Random(44)
+    for _ in range(60):
+        n = rng.randrange(2, 5)
+        a, b = Cone(n, _random_gens(rng, n)), Cone(n, _random_gens(rng, n))
+        inter = cone_intersection(a, b)
+        na, ea = _exact_dual_description(list(a.generators), n)
+        nb, eb = _exact_dual_description(list(b.generators), n)
+        ref, has_lines = _exact_double_dual(na + nb, ea + eb, n)
+        got = _exact_dual_description(list(inter.generators), n)
+        assert got == _exact_dual_description(ref, n)
+        if not has_lines:
+            assert set(inter.generators) == set(ref)
+
+
+def test_integer_faces_match_exact_path():
+    rng = random.Random(45)
+    for _ in range(40):
+        n = rng.randrange(2, 5)
+        U = [Vector(tuple(r)) for r in oracles.random_unimodular(rng, n)]
+        gens = [u for u in U if rng.random() < 0.8] or U[:1]
+        for _ in range(rng.randrange(0, 3)):  # non-simplicial, still pointed
+            first = U[0].scale(rng.randrange(1, 3))
+            gens.append(sum((u.scale(rng.randrange(0, 3)) for u in U[1:]), first))
+        c = Cone(n, gens)
+        assert [f.generators for f in faces(c)] == _exact_faces(c)
+
+
+def test_quadratic_support_meets_integral_cones():
+    s5 = ExactScalar(0, 1, 5)
+    quad = Cone(2, [Vector([ExactScalar(1), s5]), Vector([ExactScalar(1), -1 / s5])])
+    assert all(v.ints is None for v in quad.generators)
+    rng = random.Random(46)
+    for _ in range(30):
+        b = Cone(2, _random_gens(rng, 2))
+        inter = cone_intersection(quad, b)
+        nq, eq = quad.dual_description()
+        nb, eb = _exact_dual_description(list(b.generators), 2)
+        ref, _ = _exact_double_dual(nq + nb, eq + eb, 2)
+        assert inter.same_rays(Cone(2, ref))
+        for v in _random_gens(rng, 2, 6):
+            expected = _exact_contains((nq, eq), v, False)
+            assert quad.contains(v) == expected
+            assert inter.contains(v) == (expected and b.contains(v))
