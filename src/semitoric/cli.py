@@ -298,9 +298,10 @@ def _add_cusp_options(p: argparse.ArgumentParser):
     p.add_argument("--ideal", help="module generators 'a1,b1;a2,b2' as a+b*sqrt(D)")
     p.add_argument("--unit", help="totally positive unit 'a,b' fixing the module")
     p.add_argument("--pell-bound", type=int, default=10**8,
-                   help="search bound for the fundamental unit")
-    p.add_argument("--box-limit", type=int, default=4096,
-                   help="largest coordinate box for the hull enumeration")
+                   help="largest sqrt(D) coefficient (times 2 when D = 1 mod 4) "
+                   "of the fundamental unit")
+    p.add_argument("--box-limit", type=int, default=None,
+                   help="largest |coordinate| a chain vertex may take (default: no limit)")
     p.add_argument("--output", help="write to this file instead of stdout")
 
 

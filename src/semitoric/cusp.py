@@ -5,98 +5,70 @@ cone have a convex hull whose boundary polyline is periodic under the
 totally positive unit.  One period of that polyline determines the cycle of
 rational curves resolving the cusp, with self-intersection numbers -b_j read
 off from the relation v_{j-1} + v_{j+1} = b_j v_j.
+
+The polyline is computed as a purely periodic minus continued fraction
+(Hirzebruch, "Hilbert modular surfaces", Enseign. Math. 1973, section 2):
+minus continued fraction steps reduce the module basis to two consecutive
+boundary points, and A_{k+1} = b_k A_k - A_{k-1} with
+b_k = floor(x'(A_{k-1}) / x'(A_k)) + 1 walks one unit period from there.
+Every sign test and floor is done in integers on the two embeddings
+(u.c +- (v.c) sqrt(D)) / d of the module element with coordinates c.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
-from math import gcd
+from math import gcd, isqrt, lcm
 
 from .errors import DegenerateInputError, ResourceBoundError
 from .fans import Decomposition, GroupElement, Support
-from .lattice import Cone, IntMatrix, Vector
-from .quadfield import CuspData, cusp_cone, cusp_cone_normals
-
-
-def _cone_points(cusp: CuspData, box: int) -> list:
-    """Integer coordinate pairs (c1, c2) with c1*alpha + c2*beta totally
-    positive and both coordinates in [-box, box]."""
-    n1, n2 = cusp_cone_normals(cusp.ideal)
-    pts = []
-    for c1 in range(-box, box + 1):
-        lo, hi = -box, box
-        empty = False
-        for (a_c, b_c) in (n1, n2):
-            # constraint c1*a_c + c2*b_c > 0
-            const = a_c * c1
-            sb = b_c.sign()
-            if sb == 0:
-                if const.sign() <= 0:
-                    empty = True
-                    break
-                continue
-            bound = (-const) / b_c
-            if sb > 0:
-                lo = max(lo, bound.floor() + 1)
-            else:
-                hi = min(hi, _strict_ceil_minus_one(bound))
-        if empty or lo > hi:
-            continue
-        pts.extend((c1, c2) for c2 in range(lo, hi + 1))
-    return pts
-
-
-def _strict_ceil_minus_one(x) -> int:
-    # largest integer strictly below x
-    f = x.floor()
-    return f - 1 if x == f else f
+from .lattice import Cone, IntMatrix, Vector, _cmp_int_vs_sqrt
+from .quadfield import CuspData, QuadIdeal, cusp_cone
 
 
 def _cross(p, q) -> int:
     return p[0] * q[1] - p[1] * q[0]
 
 
-def _hull(points: list) -> list:
-    """Convex hull in counterclockwise order (monotone chain)."""
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(
-            (lower[-1][0] - lower[-2][0], lower[-1][1] - lower[-2][1]),
-            (p[0] - lower[-2][0], p[1] - lower[-2][1]),
-        ) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(
-            (upper[-1][0] - upper[-2][0], upper[-1][1] - upper[-2][1]),
-            (p[0] - upper[-2][0], p[1] - upper[-2][1]),
-        ) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
+def _embedding_numerators(ideal: QuadIdeal) -> tuple:
+    """Integer vectors (u, v) such that the module element with coordinates
+    c is (u.c + (v.c) sqrt(D)) / d and its conjugate (u.c - (v.c) sqrt(D)) / d,
+    for one common denominator d > 0."""
+    coeffs = (ideal.alpha.a, ideal.beta.a, ideal.alpha.b, ideal.beta.b)
+    d = lcm(*(f.denominator for f in coeffs))
+    n = [(f * d).numerator for f in coeffs]
+    return (n[0], n[1]), (n[2], n[3])
 
 
-def _origin_facing_boundary(hull: list) -> set:
-    """Lattice points on hull edges whose outer side contains the origin,
-    including points interior to those edges."""
-    out = set()
-    n = len(hull)
-    for i in range(n):
-        p, q = hull[i], hull[(i + 1) % n]
-        if _cross(p, q) >= 0:
-            continue
-        dx, dy = q[0] - p[0], q[1] - p[1]
-        g = gcd(abs(dx), abs(dy))
-        sx, sy = dx // g, dy // g
-        for k in range(g + 1):
-            out.add((p[0] + k * sx, p[1] + k * sy))
-    return out
+def _quad_sign(p: int, q: int, D: int) -> int:
+    """Sign of p + q*sqrt(D)."""
+    return _cmp_int_vs_sqrt(p, -q, D)
+
+
+def _floor_quotient(p1: int, q1: int, p2: int, q2: int, D: int) -> int:
+    """floor((p1 + q1 sqrt(D)) / (p2 + q2 sqrt(D))) for a nonzero divisor."""
+    s = p1 * p2 - q1 * q2 * D
+    t = q1 * p2 - p1 * q2
+    n = p2 * p2 - q2 * q2 * D
+    if n < 0:
+        s, t, n = -s, -t, -n
+    r = isqrt(t * t * D)
+    # floor((s + y) / n) = (s + floor(y)) // n, and t sqrt(D) is irrational unless t = 0
+    return (s + (r if t >= 0 else -r - 1)) // n
+
+
+def _complement(P) -> tuple:
+    """Q with det(P, Q) = 1 for a primitive integer vector P."""
+    a, b = P
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        k = a // b
+        a, b = b, a - k * b
+        x0, x1 = x1, x0 - k * x1
+        y0, y1 = y1, y0 - k * y1
+    # a = +-1 = x0*P[0] + y0*P[1]
+    return (-y0 * a, x0 * a)
 
 
 @dataclass(frozen=True)
@@ -107,7 +79,8 @@ class VertexChain:
     follows increasing ratio x/x'; ``b`` holds the integers from
     v_{j-1} + v_{j+1} = b_j v_j, aligned with ``vertices``.  Consecutive
     vertices (with the unit-translate wraparound) always have determinant
-    one, every b_j is at least 2, and at least one exceeds 2.
+    one, every b_j is at least 2, and at least one exceeds 2.  ``box_used``
+    is the largest absolute coordinate among the vertices.
     """
 
     cusp: CuspData
@@ -119,7 +92,7 @@ class VertexChain:
         if len(self.vertices) != len(self.b) or not self.vertices:
             raise DegenerateInputError("chain needs matching vertices and b values")
         E = self.cusp.unit_action()
-        prev = _apply_int(E.inverse_unimodular(), self.vertices[-1])
+        prev = E.inverse_unimodular().apply_int(self.vertices[-1])
         ext = [prev] + list(self.vertices) + [E.apply_int(self.vertices[0])]
         for j in range(1, len(ext)):
             if _cross(ext[j - 1], ext[j]) != 1:
@@ -152,117 +125,80 @@ class VertexChain:
         out = []
         power = IntMatrix.identity(2)
         for _ in range(periods):
-            out.extend(_apply_int(power, v) for v in self.vertices)
+            out.extend(power.apply_int(v) for v in self.vertices)
             power = E * power
-        out.append(_apply_int(power, self.vertices[0]))
+        out.append(power.apply_int(self.vertices[0]))
         return tuple(out)
 
     def extended_b(self, periods: int = 1) -> tuple:
         return self.b * periods
 
 
-def _apply_int(M: IntMatrix, v) -> tuple:
-    return M.apply_int(v)
+def hull_vertices(cusp: CuspData, box_limit: int | None = None) -> VertexChain:
+    """Lattice points of the boundary polyline of the hull of the cone
+    lattice points, over one unit period.
 
-
-def _ratio_cmp(cusp: CuspData):
-    ideal = cusp.ideal
-
-    def cmp(u, v):
-        xu = ideal.element(Fraction(u[0]), Fraction(u[1]))
-        xv = ideal.element(Fraction(v[0]), Fraction(v[1]))
-        return (xu * xv.conjugate() - xv * xu.conjugate()).sign()
-
-    return cmp
-
-
-def _extract_period(cusp: CuspData, boundary: set):
-    """Window the boundary points to one unit period and certify the chain.
-    Returns (window points, b values) or None when the box was too small."""
-    ideal = cusp.ideal
-    E = cusp.unit_action()
-    Einv = E.inverse_unimodular()
-    scale = cusp.unit * cusp.unit  # ratio multiplier of the unit action
-    path = sorted(boundary, key=cmp_to_key(_ratio_cmp(cusp)))
-    window, prev_pt, next_pt = [], None, None
-    for p in path:
-        x = ideal.element(Fraction(p[0]), Fraction(p[1]))
-        below = (x - x.conjugate()).sign() < 0  # ratio < 1
-        above = (x - x.conjugate() * scale).sign() >= 0  # ratio >= scale
-        if below:
-            prev_pt = p
-        elif above:
-            next_pt = p
-            break
-        else:
-            window.append(p)
-    if not window or prev_pt is None or next_pt is None:
-        return None
-    if prev_pt != _apply_int(Einv, window[-1]) or next_pt != _apply_int(E, window[0]):
-        return None
-    ext = [prev_pt] + window + [next_pt]
-    b = []
-    for j in range(1, len(ext) - 1):
-        if _cross(ext[j - 1], ext[j]) != 1 or _cross(ext[j], ext[j + 1]) != 1:
-            return None
-        num = ext[j - 1][0] + ext[j + 1][0]
-        den = ext[j][0]
-        if den == 0:
-            num, den = ext[j - 1][1] + ext[j + 1][1], ext[j][1]
-        if num % den != 0:
-            return None
-        bj = num // den
-        if bj < 2:
-            return None
-        if any(ext[j - 1][t] + ext[j + 1][t] != bj * ext[j][t] for t in range(2)):
-            return None
-        b.append(bj)
-    if all(bj == 2 for bj in b):
-        return None
-    return tuple(window), tuple(b)
-
-
-def _box_estimate(cusp: CuspData) -> int:
-    """Coordinate size the chain certificate is expected to need, from the
-    entries of the squared unit action."""
-    E2 = cusp.unit_action().power(2)
-    biggest = max(abs(e) for row in E2.rows for e in row)
-    return 4 * biggest + 8
-
-
-def hull_vertices(cusp: CuspData, box_start: int = 8, box_limit: int = 4096) -> VertexChain:
-    """Boundary polyline of the hull of the cone lattice points, one period.
-
-    Grows the enumeration box until the extracted period is certified and
-    stable across a doubling.  Raises ResourceBoundError when the predicted
-    or actual box size exceeds ``box_limit``.
+    The period window holds the points with ratio x/x' in [1, eps^2), where
+    eps is the unit, and starts at its point of least (norm, coordinates).
+    Raises ResourceBoundError when a vertex coordinate exceeds ``box_limit``
+    (None sets no limit), and DegenerateInputError when the unit is below 1
+    or the basis has alpha*beta' - alpha'*beta > 0: the chain then runs the
+    other way, against the determinant-one order of the vertices.
     """
-    est = _box_estimate(cusp)
-    if est > box_limit:
-        raise ResourceBoundError(
-            f"chain certificate needs coordinates near {est}, over the box limit {box_limit}"
-        )
-    box = box_start
-    previous = None
-    while box <= box_limit:
-        boundary = _origin_facing_boundary(_hull(_cone_points(cusp, box)))
-        got = _extract_period(cusp, boundary) if boundary else None
-        if got is not None and got == previous:
-            window, b = got
-            return _chain_from_window(cusp, window, b, box)
-        previous = got
-        box *= 2
-    raise ResourceBoundError(f"hull did not stabilize within the box limit {box_limit}")
+    D = cusp.ideal.D
+    (u0, u1), (v0, v1) = _embedding_numerators(cusp.ideal)
+    if u0 * v1 - u1 * v0 < 0:
+        raise DegenerateInputError("basis must have alpha*beta' - alpha'*beta < 0")
+    if cusp.unit < 1:
+        raise DegenerateInputError("the unit must exceed 1")
+    E = cusp.unit_action().apply_int
 
+    def x(c):  # x(c) * d as an integer pair (p, q) for p + q sqrt(D)
+        return u0 * c[0] + u1 * c[1], v0 * c[0] + v1 * c[1]
 
-def _chain_from_window(cusp: CuspData, window, b, box) -> VertexChain:
-    ideal = cusp.ideal
-    norms = [ideal.element(Fraction(p[0]), Fraction(p[1])).norm() for p in window]
+    def xc(c):  # the conjugate x'(c) * d
+        return u0 * c[0] + u1 * c[1], -v0 * c[0] - v1 * c[1]
+
+    def q(c):  # ratio x/x' is >= 1 exactly when q(c) >= 0
+        return v0 * c[0] + v1 * c[1]
+
+    def step(prev, cur):
+        b = _floor_quotient(*xc(prev), *xc(cur), D) + 1
+        return b, (b * cur[0] - prev[0], b * cur[1] - prev[1])
+
+    # P is the positive generator of the module's rational line (positive by
+    # the orientation test above); Q completes it to a lattice basis.  Minus
+    # continued fraction steps on z = x(Q)/x(P) keep P totally positive and
+    # x(Q) > x(P), x'(Q) > 0; once x'(Q) < x'(P), z is reduced and P, Q are
+    # consecutive boundary points with ratio below 1.
+    g = gcd(v0, v1)
+    P = (v1 // g, -v0 // g)
+    Q = _complement(P)
+    while True:
+        b = _floor_quotient(*x(Q), *x(P), D) + 1
+        P, Q = (b * P[0] - Q[0], b * P[1] - Q[1]), P
+        if _quad_sign(*xc((P[0] - Q[0], P[1] - Q[1])), D) > 0:
+            break
+    while q(E(Q)) < 0:
+        P, Q = E(P), E(Q)
+    while q(Q) < 0:
+        P, Q = Q, step(P, Q)[1]
+    stop = E(Q)
+    window, bs = [], []
+    while Q != stop:
+        b, nxt = step(P, Q)
+        window.append(Q)
+        bs.append(b)
+        P, Q = Q, nxt
+    norms = [p * p - r * r * D for p, r in map(x, window)]
     start = min(range(len(window)), key=lambda i: (norms[i], window[i]))
-    E = cusp.unit_action()
-    vertices = list(window[start:]) + [_apply_int(E, p) for p in window[:start]]
-    b_rot = b[start:] + b[:start]
-    return VertexChain(cusp, tuple(vertices), tuple(b_rot), box)
+    vertices = window[start:] + [E(c) for c in window[:start]]
+    box = max(abs(t) for c in vertices for t in c)
+    if box_limit is not None and box > box_limit:
+        raise ResourceBoundError(
+            f"chain vertices reach coordinate {box}, over the box limit {box_limit}"
+        )
+    return VertexChain(cusp, tuple(vertices), tuple(bs[start:] + bs[:start]), box)
 
 
 @dataclass(frozen=True)
@@ -301,7 +237,7 @@ def self_intersections(source, strict: bool = True) -> CycleResolution:
     """
     chain = hull_vertices(source) if isinstance(source, CuspData) else source
     if strict and not isinstance(source, CuspData):
-        fresh = hull_vertices(chain.cusp, box_limit=max(4096, chain.box_used * 2))
+        fresh = hull_vertices(chain.cusp)
         if fresh.b != chain.b or fresh.vertices != chain.vertices:
             raise DegenerateInputError("chain does not match the recomputed hull")
     b_min, offset = _lex_min_rotation(chain.b)

@@ -27,17 +27,21 @@ def hull_figure(chain, scale: float = 28.0, pad: float = 30.0) -> str:
     xs = [v[0] for v in verts]
     ys = [v[1] for v in verts]
     span = max(max(map(abs, xs)), max(map(abs, ys)), 2)
-    box = min(span + 2, 64)
 
+    from .cusp import _embedding_numerators, _quad_sign
     from .quadfield import cusp_cone
 
-    cone = cusp_cone(chain.cusp.ideal)
+    ideal = chain.cusp.ideal
+    cone = cusp_cone(ideal)
+    # totally positive lattice points with coordinates in [-r, r]
+    (u0, u1), (v0, v1) = _embedding_numerators(ideal)
+    r = min(span + 1, 64)
     dots = []
-    from .cusp import _cone_points
-
-    for (c1, c2) in sorted(_cone_points(chain.cusp, box)):
-        if abs(c1) <= span + 1 and abs(c2) <= span + 1:
-            dots.append((c1, c2))
+    for c1 in range(-r, r + 1):
+        for c2 in range(-r, r + 1):
+            p, q = u0 * c1 + u1 * c2, v0 * c1 + v1 * c2
+            if _quad_sign(p, q, ideal.D) > 0 and _quad_sign(p, -q, ideal.D) > 0:
+                dots.append((c1, c2))
 
     def sx(x):
         return pad + scale * (x + span)

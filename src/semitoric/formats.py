@@ -51,6 +51,12 @@ def _list_of(obj, key, path: str) -> list:
     return items
 
 
+def _frac_list(obj, path: str) -> tuple:
+    if not isinstance(obj, list):
+        raise FormatError(f"{path}: expected a list")
+    return tuple(parse_frac(x, f"{path}[{i}]") for i, x in enumerate(obj))
+
+
 def frac_str(f: Fraction) -> str:
     f = Fraction(f)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
@@ -297,8 +303,7 @@ def load_atlas(obj, path: str = "atlas") -> BoundaryAtlas:
         if not isinstance(frame_rows, list):
             raise FormatError(f"{ppath}.frame: expected a matrix")
         frame = tuple(
-            tuple(parse_frac(x, f"{ppath}.frame[{r}][{c}]") for c, x in enumerate(row))
-            for r, row in enumerate(frame_rows)
+            _frac_list(row, f"{ppath}.frame[{r}]") for r, row in enumerate(frame_rows)
         )
         try:
             points.append(
@@ -330,12 +335,7 @@ def load_atlas(obj, path: str = "atlas") -> BoundaryAtlas:
 def _parse_frac_matrix(obj, path: str) -> tuple:
     if not isinstance(obj, list) or not obj:
         raise FormatError(f"{path}: expected a nonempty matrix")
-    rows = []
-    for i, row in enumerate(obj):
-        if not isinstance(row, list):
-            raise FormatError(f"{path}[{i}]: expected a list")
-        rows.append(tuple(parse_frac(x, f"{path}[{i}][{j}]") for j, x in enumerate(row)))
-    return tuple(rows)
+    return tuple(_frac_list(row, f"{path}[{i}]") for i, row in enumerate(obj))
 
 
 def load_monodromy(obj, path: str = "monodromy") -> dict:
@@ -350,18 +350,16 @@ def load_monodromy(obj, path: str = "monodromy") -> dict:
     if obj.get("pairing") is not None:
         out["pairing"] = _parse_frac_matrix(obj["pairing"], f"{path}.pairing")
     if obj.get("omega0") is not None:
-        om = obj["omega0"]
-        if not isinstance(om, list):
-            raise FormatError(f"{path}.omega0: expected a list")
-        out["omega0"] = tuple(parse_frac(x, f"{path}.omega0[{i}]") for i, x in enumerate(om))
+        out["omega0"] = _frac_list(obj["omega0"], f"{path}.omega0")
     if obj.get("basis") is not None:
         b = obj["basis"]
         g0 = _require(b, "g0", f"{path}.basis")
         gs = _require(b, "gs", f"{path}.basis")
+        if not isinstance(gs, list):
+            raise FormatError(f"{path}.basis.gs: expected a list")
         out["basis"] = (
-            tuple(parse_frac(x, f"{path}.basis.g0[{i}]") for i, x in enumerate(g0)),
-            [tuple(parse_frac(x, f"{path}.basis.gs[{k}][{i}]") for i, x in enumerate(g))
-             for k, g in enumerate(gs)],
+            _frac_list(g0, f"{path}.basis.g0"),
+            [_frac_list(g, f"{path}.basis.gs[{k}]") for k, g in enumerate(gs)],
         )
     if obj.get("weight") is not None:
         w = obj["weight"]

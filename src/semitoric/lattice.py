@@ -59,6 +59,9 @@ def _cmp_int_vs_sqrt(y: int, q: int, d: int) -> int:
     return 1 if diff < 0 else -1
 
 
+_FRACTION_ZERO = Fraction(0)
+
+
 class ExactScalar:
     """Element a + b*sqrt(D) with rational a, b; purely rational when b == 0."""
 
@@ -81,13 +84,23 @@ class ExactScalar:
     def __setattr__(self, name, value):
         raise AttributeError("ExactScalar is immutable")
 
+    @staticmethod
+    def _of(a: Fraction, b: Fraction, D) -> "ExactScalar":
+        """Result of arithmetic on validated operands: a and b are already
+        Fractions and D, when b != 0, is an already checked discriminant."""
+        x = object.__new__(ExactScalar)
+        object.__setattr__(x, "a", a)
+        object.__setattr__(x, "b", b)
+        object.__setattr__(x, "D", D if b else None)
+        return x
+
     # -- coercion -----------------------------------------------------------
 
     @staticmethod
     def lift(x, D=None) -> "ExactScalar":
         if isinstance(x, ExactScalar):
             return x
-        return ExactScalar(Fraction(x), 0, None)
+        return ExactScalar._of(Fraction(x), _FRACTION_ZERO, None)
 
     def _join(self, other) -> "tuple[ExactScalar, ExactScalar]":
         other = ExactScalar.lift(other)
@@ -101,12 +114,12 @@ class ExactScalar:
 
     def __add__(self, other):
         s, o = self._join(other)
-        return ExactScalar(s.a + o.a, s.b + o.b, s.D or o.D)
+        return ExactScalar._of(s.a + o.a, s.b + o.b, s.D or o.D)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExactScalar(-self.a, -self.b, self.D)
+        return ExactScalar._of(-self.a, -self.b, self.D)
 
     def __sub__(self, other):
         return self + (-ExactScalar.lift(other))
@@ -119,7 +132,7 @@ class ExactScalar:
         D = s.D or o.D
         a = s.a * o.a + (s.b * o.b * D if D is not None else 0)
         b = s.a * o.b + s.b * o.a
-        return ExactScalar(a, b, D)
+        return ExactScalar._of(a, b, D)
 
     __rmul__ = __mul__
 
@@ -127,9 +140,9 @@ class ExactScalar:
         if not self:
             raise ZeroDivisionError("inverse of zero")
         if self.D is None:
-            return ExactScalar(1 / self.a)
+            return ExactScalar._of(1 / self.a, _FRACTION_ZERO, None)
         n = self.norm()
-        return ExactScalar(self.a / n, -self.b / n, self.D)
+        return ExactScalar._of(self.a / n, -self.b / n, self.D)
 
     def __truediv__(self, other):
         s, o = self._join(other)
@@ -141,7 +154,7 @@ class ExactScalar:
     # -- field-theoretic data -----------------------------------------------
 
     def conjugate(self) -> "ExactScalar":
-        return ExactScalar(self.a, -self.b, self.D)
+        return ExactScalar._of(self.a, -self.b, self.D)
 
     def norm(self) -> Fraction:
         """a^2 - b^2 D, the product of the two embeddings."""

@@ -2,7 +2,8 @@
 
 Elements of Q(sqrt(D)) are ExactScalar values.  The two real embeddings are
 always ordered as (identity, conjugate); everything downstream relies on that
-order staying fixed.
+order staying fixed.  The fundamental unit comes from the continued fraction
+of the maximal order's generator, in O(period) integer steps.
 """
 
 from __future__ import annotations
@@ -41,27 +42,39 @@ def ring_basis(D: int) -> tuple:
 
 
 def fundamental_unit(D: int, bound: int = PELL_BOUND) -> QuadNum:
-    """Smallest unit > 1 of the maximal order, by Pell search on the
-    coefficient of sqrt(D).  Raises ResourceBoundError beyond ``bound``."""
+    """Smallest unit > 1 of the maximal order, from the continued fraction
+    of w = sqrt(D) or (1+sqrt(D))/2 (Lenstra, "Solving the Pell equation",
+    Notices AMS 2002).
+
+    The complete quotients are exact integer states (P + sqrt(D))/Q.  When
+    they first return to the state after w, the period has length l, and
+    the unit is p - q*w' for the convergent p/q = p_{l-1}/q_{l-1}.  Its
+    sqrt(D) coefficient is q, or q/2 when D = 1 mod 4; ResourceBoundError is
+    raised once a convergent's q exceeds ``bound``.
+    """
     check_discriminant(D)
+    s = math.isqrt(D)
+    P, Q = (1, 2) if D % 4 == 1 else (0, 1)
+    a = (P + s) // Q
+    p0, q0, p, q = 1, 0, a, 1
+    P = a * Q - P
+    Q = (D - P * P) // Q
+    first = (P, Q)
+    while True:
+        if q > bound:
+            raise ResourceBoundError(
+                f"no unit found for D={D} with sqrt coefficient <= {bound}"
+            )
+        a = (P + s) // Q
+        P = a * Q - P
+        Q = (D - P * P) // Q
+        if (P, Q) == first:
+            break
+        p0, q0, p, q = p, q, a * p + p0, a * q + q0
     if D % 4 == 1:
-        # x = (p + q sqrt(D))/2 with p = q mod 2 and p^2 - D q^2 = +-4
-        for q in range(1, bound + 1):
-            for target in (D * q * q - 4, D * q * q + 4):
-                if target < 0:
-                    continue
-                p = math.isqrt(target)
-                if p * p == target and (p - q) % 2 == 0:
-                    return ExactScalar(Fraction(p, 2), Fraction(q, 2), D)
-    else:
-        for q in range(1, bound + 1):
-            for target in (D * q * q - 1, D * q * q + 1):
-                p = math.isqrt(target)
-                if p * p == target:
-                    return ExactScalar(p, q, D)
-    raise ResourceBoundError(
-        f"no unit found for D={D} with sqrt coefficient <= {bound}"
-    )
+        # w' = 1 - w
+        return ExactScalar(Fraction(2 * p - q, 2), Fraction(q, 2), D)
+    return ExactScalar(p, q, D)
 
 
 def fundamental_totally_positive_unit(D: int, bound: int = PELL_BOUND) -> QuadNum:
@@ -171,15 +184,11 @@ class CuspData:
             raise DegenerateInputError("unit must be totally positive")
         if eps == ExactScalar(1):
             raise DegenerateInputError("unit must differ from 1")
-        # stabilization: eps * basis must stay in the Z-span of the basis
-        self.unit_action()
-
-    def unit_action(self) -> IntMatrix:
-        """Matrix of multiplication by the unit on (alpha, beta) coordinates:
-        column j holds the coordinates of unit * basis_j."""
+        # stabilization: eps * basis must stay in the Z-span of the basis; the
+        # action is kept for unit_action()
         cols = []
         for x in (self.ideal.alpha, self.ideal.beta):
-            c1, c2 = self.ideal.coordinates(self.unit * x)
+            c1, c2 = self.ideal.coordinates(eps * x)
             for c in (c1, c2):
                 if c.denominator != 1:
                     raise DegenerateInputError(
@@ -189,7 +198,12 @@ class CuspData:
         E = IntMatrix([[cols[0][0], cols[1][0]], [cols[0][1], cols[1][1]]])
         if E.det() != 1:
             raise DegenerateInputError("unit action must have determinant 1")
-        return E
+        object.__setattr__(self, "_action", E)
+
+    def unit_action(self) -> IntMatrix:
+        """Matrix of multiplication by the unit on (alpha, beta) coordinates:
+        column j holds the coordinates of unit * basis_j."""
+        return self._action
 
     @staticmethod
     def standard(D: int, bound: int = PELL_BOUND) -> "CuspData":

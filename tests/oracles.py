@@ -44,6 +44,28 @@ def minus_cf_cycle(D: int) -> list:
             return cycle
 
 
+def minus_cf_unit(D: int):
+    """Totally positive fundamental unit as the product of the complete
+    quotients w_k = (p_k + sqrt(D))/q_k over one period of the minus
+    continued fraction above.  Returns (a, b) with the unit a + b*sqrt(D)."""
+    s = isqrt(D)
+    if D % 4 == 1:
+        n = (s - 1) // 2 + 1
+        p, q = 2 * n + 1, 2
+    else:
+        p, q = s + 1, 1
+    start = (p, q)
+    a, b = Fraction(1), Fraction(0)
+    while True:
+        # (a + b sqrt(D)) * (p + sqrt(D)) / q
+        a, b = (a * p + b * D) / q, (a + b * p) / q
+        c = (p + s) // q + 1
+        t = c * q - p
+        p, q = t, (t * t - D) // q
+        if (p, q) == start:
+            return a, b
+
+
 def cyclic_rotations(seq):
     seq = list(seq)
     return [seq[i:] + seq[:i] for i in range(len(seq))]
@@ -71,6 +93,132 @@ def pell_fundamental(D: int):
                 if a * a == a2:
                     return a, b, 1
         b += 1
+
+
+# -- cusp chains by box enumeration ----------------------------------------------
+
+
+def _qsign(p: int, q: int, D: int) -> int:
+    """Sign of p + q*sqrt(D) for integers p, q."""
+    if q == 0 or p == 0 or (p > 0) == (q > 0):
+        return (p > 0) - (p < 0) if p else (q > 0) - (q < 0)
+    big = p * p > q * q * D  # |p| > |q| sqrt(D); never equal for q != 0
+    return (1 if p > 0 else -1) if big else (1 if q > 0 else -1)
+
+
+def _cross(p, q):
+    return p[0] * q[1] - p[1] * q[0]
+
+
+def _monotone_hull(points):
+    """Convex hull in counterclockwise order, collinear points dropped."""
+    pts = sorted(set(points))
+    if len(pts) <= 2:
+        return pts
+
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and _cross(
+                (out[-1][0] - out[-2][0], out[-1][1] - out[-2][1]),
+                (p[0] - out[-2][0], p[1] - out[-2][1]),
+            ) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    return half(pts)[:-1] + half(reversed(pts))[:-1]
+
+
+def _box_period(D, u, v, E, box):
+    """One certified period from the lattice points in [-box, box]^2, or None."""
+    def emb(c):
+        return u[0] * c[0] + u[1] * c[1], v[0] * c[0] + v[1] * c[1]
+
+    def totally_positive(c):
+        p, q = emb(c)
+        return _qsign(p, q, D) > 0 and _qsign(p, -q, D) > 0
+
+    pts = [(c1, c2) for c1 in range(-box, box + 1) for c2 in range(-box, box + 1)
+           if totally_positive((c1, c2))]
+    hull = _monotone_hull(pts)
+    boundary = set()
+    for i in range(len(hull)):
+        p, q = hull[i], hull[(i + 1) % len(hull)]
+        if _cross(p, q) >= 0:  # the origin is not on this edge's outer side
+            continue
+        dx, dy = q[0] - p[0], q[1] - p[1]
+        g = gcd(dx, dy)
+        boundary.update((p[0] + k * dx // g, p[1] + k * dy // g) for k in range(g + 1))
+    # x/x' >= 1 iff the sqrt(D) part q is >= 0, and x/x' >= unit^2 iff
+    # q >= 0 at unit^-1 * x
+    Einv = invert_unimodular(E)
+
+    def act(M, c):
+        return tuple(M[i][0] * c[0] + M[i][1] * c[1] for i in range(2))
+
+    # x/x' = (p + q sqrt(D)) / (p - q sqrt(D)) grows with q/p, and p > 0
+    order = sorted(boundary, key=lambda c: Fraction(emb(c)[1], emb(c)[0]))
+    window = [c for c in order if emb(c)[1] >= 0 and emb(act(Einv, c))[1] < 0]
+    if not window:
+        return None
+    before = [c for c in order if emb(c)[1] < 0]
+    after = [c for c in order if emb(act(Einv, c))[1] >= 0]
+    if not before or not after:
+        return None
+    ext = [before[-1]] + window + [after[0]]
+    if ext[0] != act(Einv, window[-1]) or ext[-1] != act(E, window[0]):
+        return None
+    bs = []
+    for j in range(1, len(ext) - 1):
+        if _cross(ext[j - 1], ext[j]) != 1 or _cross(ext[j], ext[j + 1]) != 1:
+            return None
+        t = 0 if ext[j][0] else 1
+        b, r = divmod(ext[j - 1][t] + ext[j + 1][t], ext[j][t])
+        if r or b < 2 or any(ext[j - 1][k] + ext[j + 1][k] != b * ext[j][k] for k in range(2)):
+            return None
+        bs.append(b)
+    if all(b == 2 for b in bs):
+        return None
+    norms = [emb(c)[0] ** 2 - emb(c)[1] ** 2 * D for c in window]
+    i = min(range(len(window)), key=lambda k: (norms[k], window[k]))
+    vertices = window[i:] + [act(E, c) for c in window[:i]]
+    return tuple(vertices), tuple(bs[i:] + bs[:i])
+
+
+def box_hull_chain(D: int, alpha, beta, unit, box_limit: int = 256):
+    """Boundary chain of the hull of the totally positive points of the
+    module Z*alpha + Z*beta by enumerating a doubling box of lattice points
+    until one unit period is certified and stable.
+
+    ``alpha``, ``beta`` and ``unit`` are pairs (a, b) of rationals for
+    a + b*sqrt(D).  Returns (vertices, b, E): the period window of ratio
+    x/x' in [1, unit^2) rotated to its least (norm, coordinates) point, the
+    values of v_{j-1} + v_{j+1} = b_j v_j, and the unit action E (column j
+    holds the coordinates of unit * basis_j).  Returns None when the box
+    limit is reached first.
+    """
+    alpha = tuple(Fraction(x) for x in alpha)
+    beta = tuple(Fraction(x) for x in beta)
+    d = lcm(*(x.denominator for x in alpha + beta))
+    u = (int(alpha[0] * d), int(beta[0] * d))
+    v = (int(alpha[1] * d), int(beta[1] * d))
+    cols = []
+    for x in (alpha, beta):
+        ea = unit[0] * x[0] + unit[1] * x[1] * D
+        eb = unit[0] * x[1] + unit[1] * x[0]
+        c = solve([[alpha[0], beta[0]], [alpha[1], beta[1]]], [ea, eb])
+        assert all(y.denominator == 1 for y in c)
+        cols.append([int(y) for y in c])
+    E = [[cols[0][0], cols[1][0]], [cols[0][1], cols[1][1]]]
+    box, previous = 8, None
+    while box <= box_limit:
+        got = _box_period(D, u, v, E, box)
+        if got is not None and got == previous:
+            return got[0], got[1], E
+        previous = got
+        box *= 2
+    return None
 
 
 # -- exact linear algebra --------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -271,6 +272,28 @@ def test_boolean_integer_fields_exit_two(tmp_path, capsys):
     assert cli.main(["atlas", "check", bool_atlas]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
+
+
+def test_non_list_containers_exit_two(tmp_path, capsys):
+    atlas_doc = dump_atlas(atlas_from_fan(build_fan(CuspData.standard(5))))
+    atlas_doc["points"][0]["frame"] = [1, 2]
+    assert cli.main(["atlas", "check", _write(tmp_path, "atlas.json", atlas_doc)]) == 2
+    mono_doc = dump_monodromy([[[1, 1], [0, 1]]])
+    mono_doc["basis"] = {"g0": 5, "gs": []}
+    assert cli.main(["monodromy", "check", _write(tmp_path, "mono.json", mono_doc)]) == 2
+    err = capsys.readouterr().err
+    assert "frame[0]: expected a list" in err and "basis.g0: expected a list" in err
+    assert "Traceback" not in err
+
+
+def test_pell_bound_exits_before_searching(capsys):
+    start = time.perf_counter()
+    assert cli.main(["cusp", "resolve", "-D", "151"]) == 3
+    assert time.perf_counter() - start < 2
+    assert "resource bound exceeded" in capsys.readouterr().err
+    assert cli.main(["cusp", "resolve", "-D", "151", "--pell-bound", "200000000"]) == 0
+    doc = _json_out(capsys)
+    assert doc["chain"]["unit"]["D"] == 151
 
 
 def test_resource_bounds_exit_three(capsys):

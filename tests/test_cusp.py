@@ -1,16 +1,24 @@
+import random
+
 import pytest
 
 import oracles
 from semitoric import (
     CuspData,
     CycleResolution,
+    DegenerateInputError,
+    ExactScalar,
+    QuadIdeal,
     ResourceBoundError,
     Vector,
     build_fan,
     emit_figure,
     hull_vertices,
+    ring_basis,
     self_intersections,
+    sqrtD,
 )
+from semitoric.lattice import is_squarefree
 
 DISCRIMINANTS = (2, 3, 5, 6, 7, 13)
 
@@ -156,3 +164,84 @@ def test_custom_unit_power_doubles_cycle():
     chain = hull_vertices(squared, box_limit=1 << 16)
     assert chain.m == 2 * len(KNOWN_CYCLES[5])
     assert lexmin_rotation(chain.b) == lexmin_rotation(KNOWN_CYCLES[5] * 2)
+
+
+
+def _pair(x):
+    return (x.a, x.b)
+
+
+def _power(x, k):
+    out = x
+    for _ in range(k - 1):
+        out = out * x
+    return out
+
+
+def _stabilized(ideal, unit):
+    """The cusp of ``ideal`` with the least power of ``unit`` that maps it to itself."""
+    for k in range(1, 13):
+        try:
+            return CuspData(ideal, _power(unit, k))
+        except DegenerateInputError:
+            pass
+    raise AssertionError("no small power of the unit stabilizes the module")
+
+
+def _oracle_cases():
+    rng = random.Random(20)
+    cases = []
+    for D in (2, 3, 5, 6, 7, 13, 14, 21):
+        base = CuspData.standard(D)
+        alpha, beta = base.ideal.alpha, base.ideal.beta
+        for _ in range(3):
+            (a, b), (c, d) = oracles.random_sl2(rng, 6)
+            ideal = QuadIdeal(a * alpha + c * beta, b * alpha + d * beta, D)
+            cases.append(CuspData(ideal, base.unit))
+    # non-maximal modules Z + k*omega*Z, and sqrt(2) times the maximal order
+    for D in (2, 3, 5, 7):
+        one, omega = ring_basis(D)
+        for k in (2, 3):
+            cases.append(_stabilized(QuadIdeal(one, omega * k, D), CuspData.standard(D).unit))
+    cases.append(CuspData(QuadIdeal(ExactScalar(2), sqrtD(2), 2), CuspData.standard(2).unit))
+    # squared and cubed units: two and three periods of the fundamental chain
+    for D in (2, 3, 5):
+        base = CuspData.standard(D)
+        for k in (2, 3):
+            cases.append(CuspData(base.ideal, _power(base.unit, k)))
+    return cases
+
+
+def test_chain_matches_box_hull_oracle():
+    for cusp in _oracle_cases():
+        ideal = cusp.ideal
+        want = oracles.box_hull_chain(
+            ideal.D, _pair(ideal.alpha), _pair(ideal.beta), _pair(cusp.unit)
+        )
+        assert want is not None, cusp
+        chain = hull_vertices(cusp)
+        assert (chain.vertices, chain.b) == want[:2], cusp
+        assert [list(r) for r in cusp.unit_action().rows] == want[2]
+        assert chain.box_used == max(abs(t) for v in chain.vertices for t in v)
+
+
+def test_every_discriminant_below_1000_matches_minus_cf_oracles():
+    count = 0
+    for D in range(2, 1000):
+        if not is_squarefree(D):
+            continue
+        count += 1
+        cusp = CuspData.standard(D, bound=10**60)
+        assert _pair(cusp.unit) == oracles.minus_cf_unit(D), D
+        chain = hull_vertices(cusp)
+        assert lexmin_rotation(chain.b) == lexmin_rotation(oracles.minus_cf_cycle(D)), D
+    assert count == 607
+
+
+def test_misoriented_basis_and_small_unit_are_rejected():
+    base = CuspData.standard(2)
+    swapped = CuspData(QuadIdeal(base.ideal.beta, base.ideal.alpha, 2), base.unit)
+    with pytest.raises(DegenerateInputError, match="alpha"):
+        hull_vertices(swapped)
+    with pytest.raises(DegenerateInputError, match="exceed 1"):
+        hull_vertices(CuspData(base.ideal, base.unit.inverse()))

@@ -185,6 +185,59 @@ def test_format_errors_for_other_documents():
         load_series(dup)
 
 
+def test_non_list_containers_are_format_errors():
+    atlas_doc = json.loads(canonical_dumps(dump_atlas(atlas_from_fan(build_fan(
+        CuspData.standard(5))))))
+    mono_doc = json.loads(canonical_dumps(dump_monodromy(
+        [[[1, 1], [0, 1]]], pairing=[[0, 1], [-1, 0]], omega0=[1, 0],
+        basis=([1, 0], [[0, 1]]),
+    )))
+    load_monodromy(json.loads(json.dumps(mono_doc)))
+
+    def patched(doc, edit):
+        out = json.loads(json.dumps(doc))
+        edit(out)
+        return out
+
+    def point(**kw):
+        return lambda d: d["points"][0].update(**kw)
+
+    cases = [
+        (load_atlas, patched(atlas_doc, point(frame=[1, 2])), r"atlas\.points\[0\]\.frame\[0\]"),
+        (load_atlas, patched(atlas_doc, point(frame=["12", "34"])),
+         r"atlas\.points\[0\]\.frame\[0\]: expected a list"),
+        (load_atlas, patched(atlas_doc, point(frame=5)), r"atlas\.points\[0\]\.frame"),
+        (load_atlas, patched(atlas_doc, point(cone=[5])), r"atlas\.points\[0\]\.cone"),
+        (load_atlas, patched(atlas_doc, point(cone=5)), r"atlas\.points\[0\]\.cone"),
+        (load_atlas, patched(atlas_doc, lambda d: d.update(points=[5])),
+         r"atlas\.points\[0\]: expected an object"),
+        (load_atlas, patched(atlas_doc, lambda d: d.update(points=5)), r"atlas\.points"),
+        (load_monodromy, patched(mono_doc, lambda d: d.update(basis={"g0": 5, "gs": []})),
+         r"monodromy\.basis\.g0: expected a list"),
+        (load_monodromy, patched(mono_doc, lambda d: d["basis"].update(gs=5)),
+         r"monodromy\.basis\.gs: expected a list"),
+        (load_monodromy, patched(mono_doc, lambda d: d["basis"].update(gs=[5])),
+         r"monodromy\.basis\.gs\[0\]: expected a list"),
+        (load_monodromy, patched(mono_doc, lambda d: d["basis"].update(g0="10")),
+         r"monodromy\.basis\.g0: expected a list"),
+        (load_monodromy, patched(mono_doc, lambda d: d.update(basis=5)),
+         r"monodromy\.basis: expected an object"),
+        (load_monodromy, patched(mono_doc, lambda d: d.update(operators=[[5]])),
+         r"monodromy\.operators\[0\]\[0\]: expected a list"),
+        (load_monodromy, patched(mono_doc, lambda d: d.update(operators=5)),
+         r"monodromy\.operators"),
+        (load_monodromy, patched(mono_doc, lambda d: d.update(pairing=[5, 6])),
+         r"monodromy\.pairing\[0\]: expected a list"),
+        (load_monodromy, patched(mono_doc, lambda d: d.update(omega0=5)),
+         r"monodromy\.omega0: expected a list"),
+        (load_monodromy, patched(mono_doc, lambda d: d.update(omega0="10")),
+         r"monodromy\.omega0: expected a list"),
+    ]
+    for load, doc, where in cases:
+        with pytest.raises(FormatError, match=where):
+            load(doc)
+
+
 def test_atlas_frame_fractions_survive():
     atlas = atlas_from_fan(build_fan(CuspData.standard(13)))
     doc = dump_atlas(atlas)
