@@ -153,7 +153,7 @@ def cmd_fan_sbb(args) -> int:
         P = formats.load_fan(_read_json(args.file))
         support, group = P.support, P.group
     elif args.discriminant:
-        cusp = CuspData.standard(args.discriminant)
+        cusp = CuspData.standard(args.discriminant, bound=args.pell_bound)
         support = Support(
             cusp_cone(cusp.ideal).closure(), interior_only=True, include_origin=False
         )
@@ -280,6 +280,8 @@ def cmd_series_check(args) -> int:
     out = {"effective": rep.effective, "witness": list(rep.witness) if rep.witness else None}
     if args.matrix:
         M = _parse_int_matrix(args.matrix)
+        if M.nrows != s.rank:
+            raise SemitoricError("framing change has the wrong rank")
         pres = reframing_preserves_effectivity(M, framing)
         out["reframing_preserves_effectivity"] = pres.effective
         out["reframing_witness"] = list(pres.witness) if pres.witness else None
@@ -292,14 +294,18 @@ def cmd_series_check(args) -> int:
 # -- parser ------------------------------------------------------------------------------
 
 
+def _add_pell_bound(p: argparse.ArgumentParser):
+    p.add_argument("--pell-bound", type=int, default=10**8,
+                   help="largest sqrt(D) coefficient (times 2 when D = 1 mod 4) "
+                   "of the fundamental unit")
+
+
 def _add_cusp_options(p: argparse.ArgumentParser):
     p.add_argument("-D", "--discriminant", type=int, required=True,
                    help="squarefree discriminant of the real quadratic field")
     p.add_argument("--ideal", help="module generators 'a1,b1;a2,b2' as a+b*sqrt(D)")
     p.add_argument("--unit", help="totally positive unit 'a,b' fixing the module")
-    p.add_argument("--pell-bound", type=int, default=10**8,
-                   help="largest sqrt(D) coefficient (times 2 when D = 1 mod 4) "
-                   "of the fundamental unit")
+    _add_pell_bound(p)
     p.add_argument("--box-limit", type=int, default=None,
                    help="largest |coordinate| a chain vertex may take (default: no limit)")
     p.add_argument("--output", help="write to this file instead of stdout")
@@ -339,6 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--file", help="fan file whose support and group to reuse")
     p.add_argument("-D", "--discriminant", type=int,
                    help="use the cusp cone of this discriminant as support")
+    _add_pell_bound(p)
     p.add_argument("--output")
     p.set_defaults(func=cmd_fan_sbb)
     p = fan_sub.add_parser("mumford", help="are all members unimodular")

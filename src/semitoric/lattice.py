@@ -459,10 +459,7 @@ class IntMatrix:
 
     def __mul__(self, other):
         if isinstance(other, IntMatrix):
-            bt = list(zip(*other.rows))
-            return IntMatrix(
-                [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self.rows]
-            )
+            return IntMatrix(_mat_mul(self.rows, other.rows))
         return NotImplemented
 
     def __eq__(self, other):
@@ -483,7 +480,7 @@ class IntMatrix:
         )
 
     def apply_int(self, v) -> tuple:
-        return tuple(sum(c * x for c, x in zip(row, v)) for row in self.rows)
+        return tuple(sum(map(mul, row, v)) for row in self.rows)
 
     def det(self) -> int:
         if self.nrows != self.ncols:
@@ -497,12 +494,14 @@ class IntMatrix:
         return self.nrows == self.ncols and self.det() in (1, -1)
 
     def inverse_unimodular(self) -> "IntMatrix":
+        """Inverse in integers: Gauss-Jordan elimination of [M | 1] ends in
+        [p | p M^-1] with the pivot value p = +-1."""
         d = self.det()
         if d not in (1, -1):
             raise DegenerateInputError(f"matrix has determinant {d}, not a lattice automorphism")
         n = self.nrows
-        inv = mat_inverse([[Fraction(x) for x in row] for row in self.rows])
-        return IntMatrix([[int(x) for x in row] for row in inv])
+        m, _, _ = _int_echelon([a + b for a, b in zip(self.rows, IntMatrix.identity(n).rows)])
+        return IntMatrix([[m[0][0] * x for x in row[n:]] for row in m])
 
     def power(self, k: int) -> "IntMatrix":
         base = self if k >= 0 else self.inverse_unimodular()
@@ -615,6 +614,29 @@ def solve_linear(A, b):
 # -- fraction-free integer linear algebra ---------------------------------------
 
 
+def _mat_mul(A, B) -> tuple:
+    """Product of two matrices given as rows of ints or Fractions."""
+    cols = tuple(zip(*B))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in A)
+
+
+def _mat_combination(coeffs, mats) -> tuple:
+    """sum c_j M_j over the coefficients and same-shape matrices."""
+    return tuple(
+        tuple(sum(map(mul, coeffs, entries)) for entries in zip(*rows)) for rows in zip(*mats)
+    )
+
+
+def _denominator(rows) -> int:
+    """Least common denominator of the entries of a rational matrix."""
+    return math.lcm(*(x.denominator for row in rows for x in row))
+
+
+def _times(rows, den: int) -> tuple:
+    """The integer matrix den * rows; den must be a common denominator."""
+    return tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows)
+
+
 def _int_echelon(rows):
     """Fraction-free Gauss-Jordan (Bareiss) elimination of an integer matrix.
 
@@ -652,6 +674,17 @@ def _int_echelon(rows):
     return m, pivots, sign
 
 
+def _int_rank(rows) -> int:
+    return len(_int_echelon(rows)[1])
+
+
+def _int_rref(rows) -> list:
+    """Reduced row echelon basis of the span of integer rows, as Fraction
+    tuples: the Gauss-Jordan rows divided by their common pivot value."""
+    m, pivots, _ = _int_echelon(rows)
+    return [tuple(Fraction(x, m[0][pivots[0]]) for x in m[r]) for r in range(len(pivots))]
+
+
 def _int_kernel(vectors, ncols: int) -> list:
     """Basis of {x : <v, x> = 0 for the given integral vectors}, one vector
     per free column: the rational reduced-echelon kernel basis, each scaled
@@ -681,7 +714,7 @@ def _vector_rank(vectors) -> int:
     rows = [v.ints for v in vectors]
     if any(r is None for r in rows):
         return mat_rank([list(v) for v in vectors])
-    return len(_int_echelon(rows)[1])
+    return _int_rank(rows)
 
 
 # -- integer normal forms -----------------------------------------------------

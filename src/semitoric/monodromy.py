@@ -4,6 +4,10 @@ All operators are rational matrices acting on column vectors.  Logarithms of
 unipotent operators terminate exactly; weight spaces come from images and
 kernels of powers; the coordinate construction pairs an exponential of the
 log operators against an adapted integral basis.
+
+The matrix algebra runs in integers: a rational matrix is cleared by the
+least common denominator of its entries, which changes neither its image nor
+its kernel, and power sums are taken over one common denominator.
 """
 
 from __future__ import annotations
@@ -18,12 +22,19 @@ from .fans import ConditionReport
 from .lattice import (
     IntMatrix,
     Vector,
+    _denominator,
+    _int_echelon,
+    _int_kernel,
+    _int_rank,
+    _int_rref,
+    _mat_combination,
+    _mat_mul,
+    _times,
+    complete_to_basis,
     hermite_normal_form,
     integer_kernel,
     kernel_basis,
     mat_inverse,
-    mat_rank,
-    mat_rref,
 )
 
 
@@ -43,35 +54,17 @@ def _mat(rows) -> tuple:
     return out
 
 
-def _identity(d: int) -> tuple:
-    return tuple(tuple(Fraction(1) if i == j else Fraction(0) for j in range(d)) for i in range(d))
-
-
-def _mat_mul(A, B) -> tuple:
-    return tuple(
-        tuple(sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(len(B[0])))
-        for i in range(len(A))
-    )
-
-
-def _mat_add(A, B) -> tuple:
-    return tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
-def _mat_scale(A, c) -> tuple:
-    c = Fraction(c)
-    return tuple(tuple(c * x for x in row) for row in A)
-
-
-def _mat_pow(A, k: int) -> tuple:
-    out = _identity(len(A))
-    for _ in range(k):
-        out = _mat_mul(out, A)
-    return out
-
-
-def _is_zero(A) -> bool:
-    return all(x == 0 for row in A for x in row)
+def _nonzero_powers(A, limit: int):
+    """[A, A^2, ..., A^n] with A^(n+1) = 0, or None when the first ``limit``
+    powers are all nonzero."""
+    powers = []
+    P = A
+    while any(map(any, P)):
+        if len(powers) == limit:
+            return None
+        powers.append(P)
+        P = _mat_mul(P, A)
+    return powers
 
 
 def _apply(A, v) -> tuple:
@@ -84,30 +77,15 @@ def _apply(A, v) -> tuple:
 def minimal_polynomial(T) -> list:
     """Monic minimal polynomial, coefficients ascending."""
     T = _mat(T)
-    d = len(T)
-    power = _identity(d)
+    power = _mat(IntMatrix.identity(len(T)))
     flat_rows = []
-    for _ in range(d + 1):
-        flat = [x for row in power for x in row]
-        rows = flat_rows + [flat]
-        if mat_rank([list(r) for r in rows]) < len(rows):
-            coeffs = _solve_dependency(flat_rows, flat)
-            return [-c for c in coeffs] + [Fraction(1)]
-        flat_rows.append(flat)
+    while True:
+        flat_rows.append([x for row in power for x in row])
+        # the first dependency of 1, T, T^2, ... has last coefficient 1
+        dependency = kernel_basis([list(col) for col in zip(*flat_rows)])
+        if dependency:
+            return dependency[0]
         power = _mat_mul(power, T)
-    raise DegenerateInputError("no minimal polynomial found")  # unreachable
-
-
-def _solve_dependency(rows, target) -> list:
-    """Coefficients expressing target as a combination of the given rows."""
-    n = len(rows)
-    aug = [[rows[i][j] for i in range(n)] for j in range(len(target))]
-    from .lattice import solve_linear
-
-    sol = solve_linear(aug, list(target))
-    if sol is None:
-        raise DegenerateInputError("dependency solve failed")
-    return [Fraction(x) for x in sol]
 
 
 def _poly_eval(p, x: Fraction) -> Fraction:
@@ -157,102 +135,88 @@ def unipotent_log(T) -> tuple:
     """
     T = _mat(T)
     d = len(T)
-    Nil = _mat_add(T, _mat_scale(_identity(d), -1))
-    power = Nil
-    k = 1
-    while k <= d and not _is_zero(power):
-        power = _mat_mul(power, Nil)
-        k += 1
-    if not _is_zero(power):
+    nil = tuple(tuple(x - (i == j) for j, x in enumerate(row)) for i, row in enumerate(T))
+    den = _denominator(nil)
+    A = _times(nil, den)
+    powers = _nonzero_powers(A, d)
+    if powers is None:
         p = minimal_polynomial(T)
         while len(p) > 1 and _poly_eval(p, Fraction(1)) == 0:
             p = _poly_divide_linear_root_one(p)
         raise NotUnipotentError(
             f"operator is not unipotent: minimal polynomial keeps the factor {_poly_str(p)}"
         )
-    log = tuple(tuple(Fraction(0) for _ in range(d)) for _ in range(d))
-    term = Nil
-    j = 1
-    while not _is_zero(term):
-        log = _mat_add(log, _mat_scale(term, Fraction((-1) ** (j + 1), j)))
-        term = _mat_mul(term, Nil)
-        j += 1
-    if _mat_exp(log) != T:
+    # log T = sum_k (-1)^(k+1) (A / den)^k / k = S / L
+    n = len(powers)
+    L = lcm(*range(1, n + 1)) * den**n
+    coeffs = [(-1) ** (k + 1) * (L // (k * den**k)) for k in range(1, n + 1)]
+    S = _mat_combination(coeffs, powers) if powers else A
+    # exp(S / L) = E / M must be T = 1 + A / den
+    E, M = _mat_exp(S, L)
+    one = IntMatrix.identity(d).rows
+    if _mat_combination([den], [E]) != _mat_combination([M * den, M], [one, A]):
         raise DegenerateInputError("logarithm verification failed")
-    return log
+    return tuple(tuple(Fraction(x, L) for x in row) for row in S)
 
 
-def _mat_exp(N) -> tuple:
-    d = len(N)
-    out = _identity(d)
-    term = _identity(d)
-    j = 1
-    while True:
-        term = _mat_scale(_mat_mul(term, N), Fraction(1, j))
-        if _is_zero(term):
-            return out
-        out = _mat_add(out, term)
-        j += 1
+def _mat_exp(S, L) -> tuple:
+    """exp(S / L) of a nilpotent integer matrix S as (E, M) with
+    exp(S / L) = E / M over the common denominator M = m! L^m, where S^m is
+    the last nonzero power."""
+    d = len(S)
+    powers = _nonzero_powers(S, d)
+    if powers is None:
+        raise DegenerateInputError("logarithm verification failed")
+    m = len(powers)
+    M = factorial(m) * L**m
+    coeffs = [M // (factorial(j) * L**j) for j in range(m + 1)]
+    return _mat_combination(coeffs, [IntMatrix.identity(d).rows] + powers), M
 
 
-# -- subspace helpers --------------------------------------------------------------
+# -- weight spaces -------------------------------------------------------------------
 
 
-def _row_basis(rows) -> list:
-    if not rows:
-        return []
-    rref, pivots = mat_rref([list(r) for r in rows])
-    return [tuple(rref[i]) for i in range(len(pivots))]
+def _weight_dims(powers) -> tuple:
+    """dim W0, W1, W2 of a nilpotent N from powers = [N^0, ..., N^n] with
+    N^(n+1) = 0: dim(im N^a meet ker N^b) = rk N^a' - rk N^(a'+b) with
+    a' = max(a, 0), since N^b maps im N^a' onto im N^(a'+b)."""
+    n = len(powers) - 1
+    ranks = {0: len(powers[0])}
 
+    def rk(k):
+        if k > n:
+            return 0
+        if k not in ranks:
+            ranks[k] = _int_rank(powers[k])
+        return ranks[k]
 
-def image_basis(A) -> list:
-    cols = [tuple(A[i][j] for i in range(len(A))) for j in range(len(A[0]))]
-    return _row_basis(cols)
-
-
-def kernel_of(A) -> list:
-    return [tuple(v) for v in kernel_basis([list(r) for r in A])]
-
-
-def span_intersection(basis_a, basis_b) -> list:
-    """Basis of the intersection of two spans."""
-    if not basis_a or not basis_b:
-        return []
-    d = len(basis_a[0])
-    stacked = [list(r) for r in basis_a] + [[-x for x in r] for r in basis_b]
-    transposed = [[stacked[i][j] for i in range(len(stacked))] for j in range(d)]
-    combos = kernel_basis(transposed)
-    vecs = []
-    for y in combos:
-        x = [Fraction(0)] * d
-        for i, row in enumerate(basis_a):
-            for j in range(d):
-                x[j] += Fraction(y[i]) * row[j]
-        if any(x):
-            vecs.append(tuple(x))
-    return _row_basis(vecs)
+    dims = [rk(n)]
+    for b in (1, 2):
+        a = max(n - b, 0)
+        dims.append(rk(a) - rk(a + b))
+    return tuple(dims)
 
 
 def weight_spaces(N, n: int) -> tuple:
     """Bases of the bottom pieces of the weight structure attached to a
     nilpotent operator of nilpotency degree n: image of N^n, image of
     N^(n-1) meeting ker N, image of N^(n-2) meeting ker N^2.  Powers with
-    nonpositive exponent are read as the identity."""
+    nonpositive exponent are read as the identity.  Each basis is the
+    reduced row echelon one, as Fraction tuples."""
     N = _mat(N)
     d = len(N)
-
-    def power_image(k):
-        if k <= 0:
-            return _row_basis(_identity(d))
-        return image_basis(_mat_pow(N, k))
-
-    def power_kernel(k):
-        return kernel_of(_mat_pow(N, k))
-
-    w0 = power_image(n)
-    w1 = span_intersection(power_image(n - 1), power_kernel(1))
-    w2 = span_intersection(power_image(n - 2), power_kernel(2))
-    return w0, w1, w2
+    M = _times(N, _denominator(N))
+    powers = [IntMatrix.identity(d).rows]
+    for _ in range(max(n, 2)):
+        powers.append(_mat_mul(powers[-1], M))
+    w0 = _int_rref(tuple(zip(*powers[max(n, 0)])))
+    out = [w0]
+    for b in (1, 2):
+        # im N^a meet ker N^b is the image of ker N^(a+b) under N^a
+        a = max(n - b, 0)
+        kernel = _int_kernel([Vector._from_ints(row) for row in powers[a + b]], d)
+        out.append(_int_rref([_apply(powers[a], k.ints) for k in kernel]))
+    return tuple(out)
 
 
 # -- the maximal unipotency test ----------------------------------------------------
@@ -264,6 +228,8 @@ class MonodromySet:
     crossings boundary point."""
 
     operators: tuple
+    _logs: tuple = field(default=None, init=False, repr=False, compare=False)
+    _scaled_logs: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ops = tuple(_mat(T) for T in self.operators)
@@ -283,7 +249,7 @@ class MonodromySet:
         return len(self.operators[0])
 
     def commuting(self) -> bool:
-        ops = self.operators
+        ops = [_times(T, _denominator(T)) for T in self.operators]
         return all(
             _mat_mul(ops[i], ops[j]) == _mat_mul(ops[j], ops[i])
             for i in range(len(ops))
@@ -291,7 +257,21 @@ class MonodromySet:
         )
 
     def logs(self) -> tuple:
-        return tuple(unipotent_log(T) for T in self.operators)
+        """The logarithms of the operators, computed once."""
+        if self._logs is None:
+            object.__setattr__(self, "_logs", tuple(unipotent_log(T) for T in self.operators))
+        return self._logs
+
+    def scaled_logs(self) -> tuple:
+        """(den, (M_1, ..., M_r)) with integer M_j = den * log T_j for the
+        least common denominator den of the logs, computed once.  Every
+        combination of the M_j has the image and kernel of the same
+        combination of the logs."""
+        if self._scaled_logs is None:
+            logs = self.logs()
+            den = lcm(*(_denominator(L) for L in logs))
+            object.__setattr__(self, "_scaled_logs", (den, tuple(_times(L, den) for L in logs)))
+        return self._scaled_logs
 
 
 @dataclass
@@ -322,10 +302,7 @@ class MaxUnipotencyReport:
 
 
 def combined_log(logs, a) -> tuple:
-    N = _mat_scale(logs[0], a[0])
-    for c, L in zip(a[1:], logs[1:]):
-        N = _mat_add(N, _mat_scale(L, c))
-    return N
+    return _mat_combination(a, logs)
 
 
 def is_maximally_unipotent(
@@ -341,6 +318,8 @@ def is_maximally_unipotent(
        matches the number of operators, and the pairing matrix m of the
        adapted basis is invertible.
     """
+    if draws < 0:
+        raise DegenerateInputError(f"the number of draws must be nonnegative, got {draws}")
     mset = operators if isinstance(operators, MonodromySet) else MonodromySet(tuple(operators))
     conds = []
     commuting = mset.commuting()
@@ -376,21 +355,16 @@ def is_maximally_unipotent(
 
     weights = set()
     dims0, dims1, dims2 = set(), set(), set()
+    _, scaled = mset.scaled_logs()
+    one = IntMatrix.identity(mset.dim).rows
     for a in samples:
-        N = combined_log(logs, a)
-        n = 0
-        power = _identity(mset.dim)
-        while True:
-            nxt = _mat_mul(power, N)
-            if _is_zero(nxt):
-                break
-            power = nxt
-            n += 1
-        weights.add(n)
-        w0, w1, w2 = weight_spaces(N, n)
-        dims0.add(len(w0))
-        dims1.add(len(w1))
-        dims2.add(len(w2))
+        # commuting nilpotent logs: N_a is nilpotent
+        powers = [one] + _nonzero_powers(_mat_combination(a, scaled), mset.dim)
+        weights.add(len(powers) - 1)
+        d0, d1, d2 = _weight_dims(powers)
+        dims0.add(d0)
+        dims1.add(d1)
+        dims2.add(d2)
 
     stable = len(weights) == 1 and len(dims0) == 1 and len(dims1) == 1 and len(dims2) == 1
     n_obs = max(weights)
@@ -446,45 +420,41 @@ def integral_normalization(operators) -> tuple:
     Hermite form.
     """
     mset = operators if isinstance(operators, MonodromySet) else MonodromySet(tuple(operators))
-    logs = mset.logs()
     d = mset.dim
-    N1 = combined_log(logs, tuple([1] * mset.r))
-    n = 0
-    power = _identity(d)
-    while not _is_zero(_mat_mul(power, N1)):
-        power = _mat_mul(power, N1)
-        n += 1
-    w0 = weight_spaces(N1, n)[0]
-    if len(w0) != 1:
+    den, scaled = mset.scaled_logs()
+    powers = _nonzero_powers(_mat_combination([1] * mset.r, scaled), d)
+    if powers is None:
+        raise DegenerateInputError("the sum of the logs is not nilpotent")
+    top = powers[-1] if powers else IntMatrix.identity(d).rows  # N^n, whose image is W0
+    if _int_rank(top) != 1:
         raise DegenerateInputError("bottom weight piece is not a line")
-    g0 = _primitive_integer(w0[0])
+    g0 = _primitive_integer(next(col for col in zip(*top) if any(col)))
 
-    # lattice of v with N_j v in the g0 line, as constraints against a
-    # rational complement of g0
-    complement = _complement_functionals(g0)
-    constraint_rows = []
-    for L in logs:
-        for func in complement:
-            constraint_rows.append(
-                tuple(sum(func[i] * L[i][j] for i in range(d)) for j in range(d))
-            )
-    den = lcm(*(x.denominator for row in constraint_rows for x in row))
-    int_rows = [tuple(int(x * den) for x in row) for row in constraint_rows]
+    # lattice of v with N_j v in the g0 line: with p the first nonzero entry
+    # of g0, the functionals g0_p x_i - g0_i x_p (i != p) cut out that line.
+    # The rational constraint rows are rows / (g0_p den); they are cleared by
+    # the lcm of their denominators.
+    p = next(i for i, x in enumerate(g0) if x)
+    rows = [
+        tuple(g0[p] * M[i][j] - g0[i] * M[p][j] for j in range(d))
+        for M in scaled
+        for i in range(d)
+        if i != p
+    ]
+    g = gcd(g0[p] * den, *(x for row in rows for x in row))
+    int_rows = [tuple(x // g for x in row) for row in rows]
     if any(any(r) for r in int_rows):
         basis_rows = [tuple(v) for v in integer_kernel(IntMatrix(int_rows))]
     else:
-        basis_rows = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
+        basis_rows = list(IntMatrix.identity(d).rows)
     if len(basis_rows) != mset.r + 1:
         raise DegenerateInputError(
             f"adapted lattice has rank {len(basis_rows)}, expected {mset.r + 1}"
         )
     # rewrite so g0 is the first basis vector, then Hermite-reduce the rest
     coords = _integer_coordinates(basis_rows, g0)
-    U = _complete_unimodular(coords)
-    new_basis = [
-        tuple(sum(U[i][k] * basis_rows[k][j] for k in range(len(basis_rows))) for j in range(d))
-        for i in range(len(basis_rows))
-    ]
+    U = complete_to_basis([coords], len(coords)).rows
+    new_basis = list(_mat_mul(U, basis_rows))
     assert new_basis[0] == tuple(g0) or new_basis[0] == tuple(-x for x in g0)
     if new_basis[0] != tuple(g0):
         new_basis[0] = tuple(-x for x in new_basis[0])
@@ -494,49 +464,21 @@ def integral_normalization(operators) -> tuple:
 
 
 def _primitive_integer(vec) -> tuple:
-    den = lcm(*(Fraction(x).denominator for x in vec))
-    ints = [int(Fraction(x) * den) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    ints = [x // g for x in ints]
-    for x in ints:
-        if x != 0:
-            return tuple(ints) if x > 0 else tuple(-y for y in ints)
-    raise DegenerateInputError("zero vector cannot be normalized")
-
-
-def _complement_functionals(g0) -> list:
-    """Rational functionals vanishing nowhere jointly except along g0."""
-    d = len(g0)
-    pivot = next(i for i, x in enumerate(g0) if x != 0)
-    out = []
-    for i in range(d):
-        if i == pivot:
-            continue
-        func = [Fraction(0)] * d
-        func[i] = Fraction(1)
-        func[pivot] = Fraction(-g0[i], g0[pivot])
-        out.append(tuple(func))
-    return out
+    """The primitive integer vector on the line of a nonzero integer vector,
+    with a positive first nonzero entry."""
+    g = gcd(*vec)
+    lead = next(x for x in vec if x)
+    return tuple(x // g if lead > 0 else -x // g for x in vec)
 
 
 def _integer_coordinates(basis_rows, target) -> tuple:
-    from .lattice import solve_linear
-
-    cols = [[Fraction(basis_rows[k][j]) for k in range(len(basis_rows))] for j in range(len(target))]
-    sol = solve_linear(cols, [Fraction(x) for x in target])
-    if sol is None or any(Fraction(x).denominator != 1 for x in sol):
+    """Integer x with sum_k x_k basis_rows[k] = target, for independent rows."""
+    k = len(basis_rows)
+    m, pivots, _ = _int_echelon([col + (t,) for col, t in zip(zip(*basis_rows), target)])
+    p = m[0][0]
+    if pivots != list(range(k)) or any(m[r][k] % p for r in range(k)):
         raise DegenerateInputError("bottom vector is not in the adapted lattice")
-    return tuple(int(x) for x in sol)
-
-
-def _complete_unimodular(coords) -> list:
-    """Unimodular matrix whose first row is the given primitive vector."""
-    from .lattice import complete_to_basis
-
-    M = complete_to_basis([tuple(coords)], len(coords))
-    return [list(row) for row in M.rows]
+    return tuple(m[r][k] // p for r in range(k))
 
 
 # -- quasi-canonical coordinates ---------------------------------------------------------
@@ -669,6 +611,8 @@ def quasi_canonical_coordinates(
     the integral normalization.  f_j collects the inverse pairing matrix
     against the numerator pairings, divided by the pairing with g0.
     """
+    if order < 0:
+        raise DegenerateInputError(f"the series order must be nonnegative, got {order}")
     mset = operators if isinstance(operators, MonodromySet) else MonodromySet(tuple(operators))
     logs = mset.logs()
     r = mset.r

@@ -9,7 +9,7 @@ guaranteed complete.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DegenerateInputError
@@ -23,12 +23,14 @@ class Framing:
 
     basis: IntMatrix
     support: Cone | None = None
+    _coordinate_map: IntMatrix = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.basis.nrows != self.basis.ncols:
             raise DegenerateInputError("framing basis must be square")
         if not self.basis.is_unimodular():
             raise DegenerateInputError("framing basis must be unimodular")
+        object.__setattr__(self, "_coordinate_map", self.basis.inverse_unimodular().transpose())
         if self.support is not None:
             closure = self.support.closure()
             for row in self.basis.rows:
@@ -44,10 +46,7 @@ class Framing:
 
     def coordinates(self, expo) -> tuple:
         """Integer coordinates of an exponent in this framing."""
-        inv = self.basis.inverse_unimodular()
-        return tuple(
-            sum(expo[i] * inv[i][j] for i in range(self.rank)) for j in range(self.rank)
-        )
+        return self._coordinate_map.apply_int(expo)
 
 
 def standard_framing(rank: int) -> Framing:
@@ -127,6 +126,8 @@ def effectivity_check(s: FormalSeries, framing: Framing | None = None) -> Effect
     """Whether every exponent lies in the nonnegative span of the framing
     basis; the witness is the first offending exponent."""
     framing = framing or standard_framing(s.rank)
+    if framing.rank != s.rank:
+        raise DegenerateInputError("framing basis has the wrong rank")
     for expo, _ in s.terms:
         coords = framing.coordinates(expo)
         if any(c < 0 for c in coords):
@@ -168,6 +169,8 @@ def reframing_preserves_effectivity(M: IntMatrix, framing: Framing | None = None
         raise DegenerateInputError("framing changes must be unimodular")
     rank = M.nrows
     framing = framing or standard_framing(rank)
+    if framing.rank != rank:
+        raise DegenerateInputError("framing change has the wrong rank")
     B = framing.basis
     Mt = M.transpose()
     for i in range(rank):

@@ -336,31 +336,84 @@ def oracle_log(T):
 
 
 # -- brute-force maximal unipotency ----------------------------------------------
+#
+# Subspaces are handled in integers: a rational matrix is first cleared of its
+# denominators (images and kernels do not change), and a subspace is kept as
+# the reduced echelon form of a spanning set with every row scaled to a
+# primitive integer row with positive pivot, which is canonical.
+
+
+def _int_mul(A, B):
+    cols = list(zip(*B))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in A]
+
+
+def _cleared(A):
+    """The integer matrix den * A for the lcm den of the entry denominators."""
+    den = lcm(*(Fraction(x).denominator for row in A for x in row))
+    return [[int(Fraction(x) * den) for x in row] for row in A]
+
+
+def _primitive_row(row):
+    g = 0
+    for x in row:
+        g = gcd(g, x)
+    return [x // g for x in row] if g > 1 else list(row)
+
+
+def _int_rref(rows):
+    """Reduced echelon rows of the span over Q, each primitive in Z with a
+    positive pivot: cross-multiplied elimination, contents divided out."""
+    mat = [list(r) for r in rows]
+    if not mat:
+        return []
+    r = 0
+    for c in range(len(mat[0])):
+        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        top = _primitive_row(mat[r] if mat[r][c] > 0 else [-x for x in mat[r]])
+        mat[r] = top
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = _primitive_row([top[c] * x - f * y for x, y in zip(mat[i], top)])
+        r += 1
+        if r == len(mat):
+            break
+    return [tuple(row) for row in mat[:r]]
+
+
+def _as_rref(rows):
+    """The same rows divided by their pivots: the rational reduced echelon form."""
+    out = []
+    for row in rows:
+        p = next(x for x in row if x != 0)
+        out.append(tuple(Fraction(x, p) for x in row))
+    return out
 
 
 def _image_rows(A):
-    return rref([[A[i][j] for i in range(len(A))] for j in range(len(A[0]))])
+    return _int_rref([[A[i][j] for i in range(len(A))] for j in range(len(A[0]))])
 
 
 def _kernel_rows(A):
-    """Basis of the kernel of A (rows are kernel vectors)."""
-    m, n = len(A), len(A[0])
-    mat = [[Fraction(A[i][j]) for j in range(n)] for i in range(m)]
-    red = rref(mat)
-    pivots = []
-    for row in red:
-        for c, x in enumerate(row):
-            if x != 0:
-                pivots.append(c)
-                break
-    free = [c for c in range(n) if c not in pivots]
+    """Integer basis of the kernel of the integer matrix A (rows are kernel
+    vectors), one per free column."""
+    n = len(A[0])
+    red = _int_rref(A)
+    pivots = [next(c for c, x in enumerate(row) if x != 0) for row in red]
+    scale = lcm(*(row[c] for row, c in zip(red, pivots)))
     basis = []
-    for f in free:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
+    for f in range(n):
+        if f in pivots:
+            continue
+        v = [0] * n
+        v[f] = scale
         for row, c in zip(red, pivots):
-            v[c] = -row[f]
-        basis.append(tuple(v))
+            v[c] = -row[f] * (scale // row[c])
+        basis.append(tuple(_primitive_row(v)))
     return basis
 
 
@@ -375,61 +428,79 @@ def _intersect_rows(rows_a, rows_b, n):
     combos = _kernel_rows(cols)
     vecs = []
     for combo in combos:
-        v = [Fraction(0)] * n
+        v = [0] * n
         for c, row in zip(combo[: len(rows_a)], rows_a):
             for j in range(n):
                 v[j] += c * row[j]
         vecs.append(tuple(v))
-    return rref(vecs)
+    return _int_rref(vecs)
 
 
-def oracle_weight_dims(logs, a, n_weight, dim):
-    """Dims of (W0, W1, W2) for N = sum a_j logs[j], weight n_weight."""
-    N = [[sum(Fraction(a[j]) * logs[j][i][k] for j in range(len(logs)))
-          for k in range(dim)] for i in range(dim)]
+def _int_weight_pieces(N, n_weight, dim):
+    """Canonical integer bases of (W0, W1, W2) for an integer nilpotent N."""
 
-    def power(M, k):
-        out = [[Fraction(1 if i == j else 0) for j in range(dim)] for i in range(dim)]
+    def power(k):
+        out = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
         for _ in range(k):
-            out = mat_mul(out, M)
+            out = _int_mul(out, N)
         return out
 
     def im(k):
         if k <= 0:
-            return rref([[1 if i == j else 0 for j in range(dim)] for i in range(dim)])
-        return _image_rows(power(N, k))
+            return _int_rref([[1 if i == j else 0 for j in range(dim)] for i in range(dim)])
+        return _image_rows(power(k))
 
     def ker(k):
-        return rref(_kernel_rows(power(N, k)))
+        return _int_rref(_kernel_rows(power(k)))
 
     w0 = im(n_weight)
     w1 = _intersect_rows(im(n_weight - 1), ker(1), dim)
     w2 = _intersect_rows(im(n_weight - 2), ker(2), dim)
-    return len(w0), len(w1), len(w2), (w0, w1, w2)
+    return w0, w1, w2
+
+
+def oracle_weight_dims(logs, a, n_weight, dim):
+    """Dims of (W0, W1, W2) for N = sum a_j logs[j], weight n_weight, and
+    their reduced echelon bases as Fraction rows."""
+    N = [[sum(Fraction(a[j]) * logs[j][i][k] for j in range(len(logs)))
+          for k in range(dim)] for i in range(dim)]
+    w0, w1, w2 = _int_weight_pieces(_cleared(N), n_weight, dim)
+    return len(w0), len(w1), len(w2), (_as_rref(w0), _as_rref(w1), _as_rref(w2))
 
 
 def oracle_max_unipotent(operators, weight, rng, a_draws=50, basis_draws=50):
     """Randomized brute-force verdict for maximal unipotency."""
     dim = len(operators[0])
     r = len(operators)
-    for A in operators:
-        for B in operators:
-            if mat_mul(A, B) != mat_mul(B, A):
+    # commutation and nilpotency survive clearing denominators
+    cleared = [_cleared(T) for T in operators]
+    for A in cleared:
+        for B in cleared:
+            if _int_mul(A, B) != _int_mul(B, A):
                 return False
     for T in operators:
-        M = mat_sub_identity(T)
+        M = _cleared(mat_sub_identity(T))
         P = [row[:] for row in M]
         for _ in range(dim - 1):
-            P = mat_mul(P, M)
+            P = _int_mul(P, M)
         if not mat_is_zero(P):
             return False
     logs = [oracle_log(T) for T in operators]
+    # one common denominator: combinations keep their images and kernels
+    den = lcm(*(x.denominator for L in logs for row in L for x in row))
+    int_logs = [[[int(x * den) for x in row] for row in L] for L in logs]
+
+    def pieces(mats, a):
+        N = [[sum(a[j] * mats[j][i][k] for j in range(r)) for k in range(dim)]
+             for i in range(dim)]
+        return _int_weight_pieces(N, weight, dim)
+
     seen_w0 = None
     seen_w2 = None
     for _ in range(a_draws):
         a = [rng.randrange(1, 10) for _ in range(r)]
-        d0, d1, d2, (w0, _, w2) = oracle_weight_dims(logs, a, weight, dim)
-        if (d0, d1, d2) != (1, 1, r + 1):
+        w0, w1, w2 = pieces(int_logs, a)
+        if (len(w0), len(w1), len(w2)) != (1, 1, r + 1):
             return False
         if seen_w0 is None:
             seen_w0, seen_w2 = w0, w2
@@ -461,9 +532,9 @@ def oracle_max_unipotent(operators, weight, rng, a_draws=50, basis_draws=50):
         U = random_unimodular(rng, dim)
         Uinv = invert_unimodular(U)
         a = [rng.randrange(1, 10) for _ in range(r)]
-        conj = [mat_mul(mat_mul(U, L), Uinv) for L in logs]
-        d0, d1, d2, _ = oracle_weight_dims(conj, a, weight, dim)
-        if (d0, d1, d2) != (1, 1, r + 1):
+        conj = [_int_mul(_int_mul(U, L), Uinv) for L in int_logs]
+        w0, w1, w2 = pieces(conj, a)
+        if (len(w0), len(w1), len(w2)) != (1, 1, r + 1):
             return False
     return True
 

@@ -303,3 +303,61 @@ def test_resource_bounds_exit_three(capsys):
     assert cli.main(["cusp", "resolve", "-D", "94", "--box-limit", "64"]) == 3
     err = capsys.readouterr().err
     assert "resource bound" in err
+
+
+def test_main_keeps_no_state_between_calls(tmp_path, capsys):
+    mono = _write(tmp_path, "mono.json", dump_monodromy([[[1, 1], [0, 1]]], weight=1))
+    assert cli.main(["monodromy", "check", mono]) == 0
+    fresh = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["monodromy", "check", mono, "--draws", "x"])
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+    assert cli.main(["monodromy", "check", mono, "--draws", "3", "--seed", "5"]) == 0
+    assert _json_out(capsys)["draws"] == 4
+    # the defaults come back on the next call
+    assert cli.main(["monodromy", "check", mono]) == 0
+    assert capsys.readouterr() == fresh
+
+
+def test_fan_sbb_takes_a_pell_bound(capsys):
+    assert cli.main(["fan", "sbb", "-D", "151"]) == 3
+    assert "resource bound exceeded" in capsys.readouterr().err
+    assert cli.main(["fan", "sbb", "-D", "151", "--pell-bound", "200000000"]) == 0
+    doc = _json_out(capsys)
+    assert doc["group"][0]["linear"][1][0] == 140634693
+
+
+def test_series_check_rejects_rank_mismatches(tmp_path, capsys):
+    s = _write(tmp_path, "s.json", dump_series(series(2, {(1, 0): 1, (0, 1): 2}, 4)))
+    eye3 = "1,0,0;0,1,0;0,0,1"
+    assert cli.main(["series", "check", s, "--framing", eye3]) == 2
+    assert "framing basis has the wrong rank" in capsys.readouterr().err
+    assert cli.main(["series", "check", s, "--matrix", eye3]) == 2
+    assert "framing change has the wrong rank" in capsys.readouterr().err
+    assert cli.main(["series", "check", s, "--framing", "1,0;0,1", "--matrix", eye3]) == 2
+    captured = capsys.readouterr()
+    assert "framing change has the wrong rank" in captured.err
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
+def test_negative_draws_and_order_exit_two(tmp_path, capsys):
+    mono = _write(
+        tmp_path,
+        "mono.json",
+        dump_monodromy([[[1, 1], [0, 1]]], pairing=((0, 1), (1, 0)), omega0=(0, 1), weight=1),
+    )
+    assert cli.main(["monodromy", "check", mono, "--draws", "-3"]) == 2
+    assert "draws must be nonnegative" in capsys.readouterr().err
+    assert cli.main(["monodromy", "coords", mono, "--order", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "order must be nonnegative" in captured.err and captured.out == ""
+    assert cli.main(["monodromy", "check", mono, "--draws", "0"]) == 0
+    assert _json_out(capsys)["draws"] == 1
+
+
+def test_coords_of_noncommuting_logs_exit_two(tmp_path, capsys):
+    ops = [[[1, 1], [0, 1]], [[1, 0], [1, 1]]]
+    doc = dump_monodromy(ops, pairing=((0, 1), (1, 0)), omega0=(0, 1))
+    assert cli.main(["monodromy", "coords", _write(tmp_path, "nc.json", doc)]) == 2
+    assert "not nilpotent" in capsys.readouterr().err

@@ -127,6 +127,22 @@ def test_int_matrix_basics():
     assert A.apply_int((1, 1)) == (2, 3)
 
 
+def test_inverse_unimodular_matches_oracle():
+    rng = random.Random(17)
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        U = oracles.random_unimodular(rng, n, shears=rng.randint(2, 12))
+        if rng.random() < 0.5:
+            U = [[-x for x in U[0]]] + U[1:]  # determinant -1
+        inverse = IntMatrix(U).inverse_unimodular()
+        assert [list(r) for r in inverse.rows] == oracles.invert_unimodular(U)
+    for rows, det in ((((2, 0), (0, 1)), 2), (((1, 2), (2, 4)), 0), (((0, 0), (0, 0)), 0)):
+        with pytest.raises(DegenerateInputError, match=f"determinant {det},"):
+            IntMatrix(rows).inverse_unimodular()
+    with pytest.raises(DegenerateInputError, match="non-square"):
+        IntMatrix(((1, 0, 0), (0, 1, 0))).inverse_unimodular()
+
+
 def test_hermite_normal_form_properties():
     rng = random.Random(4)
     for _ in range(25):

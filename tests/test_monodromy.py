@@ -19,6 +19,7 @@ from semitoric import (
     unipotent_log,
     weight_spaces,
 )
+from semitoric.monodromy import combined_log
 
 Q2 = fixtures.antidiagonal_pairing(2)
 Q4 = fixtures.antidiagonal_pairing(4)
@@ -253,3 +254,69 @@ def test_quasi_canonical_flags_sign_degeneracy():
     assert qc.degenerate
     assert qc.linear_parts == ((-1,),)
     assert qc.q_descriptions() == ("q_1 = exp(2*pi*i*(-z_1))",)
+
+
+def _chain(size):
+    return IntMatrix(
+        tuple(tuple(int(i == j or i == j + 1) for j in range(size)) for i in range(size))
+    )
+
+
+def _direct_sum(*blocks):
+    size = sum(B.nrows for B in blocks)
+    rows = [[0] * size for _ in range(size)]
+    at = 0
+    for B in blocks:
+        for i, row in enumerate(B.rows):
+            rows[at + i][at : at + B.nrows] = row
+        at += B.nrows
+    return IntMatrix(tuple(tuple(r) for r in rows))
+
+
+def test_unipotent_log_of_rational_operators_matches_oracles():
+    half = [[1, Fraction(1, 2)], [0, 1]]
+    log = unipotent_log(half)
+    assert [list(r) for r in log] == oracles.oracle_log(half) == [[0, Fraction(1, 2)], [0, 0]]
+    rng = random.Random(41)
+    for _ in range(20):
+        size = rng.randint(2, 6)
+        lower = [
+            [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) if i > j else 0 for j in range(size)]
+            for i in range(size)
+        ]
+        rows = [[int(i == j) + x for j, x in enumerate(row)] for i, row in enumerate(lower)]
+        log = unipotent_log(rows)
+        expected = oracles.oracle_log(rows)
+        assert [list(r) for r in log] == expected
+        assert oracles.oracle_exp(expected) == rows
+    assert unipotent_log(IntMatrix.identity(3)) == ((0, 0, 0),) * 3
+
+
+def test_weight_spaces_and_dims_match_oracle_on_chains_and_products():
+    rng = random.Random(43)
+    T1, T2 = fixtures.product_operators()
+    cases = [
+        ((fixtures.conjugate_operator(_chain(d), oracles.random_unimodular(rng, d)),), d - 1)
+        for d in range(2, 10)
+    ]
+    cases += [
+        ((T1, T2), 2),
+        ((T1, T1 * T2), 2),
+        ((_direct_sum(_chain(2), _chain(2)),), 1),
+        ((_direct_sum(_chain(3), _chain(2)),), 2),
+        ((IntMatrix.identity(3),), 0),
+    ]
+    for ops, n in cases:
+        mset = MonodromySet(ops)
+        logs = mset.logs()
+        rows = [[list(r) for r in L] for L in logs]
+        d = mset.dim
+        for a in [(1,) * mset.r] + [tuple(rng.randint(1, 9) for _ in ops) for _ in range(2)]:
+            N = combined_log(logs, a)
+            for k in range(-1, d + 1):
+                d0, d1, d2, bases = oracles.oracle_weight_dims(rows, a, k, d)
+                assert weight_spaces(N, k) == tuple(list(b) for b in bases), (d, a, k)
+        d0, d1, d2, _ = oracles.oracle_weight_dims(rows, (1,) * mset.r, n, d)
+        rep = is_maximally_unipotent(mset, draws=3)
+        assert rep.weight == n
+        assert rep.dims == {"W0": d0, "W1": d1, "W2": d2}, (d, n)
