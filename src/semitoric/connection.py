@@ -26,10 +26,14 @@ from .lattice import (
     Cone,
     IntMatrix,
     Vector,
+    _denominator,
+    _int_rank,
+    _inverse,
+    _mat_mul,
+    _times,
     hermite_normal_form,
     is_strongly_convex,
     is_unimodular_part_of_basis,
-    mat_inverse,
 )
 
 
@@ -51,7 +55,7 @@ class MaxDepthPoint:
         rows = tuple(tuple(Fraction(x) for x in row) for row in self.frame)
         if len(rows) != r or any(len(row) != r for row in rows):
             raise DegenerateInputError("frame must be a square matrix of chart rank")
-        if mat_inverse([list(row) for row in rows]) is None:
+        if _int_rank(_times(rows, _denominator(rows))) != r:
             raise DegenerateInputError("frame matrix must be invertible")
         object.__setattr__(self, "frame", rows)
 
@@ -62,16 +66,14 @@ class MaxDepthPoint:
         cone generators."""
         if not is_unimodular_part_of_basis(cone.closure()):
             raise DegenerateInputError("chart cones must be unimodular")
-        W = [list(g.as_integers()) for g in cone.closure().generators]
-        Winv = mat_inverse([[Fraction(x) for x in row] for row in W])
-        frame = tuple(
-            tuple(Winv[j][i] for j in range(len(W))) for i in range(len(W))
-        )
+        W = IntMatrix(g.as_integers() for g in cone.closure().generators)
+        if W.nrows != cone.rank:
+            raise DegenerateInputError("maximal-depth point needs a full-dimensional cone")
+        frame = W.inverse_unimodular().transpose().rows
         return MaxDepthPoint(label, cone.closure(), frame)
 
     def frame_inverse(self) -> list:
-        inv = mat_inverse([list(row) for row in self.frame])
-        return inv
+        return _inverse(self.frame)
 
 
 def local_lattice(point: MaxDepthPoint) -> tuple:
@@ -330,25 +332,14 @@ def chart_transition(atlas: BoundaryAtlas, label_p: str, label_q: str) -> IntMat
     the entries of row i."""
     p = atlas.point(label_p)
     q = atlas.point(label_q)
-    Wp = [list(g.as_integers()) for g in p.cone.generators]
-    Wq = [list(g.as_integers()) for g in q.cone.generators]
-    Wq_inv = mat_inverse([[Fraction(x) for x in row] for row in Wq])
-    prod = [
-        [sum(Fraction(Wp[i][k]) * Wq_inv[k][j] for k in range(len(Wp))) for j in range(len(Wp))]
-        for i in range(len(Wp))
-    ]
-    rows = []
-    for j in range(len(prod)):
-        row = []
-        for i in range(len(prod)):
-            x = prod[i][j]
-            if x.denominator != 1:
-                raise DegenerateInputError(
-                    "charts are not monomially related over the integers"
-                )
-            row.append(int(x))
-        rows.append(tuple(row))
-    return IntMatrix(rows)
+    if any(len(x.cone.generators) != x.cone.rank for x in (p, q)):
+        raise DegenerateInputError("chart transitions need simplicial chart cones")
+    Wp = [g.as_integers() for g in p.cone.generators]
+    Wq = [g.as_integers() for g in q.cone.generators]
+    prod = _mat_mul(Wp, _inverse(Wq))
+    if any(x.denominator != 1 for row in prod for x in row):
+        raise DegenerateInputError("charts are not monomially related over the integers")
+    return IntMatrix(prod).transpose()
 
 
 # -- the model computation showing why compatibility is needed -----------------

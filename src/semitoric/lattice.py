@@ -4,9 +4,15 @@ Scalars live in Q or in a fixed real quadratic field Q(sqrt(D)); all
 arithmetic and sign decisions are exact.  Integral vectors (every rational
 ray, facet normal and span equation, once made primitive) keep their
 coordinates as int tuples, and dot products, containment, ranks and dual
-descriptions on them use plain integer arithmetic: fraction-free Bareiss
-elimination and cofactor normals.  ExactScalar arithmetic is for quadratic
-data, such as the irrational rays of a cusp's support cone.
+descriptions on them use plain integer arithmetic.  One elimination loop,
+fraction-free Bareiss elimination (``_int_echelon``), computes every rank,
+kernel, determinant and inverse; Hermite and Smith forms do the unimodular
+work.  Quadratic data, such as the irrational rays of a cusp's support cone,
+reaches that loop through realification: writing x = y + z*sqrt(D), each
+vector a + b*sqrt(D) gives the two integer rows of the rational and the
+sqrt(D) part of <v, x>, so ranks over Q(sqrt(D)) are half the integer ranks
+and kernels are read back from the integer kernel.  ExactScalar arithmetic
+remains for dot products and signs on quadratic data.
 
 Cones are given by finitely many generators and carry a closed /
 relative-interior interpretation flag.  Facet enumeration is done by brute
@@ -260,7 +266,6 @@ class ExactScalar:
 
 
 ZERO = ExactScalar(0)
-ONE = ExactScalar(1)
 
 
 def _as_int(x):
@@ -364,9 +369,6 @@ class Vector:
     def as_integers(self) -> tuple:
         if self.ints is not None:
             return self.ints
-        for e in self._entries:
-            if e.as_fraction().denominator != 1:
-                break
         raise DegenerateInputError(f"{self} is not integral")
 
     def primitive(self) -> "Vector":
@@ -494,14 +496,11 @@ class IntMatrix:
         return self.nrows == self.ncols and self.det() in (1, -1)
 
     def inverse_unimodular(self) -> "IntMatrix":
-        """Inverse in integers: Gauss-Jordan elimination of [M | 1] ends in
-        [p | p M^-1] with the pivot value p = +-1."""
+        """The inverse of a lattice automorphism, integral since det = +-1."""
         d = self.det()
         if d not in (1, -1):
             raise DegenerateInputError(f"matrix has determinant {d}, not a lattice automorphism")
-        n = self.nrows
-        m, _, _ = _int_echelon([a + b for a, b in zip(self.rows, IntMatrix.identity(n).rows)])
-        return IntMatrix([[m[0][0] * x for x in row[n:]] for row in m])
+        return IntMatrix(_inverse(self.rows))
 
     def power(self, k: int) -> "IntMatrix":
         base = self if k >= 0 else self.inverse_unimodular()
@@ -516,99 +515,6 @@ class IntMatrix:
 
     def __repr__(self):
         return "IntMatrix(" + repr([list(r) for r in self.rows]) + ")"
-
-
-# -- generic exact linear algebra (works over Fraction and ExactScalar) ------
-
-
-def mat_rref(rows):
-    """Reduced row echelon form; returns (rref rows, pivot column list)."""
-    m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c] ** -1 if isinstance(m[r][c], Fraction) else m[r][c].inverse()
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
-
-
-def mat_rank(rows) -> int:
-    return len(mat_rref(rows)[1])
-
-
-def kernel_basis(rows, ncols=None):
-    """Basis of the right kernel {x : rows . x = 0} over the field."""
-    if not rows:
-        if ncols is None:
-            raise DegenerateInputError("kernel of an empty matrix needs ncols")
-        zero, one = _zero_one_like(Fraction(1))
-        return [
-            [one if i == j else zero for i in range(ncols)] for j in range(ncols)
-        ]
-    ncols = len(rows[0])
-    zero, one = _zero_one_like(rows[0][0])
-    rref, pivots = mat_rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [zero] * ncols
-        vec[f] = one
-        for r, p in enumerate(pivots):
-            vec[p] = -rref[r][f]
-        basis.append(vec)
-    return basis
-
-
-def _zero_one_like(sample):
-    if isinstance(sample, ExactScalar):
-        return ZERO, ONE
-    return Fraction(0), Fraction(1)
-
-
-def mat_inverse(A):
-    """Inverse of a square matrix over Fraction; None if singular."""
-    n = len(A)
-    zero, one = _zero_one_like(A[0][0]) if n else (Fraction(0), Fraction(1))
-    aug = [list(A[i]) + [one if i == j else zero for j in range(n)] for i in range(n)]
-    rref, pivots = mat_rref(aug)
-    if pivots[:n] != list(range(n)):
-        return None
-    return [row[n:] for row in rref[:n]]
-
-
-def solve_linear(A, b):
-    """One solution x of A x = b over the field, or None."""
-    if not A:
-        return None
-    n = len(A[0])
-    aug = [list(row) + [bv] for row, bv in zip(A, b)]
-    rref, pivots = mat_rref(aug)
-    if n in pivots:
-        return None
-    zero, one = _zero_one_like(A[0][0])
-    x = [zero] * n
-    for r, p in enumerate(pivots):
-        x[p] = rref[r][n]
-    return x
 
 
 # -- fraction-free integer linear algebra ---------------------------------------
@@ -674,6 +580,20 @@ def _int_echelon(rows):
     return m, pivots, sign
 
 
+def _inverse(rows):
+    """Inverse of a square rational matrix A as Fraction rows, or None when A
+    is singular.  With den a common denominator, elimination of [den A | 1]
+    ends in [p | p (den A)^-1], p the common pivot value."""
+    n = len(rows)
+    den = _denominator(rows)
+    m, pivots, _ = _int_echelon(
+        [row + tuple(int(i == j) for j in range(n)) for i, row in enumerate(_times(rows, den))]
+    )
+    if pivots != list(range(n)):
+        return None
+    return [[Fraction(den * x, m[0][0]) for x in row[n:]] for row in m]
+
+
 def _int_rank(rows) -> int:
     return len(_int_echelon(rows)[1])
 
@@ -685,11 +605,11 @@ def _int_rref(rows) -> list:
     return [tuple(Fraction(x, m[0][pivots[0]]) for x in m[r]) for r in range(len(pivots))]
 
 
-def _int_kernel(vectors, ncols: int) -> list:
-    """Basis of {x : <v, x> = 0 for the given integral vectors}, one vector
-    per free column: the rational reduced-echelon kernel basis, each scaled
-    to a primitive integer vector."""
-    m, pivots, _ = _int_echelon([v.ints for v in vectors])
+def _int_kernel(rows, ncols: int) -> list:
+    """Basis of {x : <row, x> = 0 for the given integer rows}, one vector per
+    free column: the rational reduced-echelon kernel basis, each scaled to a
+    primitive integer vector."""
+    m, pivots, _ = _int_echelon(rows)
     d = m[0][pivots[0]] if pivots else 1
     s = 1 if d > 0 else -1
     basis = []
@@ -704,16 +624,57 @@ def _int_kernel(vectors, ncols: int) -> list:
     return basis
 
 
-def _exact_kernel(vectors, ncols: int) -> list:
-    """The same basis as ``_int_kernel`` over Q or Q(sqrt(D)), each vector
-    made primitive."""
-    return [Vector(k).primitive() for k in kernel_basis([list(v) for v in vectors], ncols)]
+def _realify(vectors) -> tuple:
+    """(D, integer rows) for vectors over Q(sqrt(D)); D = 1 for rational ones.
+
+    In the coordinates (y1, z1, ..., yn, zn) of x = y + z*sqrt(D), each
+    v = a + b*sqrt(D), cleared of denominators, gives the rational part
+    a.y + D b.z and the sqrt(D) part b.y + a.z of <v, x>.  The rows have
+    twice the rank of the vectors.
+    """
+    fields = {e.D for v in vectors if v.ints is None for e in v._entries} - {None}
+    if len(fields) > 1:
+        raise MixedDiscriminantError(f"cannot mix sqrt({min(fields)}) with sqrt({max(fields)})")
+    D = fields.pop() if fields else 1
+    rows = []
+    for v in vectors:
+        if v.ints is not None:
+            a, b = v.ints, (0,) * len(v.ints)
+        else:
+            den = math.lcm(*(x.denominator for e in v._entries for x in (e.a, e.b)))
+            a = [e.a.numerator * (den // e.a.denominator) for e in v._entries]
+            b = [e.b.numerator * (den // e.b.denominator) for e in v._entries]
+        rows.append(tuple(c for pair in zip(a, (D * x for x in b)) for c in pair))
+        rows.append(tuple(c for pair in zip(b, a) for c in pair))
+    return D, rows
+
+
+def _realified_kernel(vectors, ncols: int) -> list:
+    """``_kernel`` through the realified rows.  Their free columns pair up
+    as (y_f, z_f); the kernel vector of y_f, read back as y + z*sqrt(D), is
+    the reduced-echelon one over Q(sqrt(D)), that of z_f sqrt(D) times it."""
+    D, rows = _realify(vectors)
+    out = []
+    for k in _int_kernel(rows, 2 * ncols)[::2]:
+        yz = k.ints
+        entries = (ExactScalar._of(Fraction(y), Fraction(z), D) for y, z in zip(yz[::2], yz[1::2]))
+        out.append(Vector(entries).primitive())
+    return out
+
+
+def _kernel(vectors, ncols: int) -> list:
+    """Basis of {x : <v, x> = 0 for the given vectors} over Q or Q(sqrt(D)),
+    one primitive vector per free column of the reduced echelon form."""
+    rows = [v.ints for v in vectors]
+    if None in rows:
+        return _realified_kernel(vectors, ncols)
+    return _int_kernel(rows, ncols)
 
 
 def _vector_rank(vectors) -> int:
     rows = [v.ints for v in vectors]
-    if any(r is None for r in rows):
-        return mat_rank([list(v) for v in vectors])
+    if None in rows:
+        return _int_rank(_realify(vectors)[1]) // 2
     return _int_rank(rows)
 
 
@@ -1049,14 +1010,13 @@ def _satisfies(v, normals, equations, strict: bool) -> bool:
 def _dual_description(gens, rank):
     """Facet normals and span equations for cone(gens) in ambient ``rank``,
     each primitive, normals sorted.  Integral generators take the integer
-    kernel; quadratic data takes the ExactScalar one."""
+    kernel directly; quadratic data takes it through realification."""
     if rank > MAX_CONE_RANK:
         raise UnsupportedRankError(
             f"facet enumeration supports rank <= {MAX_CONE_RANK}, got {rank}"
         )
     gens = [v for v in (as_vector(g, rank) for g in gens) if not v.is_zero]
-    integral = all(g.ints is not None for g in gens)
-    return _describe(gens, rank, _int_kernel if integral else _exact_kernel)
+    return _describe(gens, rank, _kernel)
 
 
 def _describe(gens, rank, kernel):

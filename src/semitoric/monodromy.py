@@ -27,14 +27,13 @@ from .lattice import (
     _int_kernel,
     _int_rank,
     _int_rref,
+    _inverse,
     _mat_combination,
     _mat_mul,
     _times,
     complete_to_basis,
     hermite_normal_form,
     integer_kernel,
-    kernel_basis,
-    mat_inverse,
 )
 
 
@@ -81,10 +80,12 @@ def minimal_polynomial(T) -> list:
     flat_rows = []
     while True:
         flat_rows.append([x for row in power for x in row])
-        # the first dependency of 1, T, T^2, ... has last coefficient 1
-        dependency = kernel_basis([list(col) for col in zip(*flat_rows)])
+        # 1, T, ..., T^(k-1) are independent: the first dependency is free in T^k
+        cols = tuple(zip(*flat_rows))
+        dependency = _int_kernel(_times(cols, _denominator(cols)), len(flat_rows))
         if dependency:
-            return dependency[0]
+            coeffs = dependency[0].ints
+            return [Fraction(c, coeffs[-1]) for c in coeffs]
         power = _mat_mul(power, T)
 
 
@@ -214,7 +215,7 @@ def weight_spaces(N, n: int) -> tuple:
     for b in (1, 2):
         # im N^a meet ker N^b is the image of ker N^(a+b) under N^a
         a = max(n - b, 0)
-        kernel = _int_kernel([Vector._from_ints(row) for row in powers[a + b]], d)
+        kernel = _int_kernel(powers[a + b], d)
         out.append(_int_rref([_apply(powers[a], k.ints) for k in kernel]))
     return tuple(out)
 
@@ -387,7 +388,7 @@ def is_maximally_unipotent(
         try:
             g0, gs = integral_normalization(mset)
             m = m_matrix(logs, tuple(g0.as_fractions()), [g.as_fractions() for g in gs])
-            m_ok = mat_inverse([list(row) for row in m]) is not None
+            m_ok = _inverse(m) is not None
             m_detail = (
                 "pairing matrix m invertible" if m_ok else "pairing matrix m is singular"
             )
@@ -624,7 +625,7 @@ def quasi_canonical_coordinates(
     if len(gs) != r:
         raise DegenerateInputError("adapted basis must have one vector per operator")
     m = m_matrix(logs, g0, gs)
-    m_inv = mat_inverse([list(row) for row in m])
+    m_inv = _inverse(m)
     if m_inv is None:
         raise DegenerateInputError("pairing matrix m is singular")
 

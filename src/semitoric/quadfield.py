@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegenerateInputError, ResourceBoundError
-from .lattice import Cone, ExactScalar, IntMatrix, Vector, is_squarefree, solve_linear
+from .errors import DegenerateInputError, MixedDiscriminantError, ResourceBoundError
+from .lattice import Cone, ExactScalar, IntMatrix, Vector, is_squarefree
 
 QuadNum = ExactScalar
 
@@ -109,15 +109,15 @@ class QuadIdeal:
         return self.alpha * self.beta.conjugate() - self.alpha.conjugate() * self.beta
 
     def coordinates(self, x: QuadNum) -> tuple:
-        """(c1, c2) in Q^2 with x = c1*alpha + c2*beta."""
-        rows = [
-            [self.alpha.a, self.beta.a],
-            [self.alpha.b, self.beta.b],
-        ]
-        sol = solve_linear(rows, [ExactScalar.lift(x).a, ExactScalar.lift(x).b])
-        if sol is None:
-            raise DegenerateInputError(f"{x} is not in the span of the basis")
-        return tuple(sol)
+        """(c1, c2) in Q^2 with x = c1*alpha + c2*beta, by Cramer's rule on
+        the rational and sqrt(D) parts.  The determinant is nonzero because
+        the twist is -2*det*sqrt(D)."""
+        x = ExactScalar.lift(x)
+        if x.D not in (None, self.D):
+            raise MixedDiscriminantError(f"{x} does not lie in Q(sqrt({self.D}))")
+        a, b = self.alpha, self.beta
+        det = a.a * b.b - b.a * a.b
+        return ((x.a * b.b - b.a * x.b) / det, (a.a * x.b - x.a * a.b) / det)
 
     def element(self, c1, c2) -> QuadNum:
         return ExactScalar.lift(c1) * self.alpha + ExactScalar.lift(c2) * self.beta

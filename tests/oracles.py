@@ -693,3 +693,95 @@ def dual_description(gens, n: int):
             continue
         normals.add(tuple(-x for x in kern[0]) if min(dots) < 0 else kern[0])
     return sorted(normals), equations
+
+
+# -- linear algebra over Q(sqrt(D)) ---------------------------------------------------
+#
+# An element a + b*sqrt(D) is the pair (a, b) of Fractions, with D passed
+# explicitly; rows are Gauss-Jordan reduced in that field directly.
+
+
+def _q_mul(x, y, D):
+    return (x[0] * y[0] + D * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _q_inverse(x, D):
+    norm = x[0] * x[0] - D * x[1] * x[1]
+    return (x[0] / norm, -x[1] / norm)
+
+
+def _q_sign(x, D) -> int:
+    """Sign of a + b*sqrt(D): when a and b have opposite signs, the larger
+    of a^2 and D b^2 decides."""
+    sa = (x[0] > 0) - (x[0] < 0)
+    sb = (x[1] > 0) - (x[1] < 0)
+    if sa == sb or sb == 0:
+        return sa
+    if sa == 0:
+        return sb
+    return sa if x[0] * x[0] > D * x[1] * x[1] else sb
+
+
+def quad_dot(xs, ys, D):
+    """sum x*y over pairs of field elements."""
+    acc = (Fraction(0), Fraction(0))
+    for x, y in zip(xs, ys):
+        p = _q_mul(x, y, D)
+        acc = (acc[0] + p[0], acc[1] + p[1])
+    return acc
+
+
+def quad_rref(rows, D):
+    """(reduced echelon rows, pivot columns) over Q(sqrt(D)) for rows of
+    (a, b) pairs."""
+    mat = [[(Fraction(a), Fraction(b)) for a, b in row] for row in rows]
+    pivots = []
+    for c in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(mat)) if mat[i][c] != (0, 0)), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = _q_inverse(mat[r][c], D)
+        mat[r] = [_q_mul(x, inv, D) for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != (0, 0):
+                f = mat[i][c]
+                mat[i] = [
+                    (x[0] - p[0], x[1] - p[1])
+                    for x, p in zip(mat[i], (_q_mul(f, y, D) for y in mat[r]))
+                ]
+        pivots.append(c)
+        if len(pivots) == len(mat):
+            break
+    return mat[: len(pivots)], pivots
+
+
+def quad_rank(rows, D) -> int:
+    return len(quad_rref(rows, D)[1])
+
+
+def quad_kernel(rows, n: int, D) -> list:
+    """Kernel basis over Q(sqrt(D)), one vector per free column of the reduced
+    echelon form, each scaled to the canonical point of its positive ray: a
+    primitive integer vector when every entry is rational, else the multiple
+    whose first nonzero entry is +-1.  Vectors are tuples of (a, b) pairs."""
+    red, pivots = quad_rref(rows, D)
+    out = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        vec = [(Fraction(int(j == f)), Fraction(0)) for j in range(n)]
+        for row, p in zip(red, pivots):
+            vec[p] = (-row[f][0], -row[f][1])
+        if all(b == 0 for _, b in vec):
+            den = lcm(*(a.denominator for a, _ in vec))
+            ints = primitive([int(a * den) for a, _ in vec])
+            out.append(tuple((Fraction(x), Fraction(0)) for x in ints))
+            continue
+        lead = next(x for x in vec if x != (0, 0))
+        if _q_sign(lead, D) < 0:
+            lead = (-lead[0], -lead[1])
+        inv = _q_inverse(lead, D)
+        out.append(tuple(_q_mul(x, inv, D) for x in vec))
+    return out

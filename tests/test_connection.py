@@ -8,12 +8,14 @@ from semitoric import (
     BoundaryAtlas,
     Cone,
     CuspData,
+    Decomposition,
     DegenerateInputError,
     ExactScalar,
     GroupElement,
     IntMatrix,
     MaxDepthPoint,
     RequiresRationalConeError,
+    Support,
     Vector,
     atlas_from_fan,
     build_fan,
@@ -29,6 +31,7 @@ from semitoric import (
     torus_nabla,
     torus_scaling_pullback,
 )
+from semitoric.fans import zero_cone
 
 STANDARD_LATTICE_2 = (1, ((1, 0), (0, 1)))
 
@@ -172,6 +175,28 @@ def test_chart_transitions_are_integer_monomial_maps():
     assert (
         chart_transition(atlas, b, a).rows == Tab.inverse_unimodular().rows
     )
+
+
+def test_atlas_from_lower_dimensional_support_is_rejected():
+    for ray in ((1, 0), (0, 1)):
+        cone = Cone(2, [Vector(ray)])
+        support = Support(cone.closure(), interior_only=False, include_origin=True)
+        P = Decomposition(2, (zero_cone(2), cone), (), support)
+        with pytest.raises(DegenerateInputError, match="full-dimensional"):
+            atlas_from_fan(P)
+
+
+def test_chart_transition_rejects_non_simplicial_charts():
+    identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    simplicial = Cone(3, [Vector(v) for v in identity])
+    square = Cone(3, [Vector(v) for v in ((1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1))])
+    assert len(square.generators) == 4
+    points = (MaxDepthPoint("a", simplicial, identity), MaxDepthPoint("b", square, identity))
+    atlas = BoundaryAtlas(3, points, ())
+    for p, q in (("a", "b"), ("b", "a"), ("b", "b")):
+        with pytest.raises(DegenerateInputError, match="simplicial"):
+            chart_transition(atlas, p, q)
+    assert chart_transition(atlas, "a", "a").rows == identity
 
 
 def test_flat_frame_transform_reverses_composition():

@@ -27,11 +27,13 @@ from semitoric import (
 from semitoric.lattice import (
     _describe,
     _dual_description,
-    _exact_kernel,
     _int_echelon,
     _int_kernel,
-    mat_rank,
-    solve_linear,
+    _int_rank,
+    _kernel,
+    _realified_kernel,
+    _realify,
+    _vector_rank,
 )
 
 
@@ -227,7 +229,7 @@ def test_integer_kernel_saturated():
     for v in ker:
         assert sum(M[0][j] * v[j] for j in range(3)) == 0
     # (1, -2, 1) lies in the kernel and must be an integer combination
-    sol = solve_linear(
+    sol = oracles.solve(
         [[Fraction(ker[0][j]), Fraction(ker[1][j])] for j in range(3)],
         [Fraction(1), Fraction(-2), Fraction(1)],
     )
@@ -337,24 +339,36 @@ def test_irrational_cone_membership():
     assert not c.contains(Vector((-1, 0)))
 
 
-def test_mat_rank_matches_oracle():
+def _realified_rank(vectors):
+    return _int_rank(_realify(vectors)[1]) // 2
+
+
+def test_rational_rank_matches_oracle():
     rng = random.Random(10)
     for _ in range(20):
         n, m = rng.randrange(2, 5), rng.randrange(2, 5)
         rows = [[Fraction(rng.randrange(-4, 5)) for _ in range(m)] for _ in range(n)]
-        assert mat_rank(rows) == oracles.rank(rows)
+        vectors = [Vector(row) for row in rows]
+        thirds = [Vector([x / 3 for x in row]) for row in rows]  # rational, not integral
+        expected = oracles.rank(rows)
+        assert _vector_rank(vectors) == _realified_rank(vectors) == expected
+        assert _vector_rank(thirds) == expected
 
 
-# -- the integer path against the ExactScalar / Fraction path -------------------
+# -- the realified path against the direct integer path and the oracles -----------
 #
-# Integral generators take the integer kernel; the ExactScalar kernel and
-# ExactScalar dot products are the path quadratic data still takes, here run
-# on the same integral input as one reference, with tests/oracles.py as the
-# other.
+# Integral generators take the integer kernel directly.  Quadratic data is
+# realified first: each vector becomes the integer rows of the rational and
+# the sqrt(D) part of its pairing, and kernels are read back from the integer
+# kernel of those rows.  Here the realified kernel and ExactScalar dot
+# products, the path quadratic data takes, run on the same integral input as
+# one reference, with tests/oracles.py as the other.  On quadratic input the
+# realified kernel and rank are checked against Gauss-Jordan elimination over
+# Q(sqrt(D)) in tests/oracles.py.
 
 
 def _exact_dual_description(gens, n):
-    return _describe(gens, n, _exact_kernel)
+    return _describe(gens, n, _realified_kernel)
 
 
 def _random_gens(rng, n, count=None):
@@ -421,7 +435,7 @@ def test_integer_echelon_rank_kernel_and_det_match_oracles():
             vectors.append(a.scale(2) + b.scale(-3))
         rows = [v.ints for v in vectors]
         assert len(_int_echelon(rows)[1]) == oracles.rank(rows)
-        assert [v.ints for v in _int_kernel(vectors, ncols)] == oracles.kernel(rows, ncols)
+        assert [v.ints for v in _int_kernel(rows, ncols)] == oracles.kernel(rows, ncols)
         square = [v.ints for v in _random_gens(rng, ncols, ncols)]
         assert IntMatrix(square).det() == _leibniz_det(square)
 
@@ -445,7 +459,7 @@ def test_integer_dim_matches_oracle_rank():
         n = rng.randrange(2, 5)
         c = Cone(n, _random_gens(rng, n))
         rows = [g.ints for g in c.generators]
-        assert c.dim() == oracles.rank(rows) == mat_rank([list(g) for g in c.generators])
+        assert c.dim() == oracles.rank(rows) == _realified_rank(c.generators)
 
 
 def test_integer_containment_matches_exact_path():
@@ -508,3 +522,53 @@ def test_quadratic_support_meets_integral_cones():
             expected = _exact_contains((nq, eq), v, False)
             assert quad.contains(v) == expected
             assert inter.contains(v) == (expected and b.contains(v))
+
+
+def _pairs(v):
+    return tuple((Fraction(e.a), Fraction(e.b)) for e in v.entries)
+
+
+def _random_quadratic_rows(rng, D):
+    """1-4 rows of ambient rank 1-4 over Q(sqrt(D)) as (a, b) pairs, some
+    rational; 30% get a row dependent over Q(sqrt(D)) on the others."""
+    n = rng.randrange(1, 5)
+
+    def entry():
+        if rng.random() < 0.25:
+            return (Fraction(0), Fraction(0))
+        b = Fraction(rng.randrange(-4, 5), rng.randrange(1, 3)) if rng.random() < 0.6 else 0
+        return (Fraction(rng.randrange(-4, 5), rng.randrange(1, 3)), Fraction(b))
+
+    rows = [[entry() for _ in range(n)] for _ in range(rng.randrange(1, 5))]
+    if rng.random() < 0.3:
+        coeffs = [entry() for _ in rows]
+        rows.append([oracles.quad_dot(coeffs, col, D) for col in zip(*rows)])
+        rng.shuffle(rows)
+    return n, rows
+
+
+def test_realified_kernel_and_rank_match_quadratic_oracle():
+    rng = random.Random(47)
+    for _ in range(400):
+        D = rng.choice([2, 3, 5, 6, 7, 13, 21])
+        n, rows = _random_quadratic_rows(rng, D)
+        vectors = [Vector(ExactScalar(a, b, D) for a, b in row) for row in rows]
+        expected = oracles.quad_kernel(rows, n, D)
+        assert [_pairs(v) for v in _kernel(vectors, n)] == expected
+        assert [_pairs(v) for v in _realified_kernel(vectors, n)] == expected
+        assert _vector_rank(vectors) == oracles.quad_rank(rows, D)
+        # integral input forced through realification agrees with the oracle too
+        ints = [Vector(tuple(rng.randrange(-3, 4) for _ in range(n))) for _ in rows]
+        int_rows = [[(Fraction(x), Fraction(0)) for x in v.ints] for v in ints]
+        assert [_pairs(v) for v in _realified_kernel(ints, n)] == oracles.quad_kernel(
+            int_rows, n, D
+        )
+        assert _realified_rank(ints) == oracles.quad_rank(int_rows, D)
+
+
+def test_realify_rejects_mixed_discriminants():
+    vectors = [Vector([ExactScalar(0, 1, 2), 1]), Vector([1, ExactScalar(0, 1, 3)])]
+    with pytest.raises(MixedDiscriminantError):
+        _vector_rank(vectors)
+    with pytest.raises(MixedDiscriminantError):
+        _kernel(vectors, 2)

@@ -8,6 +8,7 @@ from semitoric import (
     CuspData,
     DegenerateInputError,
     ExactScalar,
+    MixedDiscriminantError,
     QuadIdeal,
     ResourceBoundError,
     cusp_cone,
@@ -74,6 +75,13 @@ def test_ideal_coordinates_roundtrip():
             c1, c2 = rng.randrange(-9, 10), rng.randrange(-9, 10)
             x = ideal.element(c1, c2)
             assert ideal.coordinates(x) == (c1, c2)
+
+
+def test_ideal_coordinates_reject_another_field():
+    ideal = QuadIdeal.maximal_order(5)
+    assert ideal.coordinates(ExactScalar(3)) == (3, 0)
+    with pytest.raises(MixedDiscriminantError):
+        ideal.coordinates(ExactScalar(0, 1, 3))
 
 
 def test_tube_coordinates_invert_the_embedding_pair():
