@@ -9,7 +9,6 @@ framing changes of instanton series.
 
 from .connection import (
     BoundaryAtlas,
-    CompatibilityReport,
     MaxDepthPoint,
     NondescentWitness,
     Reconstruction,
@@ -45,13 +44,11 @@ from .errors import (
     UnsupportedRankError,
 )
 from .fans import (
-    AdmissibilityReport,
     Chart,
     Decomposition,
     GroupElement,
     Stratum,
     Support,
-    ValidationReport,
     admissibility_check,
     boundary_chart,
     common_refinement,
@@ -79,7 +76,6 @@ from .lattice import (
     smith_normal_form,
 )
 from .monodromy import (
-    MaxUnipotencyReport,
     MonodromySet,
     QuasiCanonicalCoordinates,
     integral_normalization,
@@ -102,8 +98,8 @@ from .quadfield import (
     sqrtD,
     tube_coordinates,
 )
+from .report import Condition, Report
 from .series import (
-    EffectivityReport,
     FormalSeries,
     Framing,
     effectivity_check,

@@ -144,7 +144,7 @@ def cmd_fan_validate(args) -> int:
         samples_per_probe=args.samples,
         seed=args.seed,
     )
-    _emit_json(args, formats.dump_validation_report(rep))
+    _emit_json(args, formats.dump_report(rep, witnesses=True))
     return 0 if rep.passed else 1
 
 
@@ -212,7 +212,7 @@ def cmd_atlas_from_fan(args) -> int:
 def cmd_atlas_check(args) -> int:
     atlas = formats.load_atlas(_read_json(args.file))
     rep = compatibility_check(atlas)
-    _emit_json(args, formats.dump_compatibility_report(rep))
+    _emit_json(args, formats.dump_report(rep))
     return 0 if rep.passed else 1
 
 
@@ -222,8 +222,7 @@ def cmd_atlas_reconstruct(args) -> int:
     _emit_json(
         args,
         {
-            "lattice": [list(r) for r in rec.lattice[1]],
-            "lattice_denominator": rec.lattice[0],
+            **formats.dump_lattice(rec.lattice),
             "support": formats.dump_support(rec.support),
             "fan": formats.dump_fan(rec.decomposition),
         },
@@ -244,7 +243,7 @@ def cmd_monodromy_check(args) -> int:
     rep = is_maximally_unipotent(
         data["operators"], weight=data["weight"], draws=args.draws, seed=args.seed
     )
-    _emit_json(args, formats.dump_unipotency_report(rep))
+    _emit_json(args, formats.dump_report(rep))
     return 0 if rep.passed else 1
 
 
@@ -277,18 +276,17 @@ def cmd_series_check(args) -> int:
     s = formats.load_series(_read_json(args.file))
     framing = Framing(_parse_int_matrix(args.framing)) if args.framing else None
     rep = effectivity_check(s, framing)
-    out = {"effective": rep.effective, "witness": list(rep.witness) if rep.witness else None}
+    out = {"effective": rep.passed, "witness": list(rep.witness) if rep.witness else None}
     if args.matrix:
         M = _parse_int_matrix(args.matrix)
         if M.nrows != s.rank:
             raise SemitoricError("framing change has the wrong rank")
         pres = reframing_preserves_effectivity(M, framing)
-        out["reframing_preserves_effectivity"] = pres.effective
+        out["reframing_preserves_effectivity"] = pres.passed
         out["reframing_witness"] = list(pres.witness) if pres.witness else None
-        _emit_json(args, out)
-        return 0 if rep.effective and pres.effective else 1
+        rep.conditions += pres.conditions
     _emit_json(args, out)
-    return 0 if rep.effective else 1
+    return 0 if rep.passed else 1
 
 
 # -- parser ------------------------------------------------------------------------------

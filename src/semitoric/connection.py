@@ -15,7 +15,6 @@ from math import gcd, lcm
 
 from .errors import DegenerateInputError, RequiresRationalConeError
 from .fans import (
-    ConditionReport,
     Decomposition,
     GroupElement,
     Support,
@@ -35,6 +34,7 @@ from .lattice import (
     is_strongly_convex,
     is_unimodular_part_of_basis,
 )
+from .report import Condition, Report
 
 
 @dataclass(frozen=True)
@@ -144,29 +144,7 @@ def atlas_from_fan(P: Decomposition, translations=None) -> BoundaryAtlas:
     return BoundaryAtlas(P.rank, tuple(points), tuple(group), True, P.support)
 
 
-@dataclass
-class CompatibilityReport:
-    conditions: list
-    lattice: tuple | None = None
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.conditions)
-
-    def condition(self, name: str) -> ConditionReport:
-        for c in self.conditions:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    def summary(self) -> str:
-        return "\n".join(
-            f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.details}"
-            for c in self.conditions
-        )
-
-
-def compatibility_check(atlas: BoundaryAtlas, samples_per_probe: int = 40) -> CompatibilityReport:
+def compatibility_check(atlas: BoundaryAtlas, samples_per_probe: int = 40) -> Report:
     """The four descent conditions, each certified on the given data.
 
     1. the charts cover the boundary (atlas-level claim plus full-dimensional
@@ -175,6 +153,8 @@ def compatibility_check(atlas: BoundaryAtlas, samples_per_probe: int = 40) -> Co
     3. the group translations generate exactly the common lattice, the linear
        parts preserve it, and no nonidentity generator acts trivially;
     4. the faces of the chart cones form a valid decomposition of the support.
+
+    ``data["lattice"]`` is the common lattice, (denominator, HNF rows), or None.
     """
     conds = []
 
@@ -184,7 +164,7 @@ def compatibility_check(atlas: BoundaryAtlas, samples_per_probe: int = 40) -> Co
         if not is_strongly_convex(p.cone):
             ok1 = False
             details1 = f"chart cone at {p.label} is not strongly convex"
-    conds.append(ConditionReport("boundary-coverage", ok1, details1))
+    conds.append(Condition("boundary-coverage", ok1, details1))
 
     lattices = [(p.label, _lattice_canonical(local_lattice(p))) for p in atlas.points]
     base_label, base = lattices[0]
@@ -193,7 +173,7 @@ def compatibility_check(atlas: BoundaryAtlas, samples_per_probe: int = 40) -> Co
         if lat != base:
             witnesses.append((base_label, label, _covolume_ratio(base, lat)))
     conds.append(
-        ConditionReport(
+        Condition(
             "common-lattice",
             not witnesses,
             "all chart lattices agree" if not witnesses else f"index witness {witnesses[0]}",
@@ -224,7 +204,7 @@ def compatibility_check(atlas: BoundaryAtlas, samples_per_probe: int = 40) -> Co
             if moved != base:
                 ok3 = False
                 details3 = "a linear part does not preserve the lattice"
-    conds.append(ConditionReport("translation-lattice", ok3, details3))
+    conds.append(Condition("translation-lattice", ok3, details3))
 
     try:
         dec = _face_decomposition(atlas)
@@ -233,9 +213,9 @@ def compatibility_check(atlas: BoundaryAtlas, samples_per_probe: int = 40) -> Co
         details4 = "chart cone faces decompose the support" if ok4 else rep.summary()
     except (DegenerateInputError, RequiresRationalConeError) as e:
         ok4, details4 = False, str(e)
-    conds.append(ConditionReport("face-decomposition", ok4, details4))
+    conds.append(Condition("face-decomposition", ok4, details4))
 
-    return CompatibilityReport(conds, base if all(c.passed for c in conds) else None)
+    return Report(conds, data={"lattice": base if all(c.passed for c in conds) else None})
 
 
 def _basis_rows(canonical) -> list:
@@ -314,7 +294,7 @@ def reconstruct(atlas: BoundaryAtlas) -> Reconstruction:
         failed = [c.name for c in report.conditions if not c.passed]
         raise DegenerateInputError(f"atlas is not compatible: {', '.join(failed)}")
     dec = _face_decomposition(atlas)
-    return Reconstruction(report.lattice, dec.support, dec, atlas.group)
+    return Reconstruction(report.data["lattice"], dec.support, dec, atlas.group)
 
 
 def flat_frame_transform(g) -> IntMatrix:

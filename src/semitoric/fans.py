@@ -11,7 +11,7 @@ region, not global decision procedures.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DegenerateInputError, GroupMismatchError, RequiresRationalConeError
 from .lattice import (
@@ -27,6 +27,7 @@ from .lattice import (
     is_strongly_convex,
     is_unimodular_part_of_basis,
 )
+from .report import Condition, Report
 
 
 @dataclass(frozen=True)
@@ -107,15 +108,15 @@ class Decomposition:
 
     # -- group exploration ----------------------------------------------------
 
-    def linear_ball(self, depth: int) -> list:
-        """Products of at most ``depth`` generator linear parts and inverses."""
-        gens = []
-        for g in self.group:
-            gens.append(g.linear)
-            gens.append(g.inverse_linear())
-        ball = [IntMatrix.identity(self.rank)]
-        seen = {ball[0].rows}
-        frontier = list(ball)
+    def shells(self, depth: int):
+        """Spheres of the group ball, radius 0 to ``depth`` in order: the
+        products of exactly that many generator linear parts and inverses
+        that no shorter product reaches.  Spheres past a finite group are
+        empty."""
+        gens = [t for g in self.group for t in (g.linear, g.inverse_linear())]
+        frontier = [IntMatrix.identity(self.rank)]
+        seen = {frontier[0].rows}
+        yield frontier
         for _ in range(depth):
             new_frontier = []
             for m in frontier:
@@ -124,9 +125,12 @@ class Decomposition:
                     if cand.rows not in seen:
                         seen.add(cand.rows)
                         new_frontier.append(cand)
-            ball.extend(new_frontier)
             frontier = new_frontier
-        return ball
+            yield frontier
+
+    def linear_ball(self, depth: int) -> list:
+        """Products of at most ``depth`` generator linear parts and inverses."""
+        return [t for sphere in self.shells(depth) for t in sphere]
 
     def translated_members(self, depth: int) -> dict:
         """Map canonical cone -> (word matrix, base member) over the ball."""
@@ -159,39 +163,6 @@ def _act_linear(t: IntMatrix, cone: Cone) -> Cone:
 
 
 # -- validation ---------------------------------------------------------------
-
-
-@dataclass
-class ConditionReport:
-    name: str
-    passed: bool
-    details: str = ""
-    witnesses: list = field(default_factory=list)
-
-
-@dataclass
-class ValidationReport:
-    conditions: list
-    notes: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.conditions)
-
-    def condition(self, name: str) -> ConditionReport:
-        for c in self.conditions:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    def summary(self) -> str:
-        lines = [
-            f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.details}"
-            for c in self.conditions
-        ]
-        for n in self.notes:
-            lines.append(f"note: {n}")
-        return "\n".join(lines)
 
 
 def _quick_separation(a: Cone, b: Cone) -> bool:
@@ -250,18 +221,21 @@ def validate_decomposition(
     samples_per_probe: int = 200,
     probe_radius_cap: int = 16,
     seed: int = 0,
-) -> ValidationReport:
+) -> Report:
     """Check the four decomposition conditions on representatives plus one
     shell of group translates.
 
-    (i)   members are pairwise disjoint, lie in the support, and full-
-          dimensional members match across every interior facet; sampled
-          points of each probe are covered exactly once;
+    (i)   the group preserves the support, members are pairwise disjoint,
+          lie in the support, and full-dimensional members match across
+          every interior facet; sampled points of each probe are covered
+          exactly once;
     (ii)  the linear span of every member is defined over Q;
     (iii) every face of a member closure that lies in the support is again a
           member, up to the group action;
     (iv)  each probe cone meets only finitely many members, certified by an
-          explicit meeting list that stabilizes over group shells.
+          explicit meeting list that stabilizes over group shells.  A group
+          that moves the support is not probed: its shells need not
+          stabilize.
     """
     rng = random.Random(seed)
     notes = []
@@ -274,8 +248,11 @@ def validate_decomposition(
     all_cones = list(translated)
     d_max = sup.cone.dim()
 
-    # condition (i): containment, disjointness, facet matching
-    witnesses_i = []
+    # condition (i): group invariance, containment, disjointness, facet matching
+    moves = _support_moves(P)
+    if moves:
+        notes.append("group does not preserve the support; local finiteness not probed")
+    witnesses_i = list(moves)
     for m in P.members:
         if not m.generators:
             if not sup.include_origin:
@@ -319,19 +296,13 @@ def validate_decomposition(
                     (f, "interior facet of a full-dimensional member has no "
                         "neighbor on the other side")
                 )
-    cond1 = ConditionReport(
-        "disjoint-cover",
-        not witnesses_i,
-        "representatives plus one shell of translates",
-        witnesses_i,
-    )
 
     # condition (ii): rational spans
     witnesses_ii = []
     for m in P.members:
         if not _span_defined_over_Q(m):
             witnesses_ii.append((m, "linear span is not defined over Q"))
-    cond2 = ConditionReport("rational-span", not witnesses_ii, "", witnesses_ii)
+    cond2 = Condition("rational-span", not witnesses_ii, "", witnesses_ii)
 
     # condition (iii): face closure up to the group
     witnesses_iii = []
@@ -354,10 +325,12 @@ def validate_decomposition(
                 witnesses_iii.append(
                     (f, "face of a member closure is absent up to the group")
                 )
-    cond3 = ConditionReport("face-closure", not witnesses_iii, "", witnesses_iii)
+    cond3 = Condition("face-closure", not witnesses_iii, "", witnesses_iii)
 
     # condition (iv): local finiteness against probes
-    if probes is None:
+    if moves:
+        probes = []
+    elif probes is None:
         probes = _default_probes(P, d_max)
         if not probes:
             notes.append("no rational probe available; local finiteness not probed")
@@ -368,10 +341,9 @@ def validate_decomposition(
             witnesses_iv.append((probe, "probe must be rational polyhedral"))
             continue
         meeting = set()
-        stable_at = None
-        for radius in range(probe_radius_cap + 1):
+        for radius, sphere in enumerate(P.shells(probe_radius_cap)):
             added = False
-            for t in _sphere(P, radius):
+            for t in sphere:
                 for m in P.members:
                     c = _act_linear(t, m)
                     if c in meeting:
@@ -380,9 +352,8 @@ def validate_decomposition(
                         meeting.add(c)
                         added = True
             if radius > 0 and not added:
-                stable_at = radius
                 break
-        if stable_at is None:
+        else:
             witnesses_iv.append(
                 (probe, f"meeting set did not stabilize within radius {probe_radius_cap}")
             )
@@ -392,24 +363,37 @@ def validate_decomposition(
             P, probe, translated, rng, samples_per_probe
         )
         witnesses_i.extend(misses)
-    if witnesses_i and cond1.passed:
-        cond1.passed = False
-        cond1.witnesses = witnesses_i
-    cond4 = ConditionReport(
+    cond1 = Condition(
+        "disjoint-cover",
+        not witnesses_i,
+        "representatives plus one shell of translates",
+        witnesses_i,
+    )
+    cond4 = Condition(
         "local-finiteness",
         not witnesses_iv,
         f"{certified} probes certified",
         witnesses_iv,
     )
+    return Report([cond1, cond2, cond3, cond4], notes)
 
-    return ValidationReport([cond1, cond2, cond3, cond4], notes)
 
-
-def _sphere(P: Decomposition, radius: int) -> list:
-    if radius == 0:
-        return [IntMatrix.identity(P.rank)]
-    ball_prev = {m.rows for m in P.linear_ball(radius - 1)}
-    return [m for m in P.linear_ball(radius) if m.rows not in ball_prev]
+def _support_moves(P: Decomposition) -> list:
+    """(ray, reason) for each ray of the closed support cone that a generator
+    linear part, or its inverse, maps out of the cone.  With none, the group
+    maps the support cone onto itself, and so its relative interior and the
+    origin too."""
+    cone = P.support.cone
+    moves = []
+    for g in P.group:
+        rows = [list(r) for r in g.linear.rows]
+        for word, t in (("generator", g.linear), ("inverse of generator", g.inverse_linear())):
+            for ray in cone.generators:
+                image = t.apply(ray)
+                if not cone.contains(image, relint=False):
+                    why = f"support ray leaves the support: the {word} {rows} maps it to {image}"
+                    moves.append((ray, why))
+    return moves
 
 
 def _default_probes(P: Decomposition, d_max: int) -> list:
@@ -661,16 +645,6 @@ def common_refinement(P1: Decomposition, P2: Decomposition, ball_depth: int = 1)
 # -- admissibility ---------------------------------------------------------------
 
 
-@dataclass
-class AdmissibilityReport:
-    certified: bool
-    witness: Vector | None
-    cells_checked: int
-
-    def __bool__(self):
-        return self.certified
-
-
 def admissibility_check(
     rank: int,
     support: Support,
@@ -678,13 +652,14 @@ def admissibility_check(
     pi: Cone,
     certificate,
     probe: Cone,
-) -> AdmissibilityReport:
+) -> Report:
     """Verify that the translates g . pi over the certificate cover the probe.
 
     The probe is split along every facet hyperplane of every translate; each
-    full-dimensional cell is then tested exactly.  Returns a certificate on
-    the probe or an uncovered witness point.  This is a checker for the
-    supplied certificate, not a search.
+    full-dimensional cell is then tested exactly.  The one condition,
+    "probe-cover", holds on the probe or fails with an uncovered point as
+    its witness.  This is a checker for the supplied certificate, not a
+    search.
     """
     if not probe.is_rational:
         raise RequiresRationalConeError("probe must be rational polyhedral")
@@ -704,9 +679,7 @@ def admissibility_check(
             if key not in seen:
                 seen.add(key)
                 hyperplanes.append(n)
-    cells_checked = 0
     base_normals, base_eqs = probe.dual_description()
-    witness = None
     target_dim = probe.dim()
     work = [(0, list(base_normals))]
     while work:
@@ -715,16 +688,14 @@ def admissibility_check(
         if cell.dim() < target_dim:
             continue
         if level == len(hyperplanes):
-            cells_checked += 1
             sample = cell.interior_sample()
             if not any(p.contains(sample) for p in pieces):
-                witness = sample
-                break
+                return Report([Condition("probe-cover", False, "", [sample])])
             continue
         n = hyperplanes[level]
         work.append((level + 1, ineqs + [n]))
         work.append((level + 1, ineqs + [-n]))
-    return AdmissibilityReport(witness is None, witness, cells_checked)
+    return Report([Condition("probe-cover", True)])
 
 
 # -- comparison helper ------------------------------------------------------------

@@ -437,45 +437,31 @@ def load_series(obj, path: str = "series") -> FormalSeries:
 # -- reports (output only) ---------------------------------------------------------------
 
 
-def dump_validation_report(rep) -> dict:
+def dump_lattice(lattice) -> dict:
+    """A lattice given as (denominator, HNF rows), or None, as two fields."""
     return {
-        "passed": rep.passed,
-        "conditions": [
-            {
-                "name": c.name,
-                "passed": c.passed,
-                "details": c.details,
-                "witnesses": [str(w) for w in c.witnesses],
-            }
-            for c in rep.conditions
-        ],
-        "notes": list(getattr(rep, "notes", [])),
+        "lattice": [list(r) for r in lattice[1]] if lattice else None,
+        "lattice_denominator": lattice[0] if lattice else None,
     }
 
 
-def dump_compatibility_report(rep) -> dict:
-    return {
+def dump_report(rep, witnesses: bool = False) -> dict:
+    """The verdict, each condition and the report's data; ``witnesses`` adds
+    each condition's witnesses (as strings) and the notes."""
+    doc = {
         "passed": rep.passed,
         "conditions": [
             {"name": c.name, "passed": c.passed, "details": c.details}
             for c in rep.conditions
         ],
-        "lattice": [list(r) for r in rep.lattice[1]] if rep.lattice else None,
-        "lattice_denominator": rep.lattice[0] if rep.lattice else None,
     }
-
-
-def dump_unipotency_report(rep) -> dict:
-    return {
-        "passed": rep.passed,
-        "weight": rep.weight,
-        "dims": dict(rep.dims),
-        "draws": rep.draws,
-        "conditions": [
-            {"name": c.name, "passed": c.passed, "details": c.details}
-            for c in rep.conditions
-        ],
-    }
+    if witnesses:
+        for out, c in zip(doc["conditions"], rep.conditions):
+            out["witnesses"] = [str(w) for w in c.witnesses]
+        doc["notes"] = list(rep.notes)
+    for key, value in rep.data.items():
+        doc.update(dump_lattice(value) if key == "lattice" else {key: value})
+    return doc
 
 
 def dump_coordinates(qc) -> dict:

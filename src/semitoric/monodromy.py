@@ -18,7 +18,6 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 
 from .errors import DegenerateInputError, NotUnipotentError
-from .fans import ConditionReport
 from .lattice import (
     IntMatrix,
     Vector,
@@ -35,6 +34,7 @@ from .lattice import (
     hermite_normal_form,
     integer_kernel,
 )
+from .report import Condition, Report
 
 
 def _frac(x) -> Fraction:
@@ -275,40 +275,13 @@ class MonodromySet:
         return self._scaled_logs
 
 
-@dataclass
-class MaxUnipotencyReport:
-    conditions: list
-    weight: int | None
-    dims: dict = field(default_factory=dict)
-    draws: int = 0
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.conditions)
-
-    def condition(self, name: str) -> ConditionReport:
-        for c in self.conditions:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    def summary(self) -> str:
-        head = f"weight {self.weight}, dims {self.dims}, {self.draws} draws"
-        lines = [head]
-        lines += [
-            f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.details}"
-            for c in self.conditions
-        ]
-        return "\n".join(lines)
-
-
 def combined_log(logs, a) -> tuple:
     return _mat_combination(a, logs)
 
 
 def is_maximally_unipotent(
     operators, weight: int | None = None, draws: int = 20, seed: int = 7
-) -> MaxUnipotencyReport:
+) -> Report:
     """Three conditions, checked for a = (1,...,1) and for ``draws`` random
     positive integer combinations N_a of the logs:
 
@@ -318,6 +291,9 @@ def is_maximally_unipotent(
     3. the piece above them has dimension r + 1, so the coordinate count
        matches the number of operators, and the pairing matrix m of the
        adapted basis is invertible.
+
+    ``data`` holds the observed nilpotency degree ``weight``, the weight
+    piece ``dims`` and the number of ``draws`` (None, {} and 0 when skipped).
     """
     if draws < 0:
         raise DegenerateInputError(f"the number of draws must be nonnegative, got {draws}")
@@ -333,21 +309,18 @@ def is_maximally_unipotent(
         unip_ok = False
         unip_detail = str(e)
     conds.append(
-        ConditionReport(
+        Condition(
             "commuting-unipotent",
             commuting and unip_ok,
             unip_detail if not unip_ok else ("operators commute, " + unip_detail),
         )
     )
     if logs is None or not commuting:
-        return MaxUnipotencyReport(
-            conds
-            + [
-                ConditionReport("bottom-weight", False, "skipped"),
-                ConditionReport("coordinate-count", False, "skipped"),
-            ],
-            None,
-        )
+        conds += [
+            Condition("bottom-weight", False, "skipped"),
+            Condition("coordinate-count", False, "skipped"),
+        ]
+        return Report(conds, data={"weight": None, "dims": {}, "draws": 0})
 
     rng = random.Random(seed)
     samples = [tuple([1] * mset.r)]
@@ -374,7 +347,7 @@ def is_maximally_unipotent(
     d1 = max(dims1)
     d2 = max(dims2)
     conds.append(
-        ConditionReport(
+        Condition(
             "bottom-weight",
             stable and weight_ok and d0 == 1 and d1 == 1,
             f"nilpotency degree {sorted(weights)}, dim W0 {sorted(dims0)}, "
@@ -395,18 +368,14 @@ def is_maximally_unipotent(
         except DegenerateInputError as e:
             m_detail = str(e)
     conds.append(
-        ConditionReport(
+        Condition(
             "coordinate-count",
             stable and d2 == mset.r + 1 and m_ok,
             f"dim W2 {sorted(dims2)}, expected {mset.r + 1}; {m_detail}",
         )
     )
-    return MaxUnipotencyReport(
-        conds,
-        n_obs,
-        {"W0": d0, "W1": d1, "W2": d2},
-        len(samples),
-    )
+    dims = {"W0": d0, "W1": d1, "W2": d2}
+    return Report(conds, data={"weight": n_obs, "dims": dims, "draws": len(samples)})
 
 
 # -- adapted integral basis -----------------------------------------------------------

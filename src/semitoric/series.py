@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .errors import DegenerateInputError
 from .lattice import Cone, IntMatrix, Vector
+from .report import Condition, Report
 
 
 @dataclass(frozen=True)
@@ -113,26 +114,18 @@ def series(rank: int, terms, truncation: int, complete_order: int | None = None)
     return FormalSeries(rank, tuple(terms), truncation, complete_order)
 
 
-@dataclass(frozen=True)
-class EffectivityReport:
-    effective: bool
-    witness: tuple | None
-
-    def __bool__(self):
-        return self.effective
-
-
-def effectivity_check(s: FormalSeries, framing: Framing | None = None) -> EffectivityReport:
+def effectivity_check(s: FormalSeries, framing: Framing | None = None) -> Report:
     """Whether every exponent lies in the nonnegative span of the framing
-    basis; the witness is the first offending exponent."""
+    basis.  One condition, "effective"; its witness is the first offending
+    exponent."""
     framing = framing or standard_framing(s.rank)
     if framing.rank != s.rank:
         raise DegenerateInputError("framing basis has the wrong rank")
     for expo, _ in s.terms:
         coords = framing.coordinates(expo)
         if any(c < 0 for c in coords):
-            return EffectivityReport(False, expo)
-    return EffectivityReport(True, None)
+            return Report([Condition("effective", False, "", [expo])])
+    return Report([Condition("effective", True)])
 
 
 def reframe(s: FormalSeries, M: IntMatrix) -> FormalSeries:
@@ -163,8 +156,9 @@ def reframing_preserves_effectivity(M: IntMatrix, framing: Framing | None = None
     """Whether every effective series stays effective under the reframing.
 
     True exactly when the matrix of the framing change, written in framing
-    coordinates, is entrywise nonnegative; otherwise the witness is a basis
-    exponent whose image leaves the effectivity cone."""
+    coordinates, is entrywise nonnegative; otherwise the witness of the one
+    condition, "preserves-effectivity", is a basis exponent whose image
+    leaves the effectivity cone."""
     if not M.is_unimodular():
         raise DegenerateInputError("framing changes must be unimodular")
     rank = M.nrows
@@ -177,8 +171,8 @@ def reframing_preserves_effectivity(M: IntMatrix, framing: Framing | None = None
         image = Mt.apply_int(B.rows[i])
         coords = framing.coordinates(image)
         if any(c < 0 for c in coords):
-            return EffectivityReport(False, tuple(B.rows[i]))
-    return EffectivityReport(True, None)
+            return Report([Condition("preserves-effectivity", False, "", [tuple(B.rows[i])])])
+    return Report([Condition("preserves-effectivity", True)])
 
 
 # -- arithmetic ------------------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import fixtures
-from semitoric import CuspData, Decomposition, build_fan, cli
+from semitoric import CuspData, Decomposition, GroupElement, IntMatrix, build_fan, cli
 from semitoric.connection import atlas_from_fan
 from semitoric.fans import Cone, Support, Vector, zero_cone
 from semitoric.formats import (
@@ -29,6 +29,20 @@ def _write(tmp_path, name, doc) -> str:
 
 def _json_out(capsys):
     return json.loads(capsys.readouterr().out)
+
+
+VALIDATION_KEYS = {"conditions", "notes", "passed"}
+COMPATIBILITY_KEYS = {"conditions", "lattice", "lattice_denominator", "passed"}
+UNIPOTENCY_KEYS = {"conditions", "dims", "draws", "passed", "weight"}
+CONDITION_KEYS = {"name", "passed", "details"}
+
+
+def _assert_shape(doc, top, witnesses):
+    """Exact key sets of a verdict document and of each of its conditions."""
+    assert set(doc) == top
+    keys = CONDITION_KEYS | {"witnesses"} if witnesses else CONDITION_KEYS
+    for c in doc["conditions"]:
+        assert set(c) == keys
 
 
 @pytest.fixture()
@@ -65,6 +79,7 @@ def test_fan_validate_passes_on_cusp_fan(cusp_fan_file, capsys):
     assert cli.main(["fan", "validate", cusp_fan_file, "--samples", "60"]) == 0
     doc = _json_out(capsys)
     assert doc["passed"] is True
+    _assert_shape(doc, VALIDATION_KEYS, witnesses=True)
     assert [c["name"] for c in doc["conditions"]] == [
         "disjoint-cover",
         "rational-span",
@@ -78,7 +93,50 @@ def test_fan_validate_fails_on_deleted_member(tmp_path, capsys):
     broken = Decomposition(fan.rank, fan.members[:-1], fan.group, fan.support)
     path = _write(tmp_path, "broken.json", dump_fan(broken))
     assert cli.main(["fan", "validate", path, "--samples", "60"]) == 1
-    assert _json_out(capsys)["passed"] is False
+    doc = _json_out(capsys)
+    assert doc["passed"] is False
+    _assert_shape(doc, VALIDATION_KEYS, witnesses=True)
+    assert any(c["witnesses"] for c in doc["conditions"])
+    # the group preserves the support, so local finiteness is still probed
+    assert doc["conditions"][3]["details"] == "1 probes certified"
+
+
+def _support_move_witness(doc):
+    cover = doc["conditions"][0]
+    assert cover["name"] == "disjoint-cover" and cover["passed"] is False
+    assert "group does not preserve the support; local finiteness not probed" in doc["notes"]
+    return cover["witnesses"][0]
+
+
+def test_fan_validate_rejects_a_group_that_moves_the_support(tmp_path, capsys):
+    quadrant = Cone(2, [Vector((1, 0)), Vector((0, 1))])
+    members = (
+        zero_cone(2),
+        Cone(2, [Vector((1, 0))], relint=True),
+        Cone(2, [Vector((0, 1))], relint=True),
+        quadrant.relative_interior(),
+    )
+    flip = GroupElement(IntMatrix([[-1, 0], [0, -1]]))
+    fan = Decomposition(2, members, (flip,), Support(quadrant.closure()))
+    assert cli.main(["fan", "validate", _write(tmp_path, "flip.json", dump_fan(fan))]) == 1
+    witness = _support_move_witness(_json_out(capsys))
+    assert witness.startswith("((0, 1), 'support ray leaves the support")
+    assert "maps it to (0, -1)" in witness
+
+
+def test_fan_validate_rejects_a_shear_of_the_cusp_fan_quickly(tmp_path, capsys):
+    """The shear moves the irrational support rays, so the probes are
+    skipped: the ball of unit and shear grows about 2.6x per radius, and
+    probing it up to the radius cap would not finish."""
+    fan = build_fan(CuspData.standard(5))
+    shear = GroupElement(IntMatrix([[1, 1], [0, 1]]))
+    sheared = Decomposition(fan.rank, fan.members, fan.group + (shear,), fan.support)
+    path = _write(tmp_path, "shear.json", dump_fan(sheared))
+    start = time.perf_counter()
+    assert cli.main(["fan", "validate", path]) == 1
+    assert time.perf_counter() - start < 2.0
+    witness = _support_move_witness(_json_out(capsys))
+    assert witness.startswith("((1, 1/2-1/2*sqrt(5)), 'support ray leaves the support")
 
 
 def test_fan_sbb_refinement_pair(tmp_path, cusp_fan_file, capsys):
@@ -123,6 +181,8 @@ def test_atlas_pipeline(tmp_path, cusp_fan_file, capsys):
     assert cli.main(["atlas", "check", str(atlas_path)]) == 0
     doc = _json_out(capsys)
     assert doc["passed"] is True and doc["lattice"] == [[1, 0], [0, 1]]
+    _assert_shape(doc, COMPATIBILITY_KEYS, witnesses=False)
+    assert doc["lattice_denominator"] == 1
     assert cli.main(["atlas", "reconstruct", str(atlas_path)]) == 0
     rec = _json_out(capsys)
     assert rec["lattice_denominator"] == 1
@@ -139,6 +199,8 @@ def test_atlas_check_flags_frame_defect(tmp_path, capsys):
     out = _json_out(capsys)
     names = {c["name"]: c["passed"] for c in out["conditions"]}
     assert names["common-lattice"] is False
+    _assert_shape(out, COMPATIBILITY_KEYS, witnesses=False)
+    assert out["lattice"] is None and out["lattice_denominator"] is None
 
 
 def test_atlas_witness_numbers(capsys):
@@ -159,13 +221,26 @@ def test_monodromy_check_verdicts(tmp_path, capsys):
         ),
     )
     assert cli.main(["monodromy", "check", good, "--draws", "8"]) == 0
-    assert _json_out(capsys)["weight"] == 1
+    doc = _json_out(capsys)
+    assert doc["weight"] == 1
+    _assert_shape(doc, UNIPOTENCY_KEYS, witnesses=False)
+    assert doc["dims"] == {"W0": 1, "W1": 1, "W2": 2} and doc["draws"] == 9
 
     two_chains = [[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1, 1]]
     bad = _write(tmp_path, "bad.json", dump_monodromy([two_chains], weight=1))
     assert cli.main(["monodromy", "check", bad, "--draws", "8"]) == 1
     doc = _json_out(capsys)
     assert doc["passed"] is False
+    _assert_shape(doc, UNIPOTENCY_KEYS, witnesses=False)
+
+    # non-commuting operators: the later conditions are skipped
+    ops = [[[1, 1], [0, 1]], [[1, 0], [1, 1]]]
+    skipped = _write(tmp_path, "nc.json", dump_monodromy(ops))
+    assert cli.main(["monodromy", "check", skipped]) == 1
+    doc = _json_out(capsys)
+    _assert_shape(doc, UNIPOTENCY_KEYS, witnesses=False)
+    assert doc["weight"] is None and doc["dims"] == {} and doc["draws"] == 0
+    assert [c["details"] for c in doc["conditions"][1:]] == ["skipped", "skipped"]
 
 
 def test_monodromy_coords_exact_and_degenerate(tmp_path, capsys):
@@ -220,10 +295,15 @@ def test_series_reframe_round_trip(tmp_path, capsys):
 def test_series_check_verdicts(tmp_path, capsys):
     eff = _write(tmp_path, "eff.json", dump_series(series(2, {(2, 1): 1}, 8)))
     assert cli.main(["series", "check", eff]) == 0
-    assert _json_out(capsys)["effective"] is True
+    doc = _json_out(capsys)
+    assert doc == {"effective": True, "witness": None}
 
     assert cli.main(["series", "check", eff, "--matrix", "1,-1;0,1"]) == 1
     doc = _json_out(capsys)
+    assert set(doc) == {
+        "effective", "witness", "reframing_preserves_effectivity", "reframing_witness"
+    }
+    assert doc["witness"] is None
     assert doc["effective"] is True
     assert doc["reframing_preserves_effectivity"] is False
     assert doc["reframing_witness"] == [1, 0]
@@ -232,7 +312,15 @@ def test_series_check_verdicts(tmp_path, capsys):
         tmp_path, "noneff.json", dump_series(series(2, {(1, -1): 1}, 8))
     )
     assert cli.main(["series", "check", noneff]) == 1
-    assert _json_out(capsys)["witness"] == [1, -1]
+    assert _json_out(capsys) == {"effective": False, "witness": [1, -1]}
+
+    assert cli.main(["series", "check", noneff, "--matrix", "1,1;0,1"]) == 1
+    assert _json_out(capsys) == {
+        "effective": False,
+        "witness": [1, -1],
+        "reframing_preserves_effectivity": True,
+        "reframing_witness": None,
+    }
 
 
 def test_input_errors_exit_two(tmp_path, capsys):

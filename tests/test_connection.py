@@ -83,7 +83,7 @@ def test_cusp_atlases_are_compatible():
             "translation-lattice",
             "face-decomposition",
         ]
-        assert rep.lattice == STANDARD_LATTICE_2
+        assert rep.data["lattice"] == STANDARD_LATTICE_2
 
 
 def test_random_fan_atlas_compatible_and_reconstructs():
@@ -117,7 +117,7 @@ def test_frame_defect_reports_index_two():
     assert base_label == "p0" and label != base_label
     assert max(ratio, 1 / ratio) == 2
     assert "index witness" in cond.details
-    assert rep.lattice is None
+    assert rep.data["lattice"] is None
     with pytest.raises(DegenerateInputError, match="common-lattice"):
         reconstruct(atlas)
 

@@ -223,14 +223,46 @@ def test_admissibility_certificate_and_witness():
         2, fan.support, fan.group, sector,
         [IntMatrix.identity(2), fan.group[0].linear], probe,
     )
-    assert full.certified and full.witness is None
+    assert full.passed and full.witness is None
     assert bool(full)
     short = admissibility_check(
         2, fan.support, fan.group, sector, [IntMatrix.identity(2)], probe
     )
-    assert not short.certified
+    assert not short.passed
     assert probe.contains(short.witness)
     assert not sector.contains(short.witness)
+
+
+def _words_ball(gens, rank, depth):
+    """Rows of every product of at most ``depth`` of the given matrices."""
+    ball = {IntMatrix.identity(rank).rows}
+    for _ in range(depth):
+        ball |= {(g * IntMatrix(m)).rows for m in ball for g in gens}
+    return ball
+
+
+def test_shells_are_the_spheres_of_the_group_ball():
+    flip = GroupElement(IntMatrix([[-1, 0], [0, -1]]))
+    shear = GroupElement(IntMatrix([[1, 1], [0, 1]]))
+    unit = build_fan(CuspData.standard(13)).group[0]
+    swap3 = GroupElement(IntMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
+    shear3 = GroupElement(IntMatrix([[1, 0, 1], [0, 1, 0], [0, 0, 1]]))
+    for rank, group in ((2, (unit,)), (2, (unit, shear)), (2, (flip,)), (3, (swap3, shear3))):
+        P = Decomposition(rank, (), group, fixtures.quadrant_support())
+        gens = [m for g in group for m in (g.linear, g.inverse_linear())]
+        spheres = list(P.shells(4))
+        assert len(spheres) == 5
+        assert P.linear_ball(4) == [t for sphere in spheres for t in sphere]
+        inner = set()
+        for radius, sphere in enumerate(spheres):
+            rows = [t.rows for t in sphere]
+            assert len(set(rows)) == len(rows)
+            ball = _words_ball(gens, rank, radius)
+            assert set(rows) == ball - inner, (rank, radius)
+            inner = ball
+    # a finite group: the spheres past it are empty
+    flipped = Decomposition(2, (), (flip,), fixtures.quadrant_support())
+    assert [len(s) for s in flipped.shells(3)] == [1, 1, 0, 0]
 
 
 def test_decompositions_match_up_to_relabeling():

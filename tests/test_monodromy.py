@@ -119,7 +119,7 @@ def test_maximal_unipotency_battery_against_oracle():
 def test_report_names_failing_condition():
     rep = is_maximally_unipotent([IntMatrix(((2, 0), (0, 1)))], weight=1)
     assert not rep.passed
-    assert rep.weight is None
+    assert rep.data["weight"] is None
     cond = rep.condition("commuting-unipotent")
     assert not cond.passed and "x - 2" in cond.details
 
@@ -131,7 +131,7 @@ def test_report_names_failing_condition():
 
     rep = is_maximally_unipotent([fixtures.quintic_like_operator()], weight=2)
     assert not rep.condition("bottom-weight").passed
-    assert rep.weight == 3
+    assert rep.data["weight"] == 3
 
 
 def test_integral_normalization_adapted_basis():
@@ -318,5 +318,5 @@ def test_weight_spaces_and_dims_match_oracle_on_chains_and_products():
                 assert weight_spaces(N, k) == tuple(list(b) for b in bases), (d, a, k)
         d0, d1, d2, _ = oracles.oracle_weight_dims(rows, (1,) * mset.r, n, d)
         rep = is_maximally_unipotent(mset, draws=3)
-        assert rep.weight == n
-        assert rep.dims == {"W0": d0, "W1": d1, "W2": d2}, (d, n)
+        assert rep.data["weight"] == n
+        assert rep.data["dims"] == {"W0": d0, "W1": d1, "W2": d2}, (d, n)

@@ -60,7 +60,7 @@ def test_effectivity_witness_in_standard_framing():
     assert effectivity_check(good)
     bad = series(2, {(1, -1): 1, (0, 1): 2}, 4)
     rep = effectivity_check(bad)
-    assert not rep.effective
+    assert not rep.passed
     assert rep.witness == (1, -1)
 
 
@@ -70,7 +70,7 @@ def test_effectivity_in_custom_framing():
     assert effectivity_check(inside, framing)
     outside = series(2, {(1, 0): 1}, 4)
     rep = effectivity_check(outside, framing)
-    assert not rep.effective and rep.witness == (1, 0)
+    assert not rep.passed and rep.witness == (1, 0)
 
 
 def test_framing_guards_and_coordinates():
@@ -133,7 +133,7 @@ def test_preserves_effectivity_verdicts_and_witness():
     assert reframing_preserves_effectivity(keeps)
     drops = IntMatrix(((1, 0), (-1, 1)))
     rep = reframing_preserves_effectivity(drops)
-    assert not rep.effective
+    assert not rep.passed
     assert rep.witness == (0, 1)
 
     s = series(2, {tuple(rep.witness): 1}, 4)
@@ -151,7 +151,7 @@ def test_preserves_effectivity_in_custom_framing():
     framing = Framing(IntMatrix(((1, 1), (0, 1))))
     shear = IntMatrix(((1, 1), (0, 1)))
     rep = reframing_preserves_effectivity(shear, framing)
-    assert rep.effective
+    assert rep.passed
 
 
 def test_series_add_cancels():
