@@ -18,8 +18,8 @@ from .fans import (
     Decomposition,
     GroupElement,
     Support,
+    _one_per_orbit,
     validate_decomposition,
-    zero_cone,
 )
 from .lattice import (
     Cone,
@@ -244,35 +244,17 @@ def _face_decomposition(atlas: BoundaryAtlas) -> Decomposition:
         for p in atlas.points:
             gens.extend(p.cone.generators)
         support = Support(Cone(atlas.rank, gens), include_origin=True)
-    members = []
-    seen = set()
     linear_group = tuple(
         g for g in atlas.group if g.linear.rows != IntMatrix.identity(atlas.rank).rows
     )
-    probe_dec = Decomposition(atlas.rank, (), linear_group, support)
-    ball = probe_dec.linear_ball(2)
-    for p in atlas.points:
-        for f in p.cone.faces():
-            if not f.generators:
-                piece = zero_cone(atlas.rank)
-                if not support.include_origin:
-                    continue
-            else:
-                sample = f.interior_sample()
-                if not support.contains_point(sample):
-                    continue
-                piece = f.relative_interior()
-            if piece.generators in seen:
-                continue
-            if any(
-                Cone(atlas.rank, [t.apply(g) for g in piece.generators], relint=True).generators
-                in seen
-                for t in ball
-            ):
-                continue
-            seen.add(piece.generators)
-            members.append(piece)
-    return Decomposition(atlas.rank, tuple(members), linear_group, support)
+    pieces = [
+        f.relative_interior()
+        for p in atlas.points
+        for f in p.cone.faces()
+        if support.contains_point(f.interior_sample())
+    ]
+    ball = Decomposition(atlas.rank, (), linear_group, support).linear_ball(2)
+    return Decomposition(atlas.rank, tuple(_one_per_orbit(pieces, ball)), linear_group, support)
 
 
 @dataclass(frozen=True)

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 from .errors import DegenerateInputError, ResourceBoundError
 from .fans import Decomposition, GroupElement, Support
-from .lattice import Cone, IntMatrix, Vector, _cmp_int_vs_sqrt
+from .lattice import Cone, IntMatrix, Vector, _cmp_int_vs_sqrt, _floor_quotient
 from .quadfield import CuspData, QuadIdeal, cusp_cone
 
 
@@ -44,18 +44,6 @@ def _embedding_numerators(ideal: QuadIdeal) -> tuple:
 def _quad_sign(p: int, q: int, D: int) -> int:
     """Sign of p + q*sqrt(D)."""
     return _cmp_int_vs_sqrt(p, -q, D)
-
-
-def _floor_quotient(p1: int, q1: int, p2: int, q2: int, D: int) -> int:
-    """floor((p1 + q1 sqrt(D)) / (p2 + q2 sqrt(D))) for a nonzero divisor."""
-    s = p1 * p2 - q1 * q2 * D
-    t = q1 * p2 - p1 * q2
-    n = p2 * p2 - q2 * q2 * D
-    if n < 0:
-        s, t, n = -s, -t, -n
-    r = isqrt(t * t * D)
-    # floor((s + y) / n) = (s + floor(y)) // n, and t sqrt(D) is irrational unless t = 0
-    return (s + (r if t >= 0 else -r - 1)) // n
 
 
 def _complement(P) -> tuple:

@@ -2,16 +2,24 @@
 
 A Decomposition holds finitely many representative cones (as relative
 interiors), a finitely generated symmetry group acting by lattice
-automorphisms, and the support region.  Validation checks the four defining
-conditions on the representatives together with one shell of group
+automorphisms, and the support region: the Gamma-admissible decompositions
+of Ash-Mumford-Rapoport-Tai (1975, ch. II).  Validation checks the four
+defining conditions on the representatives together with one shell of group
 translates; for infinite groups the reports are certificates on the explored
 region, not global decision procedures.
+
+One geometric test serves every overlap question: ``_meets(a, b)`` decides
+whether the relative interior of ``a`` meets ``b``, open or closed, trying a
+separating facet normal or span equation before it intersects.  One filter,
+``_one_per_orbit``, keeps a single piece per group orbit when pieces are
+collected into members.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import DegenerateInputError, GroupMismatchError, RequiresRationalConeError
 from .lattice import (
@@ -24,7 +32,6 @@ from .lattice import (
     complete_to_basis,
     cone_from_inequalities,
     cone_intersection,
-    is_strongly_convex,
     is_unimodular_part_of_basis,
 )
 from .report import Condition, Report
@@ -44,11 +51,7 @@ class GroupElement:
         object.__setattr__(self, "translation", tuple(int(t) for t in self.translation))
 
     def act(self, cone: Cone) -> Cone:
-        return Cone(
-            cone.rank,
-            [self.linear.apply(g) for g in cone.generators],
-            relint=cone.relint,
-        )
+        return _act_linear(self.linear, cone)
 
     def inverse_linear(self) -> IntMatrix:
         return self.linear.inverse_unimodular()
@@ -132,28 +135,16 @@ class Decomposition:
         """Products of at most ``depth`` generator linear parts and inverses."""
         return [t for sphere in self.shells(depth) for t in sphere]
 
-    def translated_members(self, depth: int) -> dict:
-        """Map canonical cone -> (word matrix, base member) over the ball."""
-        out = {}
-        for t in self.linear_ball(depth):
-            for m in self.members:
-                c = _act_linear(t, m)
-                if c not in out:
-                    out[c] = (t, m)
-        return out
+    def translated_members(self, depth: int) -> list:
+        """The distinct translates of the members over the ball, in order."""
+        ball = self.linear_ball(depth)
+        return list(dict.fromkeys(_act_linear(t, m) for t in ball for m in self.members))
 
     def member_containing(self, point, depth: int = 2):
         """The translated member whose relative interior holds the point."""
         point = as_vector(point, self.rank)
         hits = [c for c in self.translated_members(depth) if c.contains(point)]
         return hits
-
-    def canonical_member_keys(self, depth: int = 0) -> set:
-        keys = set()
-        for t in self.linear_ball(depth):
-            for m in self.members:
-                keys.add(_act_linear(t, m).generators)
-        return keys
 
 
 def _act_linear(t: IntMatrix, cone: Cone) -> Cone:
@@ -165,52 +156,50 @@ def _act_linear(t: IntMatrix, cone: Cone) -> Cone:
 # -- validation ---------------------------------------------------------------
 
 
-def _quick_separation(a: Cone, b: Cone) -> bool:
-    """Separation certificate ruling out a relint overlap without computing
-    the intersection: a facet normal of b that is nonpositive on all of a,
-    or a span equation of b with a fixed strict sign on the interior of a."""
+def _separated(a: Cone, b: Cone) -> bool:
+    """Certificate that the relative interior of ``a`` misses ``b`` (its
+    relative interior when ``b.relint``, else its closure), found without an
+    intersection: a facet normal of ``b`` that is nonpositive on ``a``, and
+    negative somewhere on it when ``b`` is closed, or a span equation of
+    ``b`` with a fixed strict sign on ``a``."""
     normals, equations = b.dual_description()
     for n in normals:
-        if all(_dot_sign(n, g) <= 0 for g in a.generators):
+        if all(_dot_sign(n, g) <= 0 for g in a.generators) and (
+            b.relint or any(_dot_sign(n, g) for g in a.generators)
+        ):
             return True
     for e in equations:
         signs = [_dot_sign(e, g) for g in a.generators]
-        if any(signs) and (all(s >= 0 for s in signs) or all(s <= 0 for s in signs)):
+        if any(signs) and (min(signs) >= 0 or max(signs) <= 0):
             return True
     return False
 
 
-def _relint_overlap(a: Cone, b: Cone) -> bool:
-    """Whether the relative interiors of two cones intersect."""
-    if not a.generators or not b.generators:
-        return not a.generators and not b.generators
-    if _quick_separation(a, b) or _quick_separation(b, a):
+def _meets(a: Cone, b: Cone) -> bool:
+    """Whether the relative interior of ``a`` meets ``b``, read as its
+    relative interior when ``b.relint`` and as its closure otherwise."""
+    if not a.generators:
+        return not (b.relint and b.generators)
+    if not b.generators:
+        return False
+    if _separated(a, b) or (b.relint and _separated(b, a)):
         return False
     inter = cone_intersection(a, b)
     if not inter.generators:
         return False
     s = inter.interior_sample()
-    return a.closure().contains(s, relint=True) and b.closure().contains(s, relint=True)
+    return a.contains(s, relint=True) and b.contains(s)
 
 
-def _meets_probe(member: Cone, probe: Cone) -> bool:
-    """Whether the (relint) member meets the closed probe cone."""
-    if not member.generators:
-        return True  # the origin lies in every closed probe cone
-    normals, equations = probe.dual_description()
-    for n in normals:
-        signs = [_dot_sign(n, g) for g in member.generators]
-        if any(s < 0 for s in signs) and all(s <= 0 for s in signs):
-            return False
-    for e in equations:
-        signs = [_dot_sign(e, g) for g in member.generators]
-        if any(signs) and (all(s >= 0 for s in signs) or all(s <= 0 for s in signs)):
-            return False
-    inter = cone_intersection(member.closure(), probe)
-    if not inter.generators:
-        return False
-    s = inter.interior_sample()
-    return member.closure().contains(s, relint=True)
+def _one_per_orbit(pieces, ball) -> list:
+    """The pieces, in order, that no element of ``ball`` (which holds the
+    identity) maps onto an earlier kept piece."""
+    kept, seen = [], set()
+    for piece in pieces:
+        if not any(_act_linear(t, piece).generators in seen for t in ball):
+            seen.add(piece.generators)
+            kept.append(piece)
+    return kept
 
 
 def validate_decomposition(
@@ -232,10 +221,14 @@ def validate_decomposition(
     (ii)  the linear span of every member is defined over Q;
     (iii) every face of a member closure that lies in the support is again a
           member, up to the group action;
-    (iv)  each probe cone meets only finitely many members, certified by an
-          explicit meeting list that stabilizes over group shells.  A group
-          that moves the support is not probed: its shells need not
-          stabilize.
+    (iv)  each closed probe cone meets the relative interiors of only
+          finitely many translated members: the list of those it meets stops
+          growing at some radius of the group ball, at most
+          ``probe_radius_cap``.  The details count the probes so certified;
+          a probe whose list still grows at the cap is a witness.  When
+          nothing is probed, because the group moves the support (its shells
+          need not stabilize) or no rational probe exists, the details say
+          why.
     """
     rng = random.Random(seed)
     notes = []
@@ -245,13 +238,10 @@ def validate_decomposition(
             "support has irrational boundary; origin excluded from the support by convention"
         )
     translated = P.translated_members(shell_depth)
-    all_cones = list(translated)
     d_max = sup.cone.dim()
 
     # condition (i): group invariance, containment, disjointness, facet matching
     moves = _support_moves(P)
-    if moves:
-        notes.append("group does not preserve the support; local finiteness not probed")
     witnesses_i = list(moves)
     for m in P.members:
         if not m.generators:
@@ -263,12 +253,9 @@ def validate_decomposition(
             continue
         if not sup.contains_point(m.interior_sample()):
             witnesses_i.append((m, "member interior escapes the support"))
-    for i in range(len(all_cones)):
-        for j in range(i + 1, len(all_cones)):
-            a, b = all_cones[i], all_cones[j]
-            if a.dim() != b.dim() and a.dim() * b.dim() == 0:
-                continue  # zero cone cannot overlap a relint of positive dim
-            if _relint_overlap(a, b):
+    for i, a in enumerate(translated):
+        for b in translated[i + 1 :]:
+            if _meets(a, b):
                 witnesses_i.append((a, f"relative interiors overlap with {b}"))
     support_normals = sup.boundary_normals()
     for m in P.members:
@@ -283,7 +270,7 @@ def validate_decomposition(
                 continue  # facet sits on the support boundary
             normal = _facet_normal(closure, f)
             matched = False
-            for other in all_cones:
+            for other in translated:
                 if other.dim() != d_max or other.generators == m.generators:
                     continue
                 if _dot_sign(normal, other.interior_sample()) >= 0:
@@ -306,7 +293,7 @@ def validate_decomposition(
 
     # condition (iii): face closure up to the group
     witnesses_iii = []
-    member_keys = P.canonical_member_keys(depth=face_ball)
+    member_keys = {c.generators for c in P.translated_members(face_ball)}
     if (
         sup.include_origin
         and any(m.generators for m in P.members)
@@ -328,12 +315,15 @@ def validate_decomposition(
     cond3 = Condition("face-closure", not witnesses_iii, "", witnesses_iii)
 
     # condition (iv): local finiteness against probes
+    unprobed = None
     if moves:
-        probes = []
+        probes, unprobed = [], "group does not preserve the support"
     elif probes is None:
         probes = _default_probes(P, d_max)
         if not probes:
-            notes.append("no rational probe available; local finiteness not probed")
+            unprobed = "no rational probe available"
+    if unprobed:
+        notes.append(f"{unprobed}; local finiteness not probed")
     witnesses_iv = []
     certified = 0
     for probe in probes:
@@ -346,18 +336,16 @@ def validate_decomposition(
             for t in sphere:
                 for m in P.members:
                     c = _act_linear(t, m)
-                    if c in meeting:
-                        continue
-                    if _meets_probe(c, probe):
+                    if c not in meeting and _meets(c, probe):
                         meeting.add(c)
                         added = True
             if radius > 0 and not added:
+                certified += 1
                 break
         else:
             witnesses_iv.append(
                 (probe, f"meeting set did not stabilize within radius {probe_radius_cap}")
             )
-        certified += 1
         # sampled exact-cover check on the probe
         misses = _sampled_cover_check(
             P, probe, translated, rng, samples_per_probe
@@ -372,7 +360,7 @@ def validate_decomposition(
     cond4 = Condition(
         "local-finiteness",
         not witnesses_iv,
-        f"{certified} probes certified",
+        f"not probed: {unprobed}" if unprobed else f"{certified} probes certified",
         witnesses_iv,
     )
     return Report([cond1, cond2, cond3, cond4], notes)
@@ -410,8 +398,9 @@ def _default_probes(P: Decomposition, d_max: int) -> list:
     rays = []
     seen = set()
     for radius in (2, 4, 8, 16, 32):
-        for pt in _box_lattice_points(P.rank, radius):
-            v = Vector(pt)
+        # first coordinate fastest: the order decides which rays the probe keeps
+        for pt in product(range(-radius, radius + 1), repeat=P.rank):
+            v = Vector(pt[::-1])
             if v.is_zero or not sup.cone.contains(v, relint=True):
                 continue
             key = v.primitive().key()
@@ -423,16 +412,6 @@ def _default_probes(P: Decomposition, d_max: int) -> list:
     if not rays:
         return []
     return [Cone(P.rank, rays[: 2 * d_max])]
-
-
-def _box_lattice_points(rank: int, radius: int):
-    if rank == 1:
-        for x in range(-radius, radius + 1):
-            yield (x,)
-        return
-    for rest in _box_lattice_points(rank - 1, radius):
-        for x in range(-radius, radius + 1):
-            yield (x,) + rest
 
 
 def _sampled_cover_check(P, probe, translated, rng, count) -> list:
@@ -609,50 +588,21 @@ def common_refinement(P1: Decomposition, P2: Decomposition, ball_depth: int = 1)
     """Decomposition whose members are the nonempty intersections of the
     relative interiors of members of the two inputs."""
     _require_same_setting(P1, P2)
-    depth = ball_depth if P1.group else 0
-    second = list(P2.translated_members(depth))
-    members = []
-    seen = set()
-    ball = P1.linear_ball(2) if P1.group else [IntMatrix.identity(P1.rank)]
-    for a in P1.members:
-        for b in second:
-            if not a.generators and not b.generators:
-                piece = zero_cone(P1.rank)
-            elif not a.generators or not b.generators:
-                continue
-            else:
-                inter = cone_intersection(a, b)
-                if not inter.generators:
-                    continue
-                s = inter.interior_sample()
-                if not (a.contains(s) and b.contains(s)):
-                    continue
-                piece = inter.relative_interior()
-            if piece.generators in seen:
-                continue
-            orbit_hit = False
-            for t in ball:
-                if _act_linear(t, piece).generators in seen:
-                    orbit_hit = True
-                    break
-            if orbit_hit:
-                continue
-            seen.add(piece.generators)
-            members.append(piece)
+    second = P2.translated_members(ball_depth if P1.group else 0)
+    pieces = [
+        cone_intersection(a, b).relative_interior()
+        for a in P1.members
+        for b in second
+        if _meets(a, b)
+    ]
+    members = _one_per_orbit(pieces, P1.linear_ball(2))
     return Decomposition(P1.rank, tuple(members), P1.group, P1.support)
 
 
 # -- admissibility ---------------------------------------------------------------
 
 
-def admissibility_check(
-    rank: int,
-    support: Support,
-    group_generators,
-    pi: Cone,
-    certificate,
-    probe: Cone,
-) -> Report:
+def admissibility_check(rank: int, pi: Cone, certificate, probe: Cone) -> Report:
     """Verify that the translates g . pi over the certificate cover the probe.
 
     The probe is split along every facet hyperplane of every translate; each
@@ -666,8 +616,7 @@ def admissibility_check(
     pieces = []
     for g in certificate:
         linear = g.linear if isinstance(g, GroupElement) else g
-        moved = Cone(rank, [linear.apply(v) for v in pi.generators])
-        inter = cone_intersection(moved, probe)
+        inter = cone_intersection(_act_linear(linear, pi), probe)
         if inter.dim() == probe.dim():
             pieces.append(inter)
     hyperplanes = []

@@ -65,6 +65,19 @@ def _cmp_int_vs_sqrt(y: int, q: int, d: int) -> int:
     return 1 if diff < 0 else -1
 
 
+def _floor_quotient(p1: int, q1: int, p2: int, q2: int, D: int) -> int:
+    """floor((p1 + q1 sqrt(D)) / (p2 + q2 sqrt(D))) for a nonzero divisor,
+    with D squarefree >= 2, or D = 0 when q1 = q2 = 0."""
+    s = p1 * p2 - q1 * q2 * D
+    t = q1 * p2 - p1 * q2
+    n = p2 * p2 - q2 * q2 * D
+    if n < 0:
+        s, t, n = -s, -t, -n
+    r = math.isqrt(t * t * D)
+    # floor((s + y) / n) = (s + floor(y)) // n, and t sqrt(D) is irrational unless t = 0
+    return (s + (r if t >= 0 else -r - 1)) // n
+
+
 _FRACTION_ZERO = Fraction(0)
 
 
@@ -231,25 +244,11 @@ class ExactScalar:
         return self.a
 
     def floor(self) -> int:
-        if self.b == 0:
-            return self.a.numerator // self.a.denominator
-        r = self.a.denominator * self.b.denominator // math.gcd(
-            self.a.denominator, self.b.denominator
+        a, b = self.a, self.b
+        return _floor_quotient(
+            a.numerator * b.denominator, b.numerator * a.denominator,
+            a.denominator * b.denominator, 0, self.D or 0,
         )
-        P = self.a.numerator * (r // self.a.denominator)
-        Q = self.b.numerator * (r // self.b.denominator)
-        # value = (P + Q sqrt(D)) / r; bracket Q sqrt(D) between integers
-        t = math.isqrt(Q * Q * self.D)
-        if Q > 0:
-            k = (P + t) // r
-        else:
-            k = (P - t - 1) // r
-        # adjust: floor = max { k : k*r - P <= Q sqrt(D) }
-        while _cmp_int_vs_sqrt((k + 1) * r - P, Q, self.D) <= 0:
-            k += 1
-        while _cmp_int_vs_sqrt(k * r - P, Q, self.D) > 0:
-            k -= 1
-        return k
 
     def ceil(self) -> int:
         return -((-self).floor())

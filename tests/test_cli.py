@@ -105,6 +105,9 @@ def _support_move_witness(doc):
     cover = doc["conditions"][0]
     assert cover["name"] == "disjoint-cover" and cover["passed"] is False
     assert "group does not preserve the support; local finiteness not probed" in doc["notes"]
+    finiteness = doc["conditions"][3]
+    assert finiteness["passed"] is True
+    assert finiteness["details"] == "not probed: group does not preserve the support"
     return cover["witnesses"][0]
 
 

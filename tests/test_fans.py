@@ -130,6 +130,30 @@ def test_irrational_span_member_is_flagged():
     assert cond.witnesses[0][0].same_rays(ray)
 
 
+def test_local_finiteness_counts_only_stabilized_probes():
+    fan = build_fan(CuspData.standard(13))
+    probes = [m.closure() for m in fan.members if m.dim() == 2]
+    assert len(probes) == 3
+    stable = validate_decomposition(fan, samples_per_probe=20).condition("local-finiteness")
+    assert stable.passed and stable.details == "3 probes certified"
+    capped = validate_decomposition(fan, samples_per_probe=20, probe_radius_cap=0)
+    cond = capped.condition("local-finiteness")
+    assert not cond.passed
+    assert cond.details == "0 probes certified"
+    assert [w[0] for w in cond.witnesses] == probes
+    assert all(w[1] == "meeting set did not stabilize within radius 0" for w in cond.witnesses)
+
+
+def test_local_finiteness_without_a_rational_probe_says_why():
+    ray = Cone(2, [Vector((ExactScalar(1), ExactScalar(0, 1, 2)))])
+    P = Decomposition(2, (zero_cone(2), ray), (), Support(ray.closure()))
+    rep = validate_decomposition(P, samples_per_probe=20)
+    cond = rep.condition("local-finiteness")
+    assert cond.passed and not cond.witnesses
+    assert cond.details == "not probed: no rational probe available"
+    assert "no rational probe available; local finiteness not probed" in rep.notes
+
+
 def test_sbb_counts_match_hyperplane_oracle():
     rng = random.Random(17)
     for _ in range(12):
@@ -220,14 +244,11 @@ def test_admissibility_certificate_and_witness():
     sector = Cone(2, [v0, v1]).closure()
     probe = Cone(2, [v0, v2]).closure()
     full = admissibility_check(
-        2, fan.support, fan.group, sector,
-        [IntMatrix.identity(2), fan.group[0].linear], probe,
+        2, sector, [IntMatrix.identity(2), fan.group[0].linear], probe
     )
     assert full.passed and full.witness is None
     assert bool(full)
-    short = admissibility_check(
-        2, fan.support, fan.group, sector, [IntMatrix.identity(2)], probe
-    )
+    short = admissibility_check(2, sector, [IntMatrix.identity(2)], probe)
     assert not short.passed
     assert probe.contains(short.witness)
     assert not sector.contains(short.witness)
