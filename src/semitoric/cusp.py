@@ -12,38 +12,24 @@ minus continued fraction steps reduce the module basis to two consecutive
 boundary points, and A_{k+1} = b_k A_k - A_{k-1} with
 b_k = floor(x'(A_{k-1}) / x'(A_k)) + 1 walks one unit period from there.
 Every sign test and floor is done in integers on the two embeddings
-(u.c +- (v.c) sqrt(D)) / d of the module element with coordinates c.
+(u.c +- (v.c) sqrt(D)) / d of the module element with coordinates c, where
+(u + v sqrt(D)) / d is the basis (alpha, beta) as a lattice vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import DegenerateInputError, ResourceBoundError
 from .fans import Decomposition, GroupElement, Support
-from .lattice import Cone, IntMatrix, Vector, _cmp_int_vs_sqrt, _floor_quotient
-from .quadfield import CuspData, QuadIdeal, cusp_cone
+from .lattice import Cone, IntMatrix, Vector, _floor_quotient, _quad_sign
+from .quadfield import CuspData, cusp_cone
 
 
 def _cross(p, q) -> int:
     return p[0] * q[1] - p[1] * q[0]
-
-
-def _embedding_numerators(ideal: QuadIdeal) -> tuple:
-    """Integer vectors (u, v) such that the module element with coordinates
-    c is (u.c + (v.c) sqrt(D)) / d and its conjugate (u.c - (v.c) sqrt(D)) / d,
-    for one common denominator d > 0."""
-    coeffs = (ideal.alpha.a, ideal.beta.a, ideal.alpha.b, ideal.beta.b)
-    d = lcm(*(f.denominator for f in coeffs))
-    n = [(f * d).numerator for f in coeffs]
-    return (n[0], n[1]), (n[2], n[3])
-
-
-def _quad_sign(p: int, q: int, D: int) -> int:
-    """Sign of p + q*sqrt(D)."""
-    return _cmp_int_vs_sqrt(p, -q, D)
 
 
 def _complement(P) -> tuple:
@@ -134,7 +120,8 @@ def hull_vertices(cusp: CuspData, box_limit: int | None = None) -> VertexChain:
     other way, against the determinant-one order of the vertices.
     """
     D = cusp.ideal.D
-    (u0, u1), (v0, v1) = _embedding_numerators(cusp.ideal)
+    basis = Vector([cusp.ideal.alpha, cusp.ideal.beta])
+    (u0, u1), (v0, v1) = basis.num, basis.irr
     if u0 * v1 - u1 * v0 < 0:
         raise DegenerateInputError("basis must have alpha*beta' - alpha'*beta < 0")
     if cusp.unit < 1:

@@ -7,6 +7,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .lattice import Vector, _quad_sign
+
 
 def _fmt(x: float) -> str:
     s = f"{x:.2f}"
@@ -28,13 +30,13 @@ def hull_figure(chain, scale: float = 28.0, pad: float = 30.0) -> str:
     ys = [v[1] for v in verts]
     span = max(max(map(abs, xs)), max(map(abs, ys)), 2)
 
-    from .cusp import _embedding_numerators, _quad_sign
     from .quadfield import cusp_cone
 
     ideal = chain.cusp.ideal
     cone = cusp_cone(ideal)
     # totally positive lattice points with coordinates in [-r, r]
-    (u0, u1), (v0, v1) = _embedding_numerators(ideal)
+    basis = Vector([ideal.alpha, ideal.beta])
+    (u0, u1), (v0, v1) = basis.num, basis.irr
     r = min(span + 1, 64)
     dots = []
     for c1 in range(-r, r + 1):

@@ -65,6 +65,12 @@ def _cmp_int_vs_sqrt(y: int, q: int, d: int) -> int:
     return 1 if diff < 0 else -1
 
 
+def _quad_sign(p: int, q: int, D) -> int:
+    """Sign of p + q*sqrt(D) for integers p, q and squarefree D >= 2 (any D
+    when q = 0)."""
+    return _cmp_int_vs_sqrt(p, -q, D)
+
+
 def _floor_quotient(p1: int, q1: int, p2: int, q2: int, D: int) -> int:
     """floor((p1 + q1 sqrt(D)) / (p2 + q2 sqrt(D))) for a nonzero divisor,
     with D squarefree >= 2, or D = 0 when q1 = q2 = 0."""
@@ -192,12 +198,8 @@ class ExactScalar:
     def sign(self) -> int:
         if self.b == 0:
             return (self.a > 0) - (self.a < 0)
-        if self.a == 0:
-            return 1 if self.b > 0 else -1
-        # sign of a + b sqrt(D): compare |a| against |b| sqrt(D)
-        y = self.a.numerator * self.b.denominator
-        q = -self.b.numerator * self.a.denominator
-        return _cmp_int_vs_sqrt(y, q, self.D)
+        a, b = self.a, self.b
+        return _quad_sign(a.numerator * b.denominator, b.numerator * a.denominator, self.D)
 
     def __bool__(self):
         return self.a != 0 or self.b != 0
@@ -264,9 +266,6 @@ class ExactScalar:
         return f"{head}{'+' if self.b > 0 else '-'}{tail}"
 
 
-ZERO = ExactScalar(0)
-
-
 def _as_int(x):
     """The value of a scalar-like x as an int, or None when it is not an integer."""
     if type(x) is int:
@@ -278,30 +277,46 @@ def _as_int(x):
 
 
 class Vector:
-    """Immutable vector of exact scalars.
+    """Immutable vector over Q or Q(sqrt(D)), stored in integers.
 
-    When every entry is an integer the coordinates are kept in ``ints`` as an
-    int tuple, arithmetic stays in integers, and the ExactScalar ``entries``
-    are built only when asked for.  Otherwise ``ints`` is None.
+    Entry i is (num[i] + irr[i]*sqrt(D)) / den with den > 0 and den coprime
+    to the numerators taken together; ``irr`` and ``D`` are None for
+    rational vectors, and ``ints`` is ``num`` for integral ones, else None.
+    Dot products, signs and matrix images stay in integers; the ExactScalar
+    ``entries`` are built when asked for.
     """
 
-    __slots__ = ("ints", "_entries")
+    __slots__ = ("num", "irr", "den", "D", "ints")
 
-    def __init__(self, entries):
+    def __new__(cls, entries):
         entries = tuple(entries)
-        ints = tuple(map(_as_int, entries))
-        if None in ints:
-            ints, entries = None, tuple(ExactScalar.lift(e) for e in entries)
-        else:
-            entries = None
-        object.__setattr__(self, "ints", ints)
-        object.__setattr__(self, "_entries", entries)
+        if all(type(x) is int for x in entries):
+            return cls._of(entries)
+        scalars = [ExactScalar.lift(x) for x in entries]
+        fields = {x.D for x in scalars} - {None}
+        if len(fields) > 1:
+            raise MixedDiscriminantError(f"cannot mix sqrt({min(fields)}) with sqrt({max(fields)})")
+        den = math.lcm(*(f.denominator for x in scalars for f in (x.a, x.b)))
+        num = tuple(x.a.numerator * (den // x.a.denominator) for x in scalars)
+        irr = tuple(x.b.numerator * (den // x.b.denominator) for x in scalars)
+        return cls._of(num, irr, den, fields.pop() if fields else None)
 
     @classmethod
-    def _from_ints(cls, ints: tuple) -> "Vector":
+    def _of(cls, num: tuple, irr=None, den: int = 1, D=None) -> "Vector":
+        """The vector (num + irr*sqrt(D)) / den for den > 0, in canonical form."""
+        if irr is not None and not any(irr):
+            irr = D = None
+        if den != 1:
+            g = math.gcd(den, *num, *(irr or ()))
+            num, den = tuple(x // g for x in num), den // g
+            irr = irr and tuple(x // g for x in irr)
         v = object.__new__(cls)
-        object.__setattr__(v, "ints", ints)
-        object.__setattr__(v, "_entries", None)
+        put = object.__setattr__
+        put(v, "num", num)
+        put(v, "irr", irr)
+        put(v, "den", den)
+        put(v, "D", D)
+        put(v, "ints", num if den == 1 and irr is None else None)
         return v
 
     def __setattr__(self, name, value):
@@ -309,16 +324,18 @@ class Vector:
 
     @property
     def entries(self) -> tuple:
-        if self._entries is None:
-            object.__setattr__(self, "_entries", tuple(ExactScalar(x) for x in self.ints))
-        return self._entries
+        irr = self.irr or (0,) * len(self.num)
+        return tuple(
+            ExactScalar._of(Fraction(a, self.den), Fraction(b, self.den), self.D)
+            for a, b in zip(self.num, irr)
+        )
 
     @property
     def rank(self) -> int:
         return len(self)
 
     def __len__(self):
-        return len(self.ints if self.ints is not None else self._entries)
+        return len(self.num)
 
     def __iter__(self):
         return iter(self.entries)
@@ -328,39 +345,36 @@ class Vector:
 
     def __add__(self, other):
         if self.ints is not None and other.ints is not None:
-            return Vector._from_ints(tuple(map(add, self.ints, other.ints)))
+            return Vector._of(tuple(map(add, self.ints, other.ints)))
         return Vector(x + y for x, y in zip(self.entries, other.entries))
 
     def __sub__(self, other):
-        return Vector(x - y for x, y in zip(self.entries, other.entries))
+        return self + (-other)
 
     def __neg__(self):
-        if self.ints is not None:
-            return Vector._from_ints(tuple(-x for x in self.ints))
-        return Vector(-x for x in self.entries)
+        irr = self.irr and tuple(-x for x in self.irr)
+        return Vector._of(tuple(-x for x in self.num), irr, self.den, self.D)
 
     def scale(self, c) -> "Vector":
-        k = _as_int(c) if self.ints is not None else None
+        k = _as_int(c)
         if k is not None:
-            return Vector._from_ints(tuple(k * x for x in self.ints))
+            irr = self.irr and tuple(k * x for x in self.irr)
+            return Vector._of(tuple(k * x for x in self.num), irr, self.den, self.D)
         c = ExactScalar.lift(c)
         return Vector(c * x for x in self.entries)
 
     def dot(self, other) -> ExactScalar:
-        if self.ints is not None and other.ints is not None:
-            return ExactScalar(sum(map(mul, self.ints, other.ints)))
-        acc = ZERO
-        for x, y in zip(self.entries, other.entries):
-            acc = acc + x * y
-        return acc
+        p, q, D = _dot_parts(self, other)
+        den = self.den * other.den
+        return ExactScalar._of(Fraction(p, den), Fraction(q, den), D)
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.ints if self.ints is not None else self._entries)
+        return self.irr is None and not any(self.num)
 
     @property
     def is_rational(self) -> bool:
-        return self.ints is not None or all(e.is_rational for e in self._entries)
+        return self.irr is None
 
     def as_fractions(self) -> tuple:
         return tuple(e.as_fraction() for e in self.entries)
@@ -377,44 +391,50 @@ class Vector:
         scale so the first nonzero entry is +-1.  Only positive scalings are
         used, so the ray direction is preserved.
         """
-        if self.ints is not None:
-            g = math.gcd(*self.ints)
-            return self if g <= 1 else Vector._from_ints(tuple(x // g for x in self.ints))
-        if self.is_rational:
-            fr = self.as_fractions()
-            den = math.lcm(*(f.denominator for f in fr))
-            ints = tuple(f.numerator * (den // f.denominator) for f in fr)
-            return Vector._from_ints(ints).primitive()
-        for e in self._entries:
+        if self.irr is None:
+            g = math.gcd(*self.num)
+            return self if g <= 1 and self.den == 1 else Vector._of(tuple(x // g for x in self.num))
+        for e in self.entries:
             if e:
                 return self.scale(abs(e).inverse())
-        return self
 
     def key(self):
         if self.ints is not None:
             return tuple((x, 0, None) for x in self.ints)
-        return tuple((e.a, e.b, e.D) for e in self._entries)
+        return tuple((e.a, e.b, e.D) for e in self.entries)
 
     def __eq__(self, other):
         if not isinstance(other, Vector):
             return NotImplemented
-        # canonical storage: equal vectors are both integral or both not
-        if self.ints is not None or other.ints is not None:
-            return self.ints == other.ints
-        return self._entries == other._entries
+        return (self.num, self.irr, self.den, self.D) == (other.num, other.irr, other.den, other.D)
 
     def __hash__(self):
-        return hash(self.ints if self.ints is not None else self._entries)
+        return hash((self.num, self.irr, self.den))
 
     def __repr__(self):
         return "(" + ", ".join(repr(e) for e in self.entries) + ")"
 
 
+def _dot_parts(u: Vector, v: Vector) -> tuple:
+    """(p, q, D) with <u, v> = (p + q*sqrt(D)) / (u.den * v.den); D is None
+    when q = 0."""
+    p = sum(map(mul, u.num, v.num))
+    if u.irr is None and v.irr is None:
+        return p, 0, None
+    if u.irr is None or v.irr is None:
+        a, b = (u.num, v.irr) if u.irr is None else (u.irr, v.num)
+        return p, sum(map(mul, a, b)), u.D or v.D
+    if u.D != v.D:
+        raise MixedDiscriminantError(f"cannot mix sqrt({u.D}) with sqrt({v.D})")
+    q = sum(map(mul, u.num, v.irr)) + sum(map(mul, u.irr, v.num))
+    return p + u.D * sum(map(mul, u.irr, v.irr)), q, u.D
+
+
 def _dot_sign(u: Vector, v: Vector) -> int:
-    """Sign of <u, v>, in integers when both vectors are integral."""
+    """Sign of <u, v>, in integers."""
     a, b = u.ints, v.ints
     if a is None or b is None:
-        return u.dot(v).sign()
+        return _quad_sign(*_dot_parts(u, v))
     s = sum(map(mul, a, b))
     return (s > 0) - (s < 0)
 
@@ -473,12 +493,7 @@ class IntMatrix:
 
     def apply(self, v) -> Vector:
         v = v if isinstance(v, Vector) else Vector(v)
-        if v.ints is not None:
-            return Vector._from_ints(tuple(sum(map(mul, row, v.ints)) for row in self.rows))
-        return Vector(
-            sum((ExactScalar.lift(c) * x for c, x in zip(row, v)), start=ZERO)
-            for row in self.rows
-        )
+        return Vector._of(self.apply_int(v.num), v.irr and self.apply_int(v.irr), v.den, v.D)
 
     def apply_int(self, v) -> tuple:
         return tuple(sum(map(mul, row, v)) for row in self.rows)
@@ -619,7 +634,7 @@ def _int_kernel(rows, ncols: int) -> list:
         x[f] = s * d
         for r, p in enumerate(pivots):
             x[p] = -s * m[r][f]
-        basis.append(Vector._from_ints(tuple(x)).primitive())
+        basis.append(Vector._of(tuple(x)).primitive())
     return basis
 
 
@@ -627,22 +642,17 @@ def _realify(vectors) -> tuple:
     """(D, integer rows) for vectors over Q(sqrt(D)); D = 1 for rational ones.
 
     In the coordinates (y1, z1, ..., yn, zn) of x = y + z*sqrt(D), each
-    v = a + b*sqrt(D), cleared of denominators, gives the rational part
-    a.y + D b.z and the sqrt(D) part b.y + a.z of <v, x>.  The rows have
-    twice the rank of the vectors.
+    v = (a + b*sqrt(D)) / den gives the rational part a.y + D b.z and the
+    sqrt(D) part b.y + a.z of den <v, x>.  The rows have twice the rank of
+    the vectors.
     """
-    fields = {e.D for v in vectors if v.ints is None for e in v._entries} - {None}
+    fields = {v.D for v in vectors} - {None}
     if len(fields) > 1:
         raise MixedDiscriminantError(f"cannot mix sqrt({min(fields)}) with sqrt({max(fields)})")
     D = fields.pop() if fields else 1
     rows = []
     for v in vectors:
-        if v.ints is not None:
-            a, b = v.ints, (0,) * len(v.ints)
-        else:
-            den = math.lcm(*(x.denominator for e in v._entries for x in (e.a, e.b)))
-            a = [e.a.numerator * (den // e.a.denominator) for e in v._entries]
-            b = [e.b.numerator * (den // e.b.denominator) for e in v._entries]
+        a, b = v.num, v.irr or (0,) * len(v.num)
         rows.append(tuple(c for pair in zip(a, (D * x for x in b)) for c in pair))
         rows.append(tuple(c for pair in zip(b, a) for c in pair))
     return D, rows
@@ -653,12 +663,10 @@ def _realified_kernel(vectors, ncols: int) -> list:
     as (y_f, z_f); the kernel vector of y_f, read back as y + z*sqrt(D), is
     the reduced-echelon one over Q(sqrt(D)), that of z_f sqrt(D) times it."""
     D, rows = _realify(vectors)
-    out = []
-    for k in _int_kernel(rows, 2 * ncols)[::2]:
-        yz = k.ints
-        entries = (ExactScalar._of(Fraction(y), Fraction(z), D) for y, z in zip(yz[::2], yz[1::2]))
-        out.append(Vector(entries).primitive())
-    return out
+    return [
+        Vector._of(k.ints[::2], k.ints[1::2], 1, D).primitive()
+        for k in _int_kernel(rows, 2 * ncols)[::2]
+    ]
 
 
 def _kernel(vectors, ncols: int) -> list:
@@ -996,11 +1004,11 @@ def _satisfies(v, normals, equations, strict: bool) -> bool:
     x = v.ints
     for e in equations:
         a = e.ints
-        if sum(map(mul, a, x)) if a is not None and x is not None else e.dot(v):
+        if sum(map(mul, a, x)) if a is not None and x is not None else _dot_sign(e, v):
             return False
     for n in normals:
         a = n.ints
-        s = sum(map(mul, a, x)) if a is not None and x is not None else n.dot(v).sign()
+        s = sum(map(mul, a, x)) if a is not None and x is not None else _dot_sign(n, v)
         if s < 0 or (strict and s == 0):
             return False
     return True
