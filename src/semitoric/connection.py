@@ -118,11 +118,11 @@ class BoundaryAtlas:
         raise KeyError(label)
 
 
-def atlas_from_fan(P: Decomposition, translations=None) -> BoundaryAtlas:
+def atlas_from_fan(P: Decomposition) -> BoundaryAtlas:
     """Atlas with one maximal-depth point per full-dimensional member.
 
     The chart group is the decomposition group extended by the lattice
-    translations of the boundary torus (the standard basis by default).
+    translations of the boundary torus along the standard basis.
     """
     d_max = P.support.cone.dim()
     points = []
@@ -134,17 +134,12 @@ def atlas_from_fan(P: Decomposition, translations=None) -> BoundaryAtlas:
         idx += 1
     if not points:
         raise DegenerateInputError("decomposition has no full-dimensional member")
-    if translations is None:
-        translations = [
-            tuple(1 if j == i else 0 for j in range(P.rank)) for i in range(P.rank)
-        ]
-    group = list(P.group)
-    for t in translations:
-        group.append(GroupElement(IntMatrix.identity(P.rank), tuple(t)))
+    ident = IntMatrix.identity(P.rank)
+    group = list(P.group) + [GroupElement(ident, row) for row in ident.rows]
     return BoundaryAtlas(P.rank, tuple(points), tuple(group), True, P.support)
 
 
-def compatibility_check(atlas: BoundaryAtlas, samples_per_probe: int = 40) -> Report:
+def compatibility_check(atlas: BoundaryAtlas) -> Report:
     """The four descent conditions, each certified on the given data.
 
     1. the charts cover the boundary (atlas-level claim plus full-dimensional
@@ -208,7 +203,7 @@ def compatibility_check(atlas: BoundaryAtlas, samples_per_probe: int = 40) -> Re
 
     try:
         dec = _face_decomposition(atlas)
-        rep = validate_decomposition(dec, samples_per_probe=samples_per_probe)
+        rep = validate_decomposition(dec, samples_per_probe=40)
         ok4 = rep.passed
         details4 = "chart cone faces decompose the support" if ok4 else rep.summary()
     except (DegenerateInputError, RequiresRationalConeError) as e:
@@ -367,6 +362,8 @@ def nondescent_witness(order: int = 4) -> NondescentWitness:
     translations: nabla(t^-2 dt) = -2 t^-3 dt (x) dt pins the exact calculus,
     the flat frame dlog v survives every scaling pullback, and its pullback
     under v -> v + 1 acquires a nonzero derivative already at order one."""
+    if order < 1:
+        raise DegenerateInputError(f"the witness order must be at least 1, got {order}")
     sample = {-2: Fraction(1)}
     nab = laurent_nabla(sample)
     flat = {0: Fraction(1)}

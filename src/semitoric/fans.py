@@ -204,9 +204,7 @@ def _one_per_orbit(pieces, ball) -> list:
 
 def validate_decomposition(
     P: Decomposition,
-    probes=None,
     shell_depth: int = 1,
-    face_ball: int = 2,
     samples_per_probe: int = 200,
     probe_radius_cap: int = 16,
     seed: int = 0,
@@ -229,7 +227,16 @@ def validate_decomposition(
           nothing is probed, because the group moves the support (its shells
           need not stabilize) or no rational probe exists, the details say
           why.
+
+    A negative ``shell_depth`` or ``samples_per_probe`` raises
+    DegenerateInputError.
     """
+    if shell_depth < 0:
+        raise DegenerateInputError(f"the shell depth must be nonnegative, got {shell_depth}")
+    if samples_per_probe < 0:
+        raise DegenerateInputError(
+            f"the number of samples must be nonnegative, got {samples_per_probe}"
+        )
     rng = random.Random(seed)
     notes = []
     sup = P.support
@@ -293,7 +300,7 @@ def validate_decomposition(
 
     # condition (iii): face closure up to the group
     witnesses_iii = []
-    member_keys = {c.generators for c in P.translated_members(face_ball)}
+    member_keys = {c.generators for c in P.translated_members(2)}
     if (
         sup.include_origin
         and any(m.generators for m in P.members)
@@ -318,7 +325,7 @@ def validate_decomposition(
     unprobed = None
     if moves:
         probes, unprobed = [], "group does not preserve the support"
-    elif probes is None:
+    else:
         probes = _default_probes(P, d_max)
         if not probes:
             unprobed = "no rational probe available"
@@ -327,9 +334,6 @@ def validate_decomposition(
     witnesses_iv = []
     certified = 0
     for probe in probes:
-        if not probe.is_rational:
-            witnesses_iv.append((probe, "probe must be rational polyhedral"))
-            continue
         meeting = set()
         for radius, sphere in enumerate(P.shells(probe_radius_cap)):
             added = False
@@ -559,11 +563,11 @@ def _require_same_setting(P1: Decomposition, P2: Decomposition):
         raise GroupMismatchError("decompositions carry different group generators")
 
 
-def is_refinement(fine: Decomposition, coarse: Decomposition, ball_depth: int = 1) -> bool:
+def is_refinement(fine: Decomposition, coarse: Decomposition) -> bool:
     """True iff every member of ``fine`` lies inside a member of ``coarse``
     (up to the group action)."""
     _require_same_setting(fine, coarse)
-    coarse_cones = list(coarse.translated_members(ball_depth))
+    coarse_cones = list(coarse.translated_members(1))
     for m in fine.members:
         if not m.generators:
             if any(not c.generators for c in coarse.members):
@@ -584,11 +588,11 @@ def is_refinement(fine: Decomposition, coarse: Decomposition, ball_depth: int = 
     return True
 
 
-def common_refinement(P1: Decomposition, P2: Decomposition, ball_depth: int = 1) -> Decomposition:
+def common_refinement(P1: Decomposition, P2: Decomposition) -> Decomposition:
     """Decomposition whose members are the nonempty intersections of the
     relative interiors of members of the two inputs."""
     _require_same_setting(P1, P2)
-    second = P2.translated_members(ball_depth if P1.group else 0)
+    second = P2.translated_members(1 if P1.group else 0)
     pieces = [
         cone_intersection(a, b).relative_interior()
         for a in P1.members
@@ -650,17 +654,13 @@ def admissibility_check(rank: int, pi: Cone, certificate, probe: Cone) -> Report
 # -- comparison helper ------------------------------------------------------------
 
 
-def decompositions_match(P1: Decomposition, P2: Decomposition, ball_depth: int = 2) -> bool:
+def decompositions_match(P1: Decomposition, P2: Decomposition) -> bool:
     """Equality of member sets up to relabeling and the group action."""
-    if P1.rank != P2.rank:
-        return False
-    k1 = _orbit_keys(P1, ball_depth)
-    k2 = _orbit_keys(P2, ball_depth)
-    return k1 == k2
+    return P1.rank == P2.rank and _orbit_keys(P1) == _orbit_keys(P2)
 
 
-def _orbit_keys(P: Decomposition, depth: int) -> set:
-    ball = P.linear_ball(depth)
+def _orbit_keys(P: Decomposition) -> set:
+    ball = P.linear_ball(2)
     keys = set()
     for m in P.members:
         orbit = []

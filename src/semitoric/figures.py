@@ -22,7 +22,7 @@ def _approx(scalar) -> float:
     return float(f)
 
 
-def hull_figure(chain, scale: float = 28.0, pad: float = 30.0) -> str:
+def hull_figure(chain) -> str:
     """Lattice points, the two cone edges, and the chain polyline with
     labeled vertices across two unit periods."""
     verts = chain.extended_vertices(2)
@@ -44,6 +44,8 @@ def hull_figure(chain, scale: float = 28.0, pad: float = 30.0) -> str:
             p, q = u0 * c1 + u1 * c2, v0 * c1 + v1 * c2
             if _quad_sign(p, q, ideal.D) > 0 and _quad_sign(p, -q, ideal.D) > 0:
                 dots.append((c1, c2))
+
+    scale, pad = 28.0, 30.0
 
     def sx(x):
         return pad + scale * (x + span)
@@ -92,9 +94,10 @@ def hull_figure(chain, scale: float = 28.0, pad: float = 30.0) -> str:
     return "\n".join(parts) + "\n"
 
 
-def cycle_figure(cycle, radius: float = 80.0, pad: float = 40.0) -> str:
+def cycle_figure(cycle) -> str:
     """Ring of m curves labeled with their self-intersection numbers."""
     m = cycle.m
+    radius, pad = 80.0, 40.0
     cx = cy = radius + pad
     size = _fmt(2 * (radius + pad))
     parts = [

@@ -1,18 +1,20 @@
 """Exact scalars, integer matrices and rational polyhedral cones.
 
 Scalars live in Q or in a fixed real quadratic field Q(sqrt(D)); all
-arithmetic and sign decisions are exact.  Integral vectors (every rational
-ray, facet normal and span equation, once made primitive) keep their
-coordinates as int tuples, and dot products, containment, ranks and dual
-descriptions on them use plain integer arithmetic.  One elimination loop,
-fraction-free Bareiss elimination (``_int_echelon``), computes every rank,
-kernel, determinant and inverse; Hermite and Smith forms do the unimodular
-work.  Quadratic data, such as the irrational rays of a cusp's support cone,
-reaches that loop through realification: writing x = y + z*sqrt(D), each
-vector a + b*sqrt(D) gives the two integer rows of the rational and the
-sqrt(D) part of <v, x>, so ranks over Q(sqrt(D)) are half the integer ranks
-and kernels are read back from the integer kernel.  ExactScalar arithmetic
-remains for dot products and signs on quadratic data.
+arithmetic and sign decisions are exact.  Every vector keeps its coordinates
+in integers, as (num + irr*sqrt(D)) / den, so dot products, signs,
+containment and matrix images use plain integer arithmetic, and the sign of
+p + q*sqrt(D) is decided by one comparison of squares (``_quad_sign``).  One
+elimination loop, fraction-free Bareiss elimination (``_int_echelon``),
+computes every rank, kernel, determinant and inverse; Hermite and Smith
+forms do the unimodular work.  Quadratic data, such as the irrational rays
+of a cusp's support cone, reaches that loop through realification: writing
+x = y + z*sqrt(D), each vector (a + b*sqrt(D)) / den gives the two integer
+rows of the rational and the sqrt(D) part of den <v, x>, so ranks over
+Q(sqrt(D)) are half the integer ranks and kernels are read back from the
+integer kernel.  ExactScalar is the scalar type seen from outside (vector
+entries, dot products, parsing and dumping); inside the cone layer it
+remains only for rare steps such as scaling by a non-integer.
 
 Cones are given by finitely many generators and carry a closed /
 relative-interior interpretation flag.  Facet enumeration is done by brute
@@ -1102,11 +1104,10 @@ def faces(c: Cone) -> list:
     return out
 
 
-def is_unimodular_part_of_basis(c: Cone, rank=None) -> bool:
+def is_unimodular_part_of_basis(c: Cone) -> bool:
     """True iff the minimal generators are primitive integer vectors that
     extend to a Z-basis (gcd of the maximal minors of the generator matrix
     is 1, and the generators are linearly independent)."""
-    rank = c.rank if rank is None else rank
     if not c.generators:
         return True
     if not c.is_rational:
@@ -1116,7 +1117,7 @@ def is_unimodular_part_of_basis(c: Cone, rank=None) -> bool:
     if _vector_rank(c.generators) != k:
         return False
     g = 0
-    for cols in combinations(range(rank), k):
+    for cols in combinations(range(c.rank), k):
         minor = IntMatrix([[row[c_] for c_ in cols] for row in rows]).det()
         g = math.gcd(g, minor)
         if g == 1:

@@ -452,3 +452,31 @@ def test_coords_of_noncommuting_logs_exit_two(tmp_path, capsys):
     doc = dump_monodromy(ops, pairing=((0, 1), (1, 0)), omega0=(0, 1))
     assert cli.main(["monodromy", "coords", _write(tmp_path, "nc.json", doc)]) == 2
     assert "not nilpotent" in capsys.readouterr().err
+
+
+def test_out_of_range_counts_exit_two(cusp_fan_file, capsys):
+    for argv, message in (
+        (["atlas", "witness", "--order", "0"], "order must be at least 1, got 0"),
+        (["atlas", "witness", "--order", "-2"], "order must be at least 1, got -2"),
+        (["fan", "validate", cusp_fan_file, "--shell", "-1"], "shell depth must be nonnegative"),
+        (["fan", "validate", cusp_fan_file, "--samples", "-1"], "samples must be nonnegative"),
+    ):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+    # the smallest values in range still answer
+    assert cli.main(["atlas", "witness", "--order", "1"]) == 0
+    assert _json_out(capsys)["obstructed_under_translations"] is True
+    assert cli.main(["fan", "validate", cusp_fan_file, "--shell", "0", "--samples", "0"]) in (0, 1)
+    assert _json_out(capsys)["conditions"]
+
+
+def test_fan_with_a_mixed_field_generator_exits_two(tmp_path, capsys):
+    doc = dump_fan(build_fan(CuspData.standard(2)))
+    doc["members"][0]["generators"][0] = [
+        {"D": 2, "a": "0", "b": "1"},
+        {"D": 3, "a": "0", "b": "1"},
+    ]
+    assert cli.main(["fan", "validate", _write(tmp_path, "mixed.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert "cannot mix sqrt(2) with sqrt(3)" in captured.err and captured.out == ""

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from semitoric import (
 )
 from semitoric.lattice import (
     _describe,
+    _dot_sign,
     _dual_description,
     _int_echelon,
     _int_kernel,
@@ -114,6 +116,96 @@ def test_vector_primitive_irrational():
     # first nonzero entry scaled to +-1, direction preserved
     first = next(x for x in p if x.sign() != 0)
     assert abs(first) == 1 or first == ExactScalar(1)
+
+
+def _random_pairs(rng, n):
+    """n entries as (a, b) Fraction pairs for a + b*sqrt(D): an integral,
+    a rational or a quadratic vector, sometimes with zero entries."""
+    kind = rng.choice(("integral", "rational", "quadratic"))
+
+    def entry():
+        if rng.random() < 0.2:
+            return (Fraction(0), Fraction(0))
+        den = 1 if kind == "integral" else rng.randrange(1, 7)
+        a = Fraction(rng.randrange(-9, 10), den)
+        b = Fraction(rng.randrange(-9, 10), rng.randrange(1, 7)) if kind == "quadratic" else 0
+        return (a, Fraction(b))
+
+    return [entry() for _ in range(n)]
+
+
+def _quad_vector(pairs, D):
+    return Vector(ExactScalar(a, b, D) for a, b in pairs)
+
+
+def test_vector_dot_and_sign_match_quadratic_oracle():
+    rng = random.Random(48)
+    for _ in range(600):
+        D = rng.choice([2, 3, 5, 6, 7, 13, 21])
+        n = rng.randrange(1, 5)
+        xs, ys = _random_pairs(rng, n), _random_pairs(rng, n)
+        if n >= 2 and rng.random() < 0.2:  # orthogonal over Q(sqrt(D))
+            ys = [xs[1], (-xs[0][0], -xs[0][1])] + ys[2:]
+            ys[2:] = [(Fraction(0), Fraction(0))] * (n - 2)
+        u, v = _quad_vector(xs, D), _quad_vector(ys, D)
+        expected = oracles.quad_dot(xs, ys, D)
+        got = u.dot(v)
+        assert (got.a, got.b) == expected
+        assert _dot_sign(u, v) == oracles._q_sign(expected, D) == _dot_sign(v, u)
+
+
+def test_vector_apply_primitive_and_key_match_the_scalar_path():
+    rng = random.Random(49)
+    for _ in range(300):
+        D = rng.choice([2, 3, 5, 6, 7, 13, 21])
+        n = rng.randrange(1, 5)
+        vectors = [_quad_vector(_random_pairs(rng, n), D) for _ in range(6)]
+        M = IntMatrix([[rng.randrange(-3, 4) for _ in range(n)] for _ in range(rng.randrange(1, 5))])
+        for v in vectors:
+            image = tuple(
+                sum((ExactScalar(c) * x for c, x in zip(row, v.entries)), ExactScalar(0))
+                for row in M.rows
+            )
+            assert M.apply(v).entries == image
+            if v.is_zero:
+                assert v.primitive() == v
+            elif v.is_rational:
+                den = math.lcm(*(x.a.denominator for x in v.entries))
+                ints = [int(x.a * den) for x in v.entries]
+                g = math.gcd(*ints)
+                assert v.primitive().entries == tuple(ExactScalar(x // g) for x in ints)
+            else:
+                lead = abs(next(x for x in v.entries if x))
+                assert v.primitive().entries == tuple(x / lead for x in v.entries)
+        by_scalars = sorted(vectors, key=lambda v: [(x.a, x.b, x.D) for x in v.entries])
+        assert sorted(vectors, key=Vector.key) == by_scalars
+
+
+def test_vector_equality_and_hash_do_not_depend_on_how_it_was_built():
+    rng = random.Random(50)
+    for _ in range(200):
+        n = rng.randrange(1, 5)
+        fractions = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 7)) for _ in range(n)]
+        a = Vector(fractions)
+        b = Vector(ExactScalar(f) for f in fractions)
+        assert a == b and hash(a) == hash(b)
+        assert a.den > 0 and math.gcd(a.den, *a.num) == 1 and a.irr is None
+        integral = [rng.randrange(-9, 10) for _ in range(n)]
+        c = Vector(integral)
+        assert c == Vector(map(Fraction, integral)) == Vector(map(ExactScalar, integral))
+        assert c.ints == tuple(integral) and hash(c) == hash(Vector(map(ExactScalar, integral)))
+        D = rng.choice([2, 3, 5, 13])
+        q = _quad_vector(_random_pairs(rng, n), D)
+        again = q.scale(6).scale(Fraction(1, 6))
+        assert q == again and hash(q) == hash(again)
+        assert q.den > 0 and math.gcd(q.den, *q.num, *(q.irr or ())) == 1
+
+
+def test_vector_rejects_mixed_discriminants_when_built():
+    with pytest.raises(MixedDiscriminantError):
+        Vector([ExactScalar(0, 1, 2), ExactScalar(0, 1, 3)])
+    with pytest.raises(MixedDiscriminantError):
+        Vector([ExactScalar(0, 1, 2), 1]).dot(Vector([1, ExactScalar(0, 1, 3)]))
 
 
 def test_int_matrix_basics():

@@ -196,6 +196,39 @@ def test_quasi_canonical_exact_on_chain_fixtures():
     assert qc4.constants == (0,) and qc4.linear_parts == ((1,),)
 
 
+def test_quasi_canonical_inverts_a_nonconstant_bottom_pairing():
+    """A dense pairing makes <g0, omega(z)> a non-constant series, so it is
+    inverted term by term, and orders below the nilpotency index truncate
+    omega(z); f_1 <g0, omega> must still equal (m^-1)_11 <g1, omega> up to
+    the order."""
+    T = fixtures.quintic_like_operator()
+    Q = ((1, 1, 1, 1), (1, 1, 1, 1), (1, 1, 1, 2), (1, 1, 3, 1))
+    omega0 = (1, 1, 1, 1)
+    N = oracles.oracle_log([list(row) for row in T.rows])
+    g0, (g1,) = integral_normalization((T,))
+
+    def pairing_series(g, order):
+        """Coefficients of z^0..z^order of <g, exp(z N) omega0>."""
+        out, w, fact = [], [Fraction(x) for x in omega0], 1
+        for d in range(order + 1):
+            fact *= max(d, 1)
+            out.append(sum(Fraction(gi) * Q[i][j] * w[j] for i, gi in enumerate(g)
+                           for j in range(4)) / fact)
+            w = [sum(N[i][j] * w[j] for j in range(4)) for i in range(4)]
+        return out
+
+    for order in (1, 3, 6):
+        qc = quasi_canonical_coordinates([T], Q, omega0, order=order)
+        assert not qc.exact and qc.degenerate
+        denom = pairing_series(g0.as_fractions(), order)
+        assert any(denom[1:])
+        numer = pairing_series(g1.as_fractions(), order)
+        m_inv = 1 / Fraction(qc.m[0][0])
+        f = [qc.fs[0].get((d,), Fraction(0)) for d in range(order + 1)]
+        product = [sum(f[i] * denom[d - i] for i in range(d + 1)) for d in range(order + 1)]
+        assert product == [m_inv * c for c in numer]
+
+
 def test_quasi_canonical_exact_on_product():
     T1, T2 = fixtures.product_operators()
     qc = quasi_canonical_coordinates([T1, T2], Q4, (1, 0, 0, 0))
