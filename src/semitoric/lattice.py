@@ -55,8 +55,6 @@ def _cmp_int_vs_sqrt(y: int, q: int, d: int) -> int:
     rhs_sign = (q > 0) - (q < 0)
     lhs_sign = (y > 0) - (y < 0)
     if lhs_sign != rhs_sign:
-        if lhs_sign == rhs_sign == 0:
-            return 0
         return 1 if lhs_sign > rhs_sign else -1
     if lhs_sign == 0:
         return 0
