@@ -5,9 +5,8 @@ the sha256 of its stdout.  The calls run on the cusp fans of eight
 discriminants, on their copies with the last member deleted, and on
 seeded Stern-Brocot and octant fans, together with their atlases; the
 quadratic-output commands (cusp fans and figures, the SBB decomposition of
-the cusp cone, strata and atlases of the cusp fans) run on the same eight
-discriminants.  A
-refactor that keeps these outputs byte-identical keeps the table; a change
+the cusp cone and its validation, strata and atlases of the cusp fans) run
+on the same eight discriminants.  A refactor that keeps these outputs byte-identical keeps the table; a change
 that means to alter an output updates the affected entries and says why.
 """
 
@@ -38,8 +37,9 @@ def _fans() -> dict:
 
 
 def write_files(root) -> dict:
-    """File path of every fan and of the atlas of every fan that has one
-    (under the fan's name plus ``.atlas``)."""
+    """File path of every fan, of the atlas of every fan that has one
+    (under the fan's name plus ``.atlas``) and of the ``fan sbb -D`` output
+    for every discriminant (under ``sbb`` plus the discriminant)."""
     paths = {}
     for name, fan in _fans().items():
         docs = {name: dump_fan(fan)}
@@ -51,6 +51,10 @@ def write_files(root) -> dict:
             path = root / f"{key}.json"
             path.write_text(canonical_dumps(doc))
             paths[key] = str(path)
+    for D in DISCRIMINANTS:
+        path = root / f"sbb{D}.json"
+        assert cli.main(["fan", "sbb", "-D", str(D), "--output", str(path)]) == 0
+        paths[f"sbb{D}"] = str(path)
     return paths
 
 
@@ -89,6 +93,14 @@ GOLDEN = {
     "fan validate sb2": (0, "469ff29833833fdd2e281d4271a920edd2c08cae187ef6421e032ca0ded4f3a7"),
     "fan validate oct1": (0, "469ff29833833fdd2e281d4271a920edd2c08cae187ef6421e032ca0ded4f3a7"),
     "fan validate oct2": (0, "469ff29833833fdd2e281d4271a920edd2c08cae187ef6421e032ca0ded4f3a7"),
+    "fan validate sbb2": (0, "f37521e97b406d3fe14f9944d4a190bf60adf4c39724de7009325f60c0f52acb"),
+    "fan validate sbb3": (0, "f37521e97b406d3fe14f9944d4a190bf60adf4c39724de7009325f60c0f52acb"),
+    "fan validate sbb5": (0, "f37521e97b406d3fe14f9944d4a190bf60adf4c39724de7009325f60c0f52acb"),
+    "fan validate sbb6": (0, "f37521e97b406d3fe14f9944d4a190bf60adf4c39724de7009325f60c0f52acb"),
+    "fan validate sbb7": (0, "f37521e97b406d3fe14f9944d4a190bf60adf4c39724de7009325f60c0f52acb"),
+    "fan validate sbb13": (0, "f37521e97b406d3fe14f9944d4a190bf60adf4c39724de7009325f60c0f52acb"),
+    "fan validate sbb21": (0, "f37521e97b406d3fe14f9944d4a190bf60adf4c39724de7009325f60c0f52acb"),
+    "fan validate sbb29": (0, "f37521e97b406d3fe14f9944d4a190bf60adf4c39724de7009325f60c0f52acb"),
     "fan common cusp5 cusp5-del": (0, "4dc9733d014d99d119177edb1d14cc9999a6040ca83f8ac5131d30f21982cb91"),
     "fan common cusp13 cusp13-del": (0, "5f41e1cb91b2cacd0d91ffd55983d4dd1bba172ae41d63a6d81b7bfcd0d24dcb"),
     "fan common cusp21 cusp21-del": (0, "f4b654ff01eee6a44a0d32d62e10bff39506cb7200295a1f92f5f9cdc59ed73b"),
