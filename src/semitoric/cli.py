@@ -138,12 +138,7 @@ def cmd_cusp_figure(args) -> int:
 
 def cmd_fan_validate(args) -> int:
     P = formats.load_fan(_read_json(args.file))
-    rep = validate_decomposition(
-        P,
-        shell_depth=args.shell,
-        samples_per_probe=args.samples,
-        seed=args.seed,
-    )
+    rep = validate_decomposition(P, shell_depth=args.shell)
     _emit_json(args, formats.dump_report(rep, witnesses=True))
     return 0 if rep.passed else 1
 
@@ -335,8 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = fan_sub.add_parser("validate", help="check the decomposition conditions")
     p.add_argument("file")
     p.add_argument("--shell", type=int, default=1)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output")
     p.set_defaults(func=cmd_fan_validate)
     p = fan_sub.add_parser("sbb", help="face decomposition of a support")

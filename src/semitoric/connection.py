@@ -203,7 +203,7 @@ def compatibility_check(atlas: BoundaryAtlas) -> Report:
 
     try:
         dec = _face_decomposition(atlas)
-        rep = validate_decomposition(dec, samples_per_probe=40)
+        rep = validate_decomposition(dec)
         ok4 = rep.passed
         details4 = "chart cone faces decompose the support" if ok4 else rep.summary()
     except (DegenerateInputError, RequiresRationalConeError) as e:

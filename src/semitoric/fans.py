@@ -17,9 +17,7 @@ collected into members.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import DegenerateInputError, GroupMismatchError, RequiresRationalConeError
 from .lattice import (
@@ -205,17 +203,20 @@ def _one_per_orbit(pieces, ball) -> list:
 def validate_decomposition(
     P: Decomposition,
     shell_depth: int = 1,
-    samples_per_probe: int = 200,
     probe_radius_cap: int = 16,
-    seed: int = 0,
 ) -> Report:
     """Check the four decomposition conditions on representatives plus one
     shell of group translates.
 
-    (i)   the group preserves the support, members are pairwise disjoint,
-          lie in the support, and full-dimensional members match across
-          every interior facet; sampled points of each probe are covered
-          exactly once;
+    Below, d is the dimension of the support S, and a cone is
+    full-dimensional when its dimension is d.
+
+    (i)   the group preserves the support, members are pairwise disjoint and
+          lie in the support, and the cover is certified: some member is
+          full-dimensional, every facet of a full-dimensional member inside
+          the support has a full-dimensional neighbour on the other side, and
+          every codimension-one member inside the support is a facet of
+          full-dimensional translates on both sides;
     (ii)  the linear span of every member is defined over Q;
     (iii) every face of a member closure that lies in the support is again a
           member, up to the group action;
@@ -228,16 +229,32 @@ def validate_decomposition(
           need not stabilize) or no rational probe exists, the details say
           why.
 
-    A negative ``shell_depth`` or ``samples_per_probe`` raises
-    DegenerateInputError.
+    Why this certifies the cover (the pseudomanifold argument for complete
+    fans).  Let U be the union of the closures of the full-dimensional
+    translates and K the union of the cones of dimension at most d - 2.
+    Local finiteness makes U closed and K a locally finite union of cones of
+    codimension two, so the relative interior of S minus K is connected.  A
+    neighbour across a facet holds the facet and a point beyond it, so it
+    covers a half-ball around every relative interior point of the facet;
+    facet matching therefore makes U, away from K, open in the relative
+    interior of S.  It is nonempty because a member is full-dimensional, so
+    it is all of that connected set, and being closed U contains S.  A point
+    of S then lies in the relative interior of a face of a full-dimensional
+    closure; that face meets S, so by (iii) it is a translate of a member,
+    and by disjointness the only one holding the point.  The matching seen
+    from a codimension-one member is implied by the rest; it names the
+    member itself as a witness when a full-dimensional neighbour is missing,
+    and skips a cone that facet matching already named.  Each step is exact
+    in every rank, so the cover is certified for the cones of rank at most
+    four handled here.  Neighbours are searched among the translates over
+    the group ball of radius max(``shell_depth``, 1), overlaps over radius
+    ``shell_depth``: for an infinite group the certificate covers the
+    explored region.
+
+    A negative ``shell_depth`` raises DegenerateInputError.
     """
     if shell_depth < 0:
         raise DegenerateInputError(f"the shell depth must be nonnegative, got {shell_depth}")
-    if samples_per_probe < 0:
-        raise DegenerateInputError(
-            f"the number of samples must be nonnegative, got {samples_per_probe}"
-        )
-    rng = random.Random(seed)
     notes = []
     sup = P.support
     if not sup.is_rational and not sup.include_origin:
@@ -246,8 +263,9 @@ def validate_decomposition(
         )
     translated = P.translated_members(shell_depth)
     d_max = sup.cone.dim()
+    full = [c for c in P.translated_members(max(shell_depth, 1)) if c.dim() == d_max]
 
-    # condition (i): group invariance, containment, disjointness, facet matching
+    # condition (i): group invariance, containment, disjointness, cover
     moves = _support_moves(P)
     witnesses_i = list(moves)
     for m in P.members:
@@ -265,31 +283,54 @@ def validate_decomposition(
             if _meets(a, b):
                 witnesses_i.append((a, f"relative interiors overlap with {b}"))
     support_normals = sup.boundary_normals()
+
+    def on_boundary(cone: Cone) -> bool:
+        sample = cone.interior_sample()
+        return any(_dot_sign(n, sample) == 0 for n in support_normals)
+
+    unmatched = set()
     for m in P.members:
         if m.dim() != d_max or not m.generators:
             continue
         closure = m.closure()
         for f in closure.faces():
-            if f.dim() != d_max - 1:
+            if f.dim() != d_max - 1 or on_boundary(f):
                 continue
-            sf = f.interior_sample()
-            if any(_dot_sign(n, sf) == 0 for n in support_normals):
-                continue  # facet sits on the support boundary
             normal = _facet_normal(closure, f)
-            matched = False
-            for other in translated:
-                if other.dim() != d_max or other.generators == m.generators:
-                    continue
-                if _dot_sign(normal, other.interior_sample()) >= 0:
-                    continue
-                if all(other.closure().contains(g) for g in f.generators):
-                    matched = True
-                    break
-            if not matched:
+            if not any(
+                other.generators != m.generators
+                and _dot_sign(normal, other.interior_sample()) < 0
+                and all(other.closure().contains(g) for g in f.generators)
+                for other in full
+            ):
+                unmatched.add(f.generators)
                 witnesses_i.append(
                     (f, "interior facet of a full-dimensional member has no "
                         "neighbor on the other side")
                 )
+    if (d_max or sup.include_origin) and not any(m.dim() == d_max for m in P.members):
+        witnesses_i.append(
+            (sup.cone, "no full-dimensional member: the support has dimension "
+                       f"{d_max} and no member does")
+        )
+    for m in P.members:
+        if m.dim() != d_max - 1 or not m.generators or m.generators in unmatched:
+            continue
+        if on_boundary(m):
+            continue
+        around = [c.closure() for c in full if all(c.closure().contains(g) for g in m.generators)]
+        normal = next(filter(None, (_facet_normal(c, m) for c in around)), None)
+        if normal is None or not any(_dot_sign(normal, c.interior_sample()) < 0 for c in around):
+            witnesses_i.append(
+                (m, "codimension-one member inside the support is not a facet "
+                    "of full-dimensional translates on both sides")
+            )
+    cond1 = Condition(
+        "disjoint-cover",
+        not witnesses_i,
+        "representatives plus one shell of translates",
+        witnesses_i,
+    )
 
     # condition (ii): rational spans
     witnesses_ii = []
@@ -350,17 +391,6 @@ def validate_decomposition(
             witnesses_iv.append(
                 (probe, f"meeting set did not stabilize within radius {probe_radius_cap}")
             )
-        # sampled exact-cover check on the probe
-        misses = _sampled_cover_check(
-            P, probe, translated, rng, samples_per_probe
-        )
-        witnesses_i.extend(misses)
-    cond1 = Condition(
-        "disjoint-cover",
-        not witnesses_i,
-        "representatives plus one shell of translates",
-        witnesses_i,
-    )
     cond4 = Condition(
         "local-finiteness",
         not witnesses_iv,
@@ -389,8 +419,12 @@ def _support_moves(P: Decomposition) -> list:
 
 
 def _default_probes(P: Decomposition, d_max: int) -> list:
-    """Rational probe cones: full-dimensional rational member closures when
-    present, else a cone on interior integer directions of the support."""
+    """Rational probe cones, in order of preference: up to four
+    full-dimensional rational member closures; else the support, when it is
+    rational; else a full-dimensional cone on rational interior directions of
+    the support, the dyadic approximations from below of the points
+    2*s + g (s the sum of the support generators g) at the first of
+    ``_DYADIC_BITS`` precisions where all of them are interior and span."""
     rational = [
         m.closure()
         for m in P.members
@@ -398,60 +432,31 @@ def _default_probes(P: Decomposition, d_max: int) -> list:
     ]
     if rational:
         return rational[:4]
-    sup = P.support
-    rays = []
-    seen = set()
-    for radius in (2, 4, 8, 16, 32):
-        # first coordinate fastest: the order decides which rays the probe keeps
-        for pt in product(range(-radius, radius + 1), repeat=P.rank):
-            v = Vector(pt[::-1])
-            if v.is_zero or not sup.cone.contains(v, relint=True):
-                continue
-            key = v.primitive().key()
-            if key not in seen:
-                seen.add(key)
-                rays.append(v.primitive())
-        if len(rays) >= max(2, d_max):
-            break
-    if not rays:
+    cone = P.support.cone
+    if not cone.generators:
         return []
-    return [Cone(P.rank, rays[: 2 * d_max])]
+    if cone.is_rational:
+        return [cone.closure()]
+    s = cone.interior_sample().scale(2)
+    points = [(s + g).entries for g in cone.generators]
+    for bits in range(_DYADIC_BITS):
+        rays = [Vector([(x * (1 << bits)).floor() for x in p]) for p in points]
+        if _vector_rank(rays) == d_max and all(cone.contains(r, relint=True) for r in rays):
+            return [Cone(P.rank, rays)]
+    return []
 
 
-def _sampled_cover_check(P, probe, translated, rng, count) -> list:
-    gens = list(probe.generators)
-    if not gens:
-        return []
-    misses = []
-    deep = None
-    for _ in range(count):
-        coeffs = [rng.randrange(0, 4) for _ in gens]
-        if not any(coeffs):
-            coeffs[rng.randrange(len(gens))] = 1
-        pt = gens[0].scale(coeffs[0])
-        for c, g in zip(coeffs[1:], gens[1:]):
-            pt = pt + g.scale(c)
-        if not P.support.contains_point(pt):
-            continue
-        hits = sum(1 for c in translated if c.contains(pt))
-        if hits != 1 and P.group:
-            if deep is None:
-                deep = P.translated_members(3)
-            hits = sum(1 for c in deep if c.contains(pt))
-        if hits != 1:
-            misses.append((pt, f"covered {hits} times"))
-            if len(misses) >= 5:
-                break
-    return misses
+_DYADIC_BITS = 64
 
 
-def _facet_normal(cone: Cone, facet: Cone) -> Vector:
-    """Facet normal of ``cone`` vanishing on ``facet``, positive inside."""
+def _facet_normal(cone: Cone, facet: Cone):
+    """Facet normal of ``cone`` vanishing on ``facet``, positive inside, or
+    None when ``facet`` lies on no facet of ``cone``."""
     normals, _ = cone.dual_description()
     for n in normals:
-        if all(_dot_sign(n, g) == 0 for g in facet.generators) and facet.generators:
+        if all(_dot_sign(n, g) == 0 for g in facet.generators):
             return n
-    raise DegenerateInputError("facet normal not found")
+    return None
 
 
 def _span_defined_over_Q(cone: Cone) -> bool:

@@ -199,7 +199,7 @@ def test_criterion_03_decomposition_axioms(report):
     for _ in range(25):
         pool.append(fixtures.octant_fan(rng, rng.randint(2, 3)))
     invalid = sum(
-        1 for f in pool if not validate_decomposition(f, samples_per_probe=25).passed
+        1 for f in pool if not validate_decomposition(f).passed
     )
     trials = 50
     detected = 0
@@ -212,7 +212,7 @@ def test_criterion_03_decomposition_axioms(report):
             fan.group,
             fan.support,
         )
-        rep = validate_decomposition(broken, samples_per_probe=25, seed=t)
+        rep = validate_decomposition(broken)
         closure = fan.members[idx].closure()
         localized = any(
             _witness_inside(w, closure)
@@ -258,7 +258,7 @@ def test_criterion_05_strata_dimensions(report):
     mismatches = 0
     n_strata = 0
     for fan in fans:
-        assert validate_decomposition(fan, samples_per_probe=20).passed
+        assert validate_decomposition(fan).passed
         for s in strata(fan):
             n_strata += 1
             if s.complex_dim != fan.rank - s.cone.dim():
@@ -578,13 +578,13 @@ def test_criterion_12_cli_and_formats(report, tmp_path, capsys):
 
     matrix = [
         (["cusp", "resolve", "-D", "5"], 0),
-        (["fan", "validate", fan_path, "--samples", "40"], 0),
+        (["fan", "validate", fan_path], 0),
         (["fan", "refines", fan_path, sbb_path], 0),
         (["fan", "mumford", fan_path], 0),
         (["monodromy", "check", good_mono, "--draws", "6"], 0),
         (["series", "check", effective], 0),
         (["fan", "refines", sbb_path, fan_path], 1),
-        (["fan", "validate", broken_path, "--samples", "40"], 1),
+        (["fan", "validate", broken_path], 1),
         (["monodromy", "coords", degenerate], 1),
         (["series", "check", negative], 1),
         (["fan", "validate", str(tmp_path / "missing.json")], 2),

@@ -76,7 +76,7 @@ def test_cusp_figure_svg(tmp_path):
 
 
 def test_fan_validate_passes_on_cusp_fan(cusp_fan_file, capsys):
-    assert cli.main(["fan", "validate", cusp_fan_file, "--samples", "60"]) == 0
+    assert cli.main(["fan", "validate", cusp_fan_file]) == 0
     doc = _json_out(capsys)
     assert doc["passed"] is True
     _assert_shape(doc, VALIDATION_KEYS, witnesses=True)
@@ -92,7 +92,7 @@ def test_fan_validate_fails_on_deleted_member(tmp_path, capsys):
     fan = build_fan(CuspData.standard(5))
     broken = Decomposition(fan.rank, fan.members[:-1], fan.group, fan.support)
     path = _write(tmp_path, "broken.json", dump_fan(broken))
-    assert cli.main(["fan", "validate", path, "--samples", "60"]) == 1
+    assert cli.main(["fan", "validate", path]) == 1
     doc = _json_out(capsys)
     assert doc["passed"] is False
     _assert_shape(doc, VALIDATION_KEYS, witnesses=True)
@@ -459,15 +459,19 @@ def test_out_of_range_counts_exit_two(cusp_fan_file, capsys):
         (["atlas", "witness", "--order", "0"], "order must be at least 1, got 0"),
         (["atlas", "witness", "--order", "-2"], "order must be at least 1, got -2"),
         (["fan", "validate", cusp_fan_file, "--shell", "-1"], "shell depth must be nonnegative"),
-        (["fan", "validate", cusp_fan_file, "--samples", "-1"], "samples must be nonnegative"),
     ):
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert message in captured.err and captured.out == ""
+    with pytest.raises(SystemExit) as exited:
+        cli.main(["fan", "validate", cusp_fan_file, "--samples", "-1"])
+    assert exited.value.code == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --samples -1" in captured.err and captured.out == ""
     # the smallest values in range still answer
     assert cli.main(["atlas", "witness", "--order", "1"]) == 0
     assert _json_out(capsys)["obstructed_under_translations"] is True
-    assert cli.main(["fan", "validate", cusp_fan_file, "--shell", "0", "--samples", "0"]) in (0, 1)
+    assert cli.main(["fan", "validate", cusp_fan_file, "--shell", "0"]) in (0, 1)
     assert _json_out(capsys)["conditions"]
 
 

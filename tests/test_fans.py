@@ -47,7 +47,7 @@ def _witness_inside(witness, closure: Cone) -> bool:
 def test_cusp_fans_validate():
     for D in (5, 13):
         fan = build_fan(CuspData.standard(D))
-        rep = validate_decomposition(fan, samples_per_probe=40)
+        rep = validate_decomposition(fan)
         assert rep.passed
         names = [c.name for c in rep.conditions]
         assert names == [
@@ -64,7 +64,7 @@ def test_random_rank2_fans_validate_and_are_mumford():
     for seed in range(3):
         rng = random.Random(seed)
         fan = fixtures.stern_brocot_fan(rng, 6)
-        rep = validate_decomposition(fan, samples_per_probe=40)
+        rep = validate_decomposition(fan)
         assert rep.passed
         assert is_mumford_type(fan)
 
@@ -72,7 +72,7 @@ def test_random_rank2_fans_validate_and_are_mumford():
 def test_random_rank3_fan_validates():
     rng = random.Random(3)
     fan = fixtures.octant_fan(rng, 4)
-    rep = validate_decomposition(fan, samples_per_probe=25)
+    rep = validate_decomposition(fan)
     assert rep.passed
     assert is_mumford_type(fan)
 
@@ -85,7 +85,7 @@ def test_deleted_member_is_detected_with_witness():
         index = rng.choice(nonzero)
         deleted = fan.members[index].closure()
         broken = _fan_without(fan, index)
-        rep = validate_decomposition(broken, samples_per_probe=40, seed=trial)
+        rep = validate_decomposition(broken)
         assert not rep.passed
         found = [
             w
@@ -102,7 +102,7 @@ def test_deleted_rank3_wall_is_detected():
     walls = [i for i, m in enumerate(fan.members) if m.dim() == 2]
     index = rng.choice(walls)
     deleted = fan.members[index].closure()
-    rep = validate_decomposition(_fan_without(fan, index), samples_per_probe=25)
+    rep = validate_decomposition(_fan_without(fan, index))
     assert not rep.passed
     witnesses = [w for c in rep.conditions for w in c.witnesses]
     assert any(_witness_inside(w, deleted) for w in witnesses)
@@ -123,7 +123,7 @@ def test_irrational_span_member_is_flagged():
     P = Decomposition(
         2, (zero_cone(2), ray), (), fixtures.quadrant_support()
     )
-    rep = validate_decomposition(P, samples_per_probe=20)
+    rep = validate_decomposition(P)
     assert not rep.passed
     cond = rep.condition("rational-span")
     assert not cond.passed
@@ -134,9 +134,9 @@ def test_local_finiteness_counts_only_stabilized_probes():
     fan = build_fan(CuspData.standard(13))
     probes = [m.closure() for m in fan.members if m.dim() == 2]
     assert len(probes) == 3
-    stable = validate_decomposition(fan, samples_per_probe=20).condition("local-finiteness")
+    stable = validate_decomposition(fan).condition("local-finiteness")
     assert stable.passed and stable.details == "3 probes certified"
-    capped = validate_decomposition(fan, samples_per_probe=20, probe_radius_cap=0)
+    capped = validate_decomposition(fan, probe_radius_cap=0)
     cond = capped.condition("local-finiteness")
     assert not cond.passed
     assert cond.details == "0 probes certified"
@@ -147,7 +147,7 @@ def test_local_finiteness_counts_only_stabilized_probes():
 def test_local_finiteness_without_a_rational_probe_says_why():
     ray = Cone(2, [Vector((ExactScalar(1), ExactScalar(0, 1, 2)))])
     P = Decomposition(2, (zero_cone(2), ray), (), Support(ray.closure()))
-    rep = validate_decomposition(P, samples_per_probe=20)
+    rep = validate_decomposition(P)
     cond = rep.condition("local-finiteness")
     assert cond.passed and not cond.witnesses
     assert cond.details == "not probed: no rational probe available"
@@ -227,7 +227,7 @@ def test_common_refinement_properties():
     P1 = fixtures.stern_brocot_fan(rng1, 4)
     P2 = fixtures.stern_brocot_fan(rng2, 4)
     C = common_refinement(P1, P2)
-    assert validate_decomposition(C, samples_per_probe=40).passed
+    assert validate_decomposition(C).passed
     assert is_refinement(C, P1)
     assert is_refinement(C, P2)
     assert decompositions_match(C, common_refinement(P2, P1))
