@@ -82,12 +82,12 @@ GOLDEN = {
     "fan validate cusp21": (0, "f37521e97b406d3fe14f9944d4a190bf60adf4c39724de7009325f60c0f52acb"),
     "fan validate cusp29": (0, "e22020d86e2a9d852b4d5f05906ba349765f73481a33e9fb113fcaceb2303feb"),
     "fan validate cusp2-del": (1, "274d1f4d6b6f4cdd6d15f86986a23ea2c113a6bb64429ade93ee103c6ff6343d"),
-    "fan validate cusp3-del": (1, "90f8d60bf6b67ba0c9afc1386e7ad1ee8f888f3335c67a9ace30ef714d7b6740"),
-    "fan validate cusp5-del": (1, "e14e14bf28ed99528e14b175df776f4453626df0c2355d103fb54aa376c611d1"),
+    "fan validate cusp3-del": (1, "d47fe1ccdbd32938a24f32b97f5179486ae0654ade8db21c9f0b7da8ce23b155"),
+    "fan validate cusp5-del": (1, "01b1fe24213f0875e403cf28b5b2409dd24688f48700a3665ef887544fe1e11a"),
     "fan validate cusp6-del": (1, "32da840f533262bdb48af94f74409e691bbe086429e6cade58826f55b8fe6d87"),
     "fan validate cusp7-del": (1, "32da840f533262bdb48af94f74409e691bbe086429e6cade58826f55b8fe6d87"),
     "fan validate cusp13-del": (1, "341c5bd2956abcb977d761c469ec572f2d07e2d52a5c18376d47ffbe7e7ed63b"),
-    "fan validate cusp21-del": (1, "35b146ac898d8ed81214ffd2bff152fa200ebab1505f308a7298b6c885595395"),
+    "fan validate cusp21-del": (1, "06522d6ea333e0eb0ebe6295fc5fa11f37c547c041bf37365c152dbfb48e91d0"),
     "fan validate cusp29-del": (1, "ca8feca625315730dfacd1cfc3b30a6e3fe7c46a57d7cd81236fd7959475a9c9"),
     "fan validate sb1": (0, "469ff29833833fdd2e281d4271a920edd2c08cae187ef6421e032ca0ded4f3a7"),
     "fan validate sb2": (0, "469ff29833833fdd2e281d4271a920edd2c08cae187ef6421e032ca0ded4f3a7"),
