@@ -6,7 +6,7 @@ separate derivations of the same quantities.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, isqrt, lcm
 
 
@@ -785,3 +785,105 @@ def quad_kernel(rows, n: int, D) -> list:
         inv = _q_inverse(lead, D)
         out.append(tuple(_q_mul(x, inv, D) for x in vec))
     return out
+
+
+# -- cover counts -------------------------------------------------------------------
+
+
+def _relint_test(gens, n: int):
+    """Whether an integer point lies in the relative interior of the cone on
+    the integer vectors ``gens``: every span equation vanishes on it and
+    every facet normal is positive (the zero cone holds only the origin)."""
+    normals, equations = dual_description(gens, n)
+
+    def holds(x) -> bool:
+        return all(sum(a * b for a, b in zip(e, x)) == 0 for e in equations) and all(
+            sum(a * b for a, b in zip(u, x)) > 0 for u in normals
+        )
+
+    return holds
+
+
+def _support_test(gens, D: int, open_cone: bool):
+    """Whether an integer point is a combination of the linearly independent
+    ``gens`` (tuples of (a, b) pairs for a + b*sqrt(D)) with coefficients
+    all positive when ``open_cone``, else all nonnegative.  Reducing
+    [gens | identity] gives the coefficient functionals in its first rows
+    and the span equations in the rest."""
+    k, n = len(gens), len(gens[0])
+    rows = [[g[j] for g in gens] + [(int(i == j), 0) for i in range(n)] for j in range(n)]
+    red, pivots = quad_rref(rows, D)
+    assert pivots[:k] == list(range(k)), "support generators must be independent"
+    # each functional as integer vectors (A, B) of (A + B*sqrt(D)) / den, den > 0
+    functionals = []
+    for row in red:
+        den = lcm(*(x.denominator for pair in row[k:] for x in pair))
+        functionals.append(([int(a * den) for a, _ in row[k:]], [int(b * den) for _, b in row[k:]]))
+
+    def holds(x) -> bool:
+        values = [
+            (sum(a * v for a, v in zip(A, x)), sum(b * v for b, v in zip(B, x)))
+            for A, B in functionals
+        ]
+        if any(v != (0, 0) for v in values[k:]):
+            return False
+        signs = [_q_sign(v, D) for v in values[:k]]
+        return all(s > 0 for s in signs) if open_cone else all(s >= 0 for s in signs)
+
+    return holds
+
+
+def _ball(generators, n: int, depth: int) -> list:
+    """Distinct products of at most ``depth`` of the integer matrices and
+    their inverses, the identity first."""
+    steps = [[list(r) for r in g] for g in generators]
+    steps += [invert_unimodular(g) for g in steps]
+    ball = [[[int(i == j) for j in range(n)] for i in range(n)]]
+    seen = {tuple(map(tuple, ball[0]))}
+    frontier = ball
+    for _ in range(depth):
+        new = []
+        for m in frontier:
+            for s in steps:
+                prod = [[sum(s[i][t] * m[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+                key = tuple(map(tuple, prod))
+                if key not in seen:
+                    seen.add(key)
+                    new.append(prod)
+        ball += new
+        frontier = new
+    return ball
+
+
+def cover_counts(members, generators, support, D: int, box: int, depth: int,
+                 open_support: bool = False, include_origin: bool = True) -> dict:
+    """For every integer point with coordinates in [-box, box] that lies in
+    the support, the number of distinct member translates whose relative
+    interior holds it.
+
+    ``members`` are cones given by integer generators; translates are their
+    images under products of at most ``depth`` of the integer matrices
+    ``generators`` and their inverses, acting on column vectors.  The
+    support is the cone on the linearly independent ``support`` vectors,
+    whose entries are (a, b) pairs for a + b*sqrt(D) (D = 0 for rational
+    data), taken open when ``open_support``; it holds the origin only when
+    ``include_origin``.  A decomposition covers every such point exactly
+    once, so any count other than 1 shows a gap or an overlap."""
+    n = len(support[0])
+    translates = {}
+    for m in _ball(generators, n, depth):
+        for cone in members:
+            image = [primitive([sum(a * b for a, b in zip(row, g)) for row in m]) for g in cone]
+            key = tuple(sorted(image))
+            if key not in translates:
+                translates[key] = _relint_test(image, n)
+    in_support = _support_test(support, D, open_support)
+    counts = {}
+    for x in product(range(-box, box + 1), repeat=n):
+        if not any(x):
+            if not include_origin:
+                continue
+        elif not in_support(x):
+            continue
+        counts[x] = sum(1 for holds in translates.values() if holds(x))
+    return counts

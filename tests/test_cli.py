@@ -454,6 +454,35 @@ def test_coords_of_noncommuting_logs_exit_two(tmp_path, capsys):
     assert "not nilpotent" in capsys.readouterr().err
 
 
+def _thin_fan(rank: int, steep: int) -> Decomposition:
+    """The origin and the rays of the support cone on e_1 and steep*e_1 + e_i
+    (i > 1): every face but the full-dimensional one."""
+    e = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    rays = [e[0]] + [tuple(steep * a + b for a, b in zip(e[0], e[i])) for i in range(1, rank)]
+    support = Support(Cone(rank, [Vector(r) for r in rays]))
+    members = (zero_cone(rank),) + tuple(Cone(rank, [Vector(r)]) for r in rays)
+    return Decomposition(rank, members, (), support)
+
+
+@pytest.mark.parametrize("rank, steep", [(2, 100), (3, 100), (4, 100), (2, 1)])
+def test_fan_without_a_full_dimensional_member_fails(tmp_path, capsys, rank, steep):
+    path = _write(tmp_path, "thin.json", dump_fan(_thin_fan(rank, steep)))
+    start = time.perf_counter()
+    assert cli.main(["fan", "validate", path]) == 1
+    assert time.perf_counter() - start < 2.0
+    cover = _json_out(capsys)["conditions"][0]
+    assert cover["name"] == "disjoint-cover" and cover["passed"] is False
+    assert len(cover["witnesses"]) == 1
+    assert "no full-dimensional member" in cover["witnesses"][0]
+
+
+def test_shell_zero_passes_the_cusp_fan(cusp_fan_file, capsys):
+    assert cli.main(["fan", "validate", cusp_fan_file, "--shell", "0"]) == 0
+    doc = _json_out(capsys)
+    assert doc["passed"] is True
+    assert all(c["passed"] and not c["witnesses"] for c in doc["conditions"])
+
+
 def test_out_of_range_counts_exit_two(cusp_fan_file, capsys):
     for argv, message in (
         (["atlas", "witness", "--order", "0"], "order must be at least 1, got 0"),

@@ -108,6 +108,32 @@ def test_deleted_rank3_wall_is_detected():
     assert any(_witness_inside(w, deleted) for w in witnesses)
 
 
+def test_codimension_one_members_without_neighbours_are_witnesses():
+    facet = "interior facet of a full-dimensional member has no neighbor on the other side"
+    lone = (
+        "codimension-one member inside the support is not a facet of "
+        "full-dimensional translates on both sides"
+    )
+    rays = [Cone(2, [Vector(r)]) for r in ((1, 0), (1, 1), (1, 2), (0, 1))]
+    sector = Cone(2, [Vector((1, 0)), Vector((1, 1))])
+    P = Decomposition(2, (zero_cone(2), *rays, sector), (), fixtures.quadrant_support())
+    cover = validate_decomposition(P).condition("disjoint-cover")
+    # the ray (1, 1) is named once, by facet matching
+    assert [(w[0].generators, w[1]) for w in cover.witnesses] == [
+        (rays[1].generators, facet),
+        (rays[2].generators, lone),
+    ]
+    fan = build_fan(CuspData.standard(5))
+    assert [m.dim() for m in fan.members] == [1, 2]
+    cover = validate_decomposition(_fan_without(fan, 1)).condition("disjoint-cover")
+    assert [w[1] for w in cover.witnesses] == [
+        "no full-dimensional member: the support has dimension 2 and no member does",
+        lone,
+    ]
+    assert cover.witnesses[0][0] == fan.support.cone
+    assert cover.witnesses[1][0] == fan.members[0]
+
+
 def test_deleted_origin_reported_as_missing_zero_face():
     rng = random.Random(4)
     fan = fixtures.stern_brocot_fan(rng, 4)
@@ -152,6 +178,44 @@ def test_local_finiteness_without_a_rational_probe_says_why():
     assert cond.passed and not cond.witnesses
     assert cond.details == "not probed: no rational probe available"
     assert "no rational probe available; local finiteness not probed" in rep.notes
+
+
+def _oracle_counts(fan: Decomposition, box: int) -> dict:
+    """``oracles.cover_counts`` of the fan over translates of depth 4."""
+    gens = fan.support.cone.generators
+    return oracles.cover_counts(
+        [[g.as_integers() for g in m.generators] for m in fan.members],
+        [g.linear.rows for g in fan.group],
+        [tuple((e.a, e.b) for e in g.entries) for g in gens],
+        next((g.D for g in gens if g.D), 0),
+        box,
+        4,
+        fan.support.interior_only,
+        fan.support.include_origin,
+    )
+
+
+def test_certificate_agrees_with_the_cover_oracle():
+    """The pool of acceptance criterion 03 passes the certificate and the
+    oracle; every one-member deletion of its cusp fans and of a few of its
+    rational fans fails the certificate, and must whenever the oracle counts
+    a lattice point other than once."""
+    rng = random.Random(103)
+    cusps = [build_fan(CuspData.standard(D)) for D in (2, 3, 5, 6, 7, 13)]
+    sbs = [fixtures.stern_brocot_fan(rng, rng.randint(3, 6)) for _ in range(25)]
+    octants = [fixtures.octant_fan(rng, rng.randint(2, 3)) for _ in range(25)]
+    for fan in cusps + sbs + octants:
+        counts = _oracle_counts(fan, 6 if fan.group else 3)
+        assert counts and set(counts.values()) == {1}
+        assert validate_decomposition(fan).passed
+    gaps = 0
+    for fan in cusps + sbs[:3] + octants[:2]:
+        for index in range(len(fan.members)):
+            broken = _fan_without(fan, index)
+            counts = _oracle_counts(broken, 6 if fan.group else 3)
+            gaps += set(counts.values()) != {1}
+            assert not validate_decomposition(broken).passed
+    assert gaps
 
 
 def test_sbb_counts_match_hyperplane_oracle():
