@@ -6,7 +6,11 @@ automorphisms, and the support region: the Gamma-admissible decompositions
 of Ash-Mumford-Rapoport-Tai (1975, ch. II).  Validation checks the four
 defining conditions on the representatives together with one shell of group
 translates; for infinite groups the reports are certificates on the explored
-region, not global decision procedures.
+region, not global decision procedures.  The exact cover is certified, not
+sampled: a full-dimensional member, matching neighbours across every interior
+codimension-one cone, face closure, disjointness and local finiteness
+together force every point of the support into exactly one member translate
+(``validate_decomposition`` gives the argument).
 
 One geometric test serves every overlap question: ``_meets(a, b)`` decides
 whether the relative interior of ``a`` meets ``b``, open or closed, trying a
@@ -263,7 +267,8 @@ def validate_decomposition(
         )
     translated = P.translated_members(shell_depth)
     d_max = sup.cone.dim()
-    full = [c for c in P.translated_members(max(shell_depth, 1)) if c.dim() == d_max]
+    neighbours = translated if shell_depth else P.translated_members(1)
+    full = [c for c in neighbours if c.dim() == d_max]
 
     # condition (i): group invariance, containment, disjointness, cover
     moves = _support_moves(P)
@@ -418,6 +423,9 @@ def _support_moves(P: Decomposition) -> list:
     return moves
 
 
+_DYADIC_BITS = 64
+
+
 def _default_probes(P: Decomposition, d_max: int) -> list:
     """Rational probe cones, in order of preference: up to four
     full-dimensional rational member closures; else the support, when it is
@@ -444,9 +452,6 @@ def _default_probes(P: Decomposition, d_max: int) -> list:
         if _vector_rank(rays) == d_max and all(cone.contains(r, relint=True) for r in rays):
             return [Cone(P.rank, rays)]
     return []
-
-
-_DYADIC_BITS = 64
 
 
 def _facet_normal(cone: Cone, facet: Cone):
