@@ -7,10 +7,7 @@ of Ash-Mumford-Rapoport-Tai (1975, ch. II).  Validation checks the four
 defining conditions on the representatives together with one shell of group
 translates; for infinite groups the reports are certificates on the explored
 region, not global decision procedures.  The exact cover is certified, not
-sampled: a full-dimensional member, matching neighbours across every interior
-codimension-one cone, face closure, disjointness and local finiteness
-together force every point of the support into exactly one member translate
-(``validate_decomposition`` gives the argument).
+sampled, by the argument in ``validate_decomposition``.
 
 One geometric test serves every overlap question: ``_meets(a, b)`` decides
 whether the relative interior of ``a`` meets ``b``, open or closed, trying a
@@ -210,10 +207,8 @@ def validate_decomposition(
     probe_radius_cap: int = 16,
 ) -> Report:
     """Check the four decomposition conditions on representatives plus one
-    shell of group translates.
-
-    Below, d is the dimension of the support S, and a cone is
-    full-dimensional when its dimension is d.
+    shell of group translates.  A cone is full-dimensional when its
+    dimension is d, that of the support S.
 
     (i)   the group preserves the support, members are pairwise disjoint and
           lie in the support, and the cover is certified: some member is
@@ -233,27 +228,21 @@ def validate_decomposition(
           need not stabilize) or no rational probe exists, the details say
           why.
 
-    Why this certifies the cover (the pseudomanifold argument for complete
-    fans).  Let U be the union of the closures of the full-dimensional
-    translates and K the union of the cones of dimension at most d - 2.
-    Local finiteness makes U closed and K a locally finite union of cones of
-    codimension two, so the relative interior of S minus K is connected.  A
-    neighbour across a facet holds the facet and a point beyond it, so it
-    covers a half-ball around every relative interior point of the facet;
-    facet matching therefore makes U, away from K, open in the relative
-    interior of S.  It is nonempty because a member is full-dimensional, so
-    it is all of that connected set, and being closed U contains S.  A point
-    of S then lies in the relative interior of a face of a full-dimensional
-    closure; that face meets S, so by (iii) it is a translate of a member,
-    and by disjointness the only one holding the point.  The matching seen
-    from a codimension-one member is implied by the rest; it names the
-    member itself as a witness when a full-dimensional neighbour is missing,
-    and skips a cone that facet matching already named.  Each step is exact
-    in every rank, so the cover is certified for the cones of rank at most
-    four handled here.  Neighbours are searched among the translates over
-    the group ball of radius max(``shell_depth``, 1), overlaps over radius
-    ``shell_depth``: for an infinite group the certificate covers the
-    explored region.
+    The cover certificate is the pseudomanifold argument for complete fans,
+    valid in every rank and so for the cones of rank at most 4 used here.
+    Let U be the union of the closed full-dimensional translates and K that
+    of the cones of dimension at most d - 2.  By local finiteness U is
+    closed and the relative interior of S minus K is connected.  A
+    neighbour across a facet holds the facet and a point beyond it, so
+    facet matching makes U open there, and a full-dimensional member makes
+    it nonempty.  Hence U contains S; a point of S lies in the relative
+    interior of a face of a full-dimensional closure, by (iii) a member
+    translate, the only one by disjointness.  The matching seen from a
+    codimension-one member follows from the rest but names the member
+    itself (a cone facet matching already named is skipped).  Neighbours
+    are searched over the group ball of radius max(``shell_depth``, 1),
+    overlaps over radius ``shell_depth``: for an infinite group the
+    certificate covers the explored region.
 
     A negative ``shell_depth`` raises DegenerateInputError.
     """
@@ -427,12 +416,11 @@ _DYADIC_BITS = 64
 
 
 def _default_probes(P: Decomposition, d_max: int) -> list:
-    """Rational probe cones, in order of preference: up to four
-    full-dimensional rational member closures; else the support, when it is
-    rational; else a full-dimensional cone on rational interior directions of
-    the support, the dyadic approximations from below of the points
-    2*s + g (s the sum of the support generators g) at the first of
-    ``_DYADIC_BITS`` precisions where all of them are interior and span."""
+    """Rational probe cones: up to four full-dimensional rational member
+    closures; else the support, if rational; else the cone on the dyadic
+    approximations from below of the points 2*s + g (s the sum of the
+    support generators g) at the first precision, of ``_DYADIC_BITS``, where
+    all are interior and span."""
     rational = [
         m.closure()
         for m in P.members

@@ -880,10 +880,6 @@ def cover_counts(members, generators, support, D: int, box: int, depth: int,
     in_support = _support_test(support, D, open_support)
     counts = {}
     for x in product(range(-box, box + 1), repeat=n):
-        if not any(x):
-            if not include_origin:
-                continue
-        elif not in_support(x):
-            continue
-        counts[x] = sum(1 for holds in translates.values() if holds(x))
+        if in_support(x) if any(x) else include_origin:
+            counts[x] = sum(1 for holds in translates.values() if holds(x))
     return counts
