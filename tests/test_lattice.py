@@ -103,6 +103,80 @@ def test_scalar_sqrt_comparison_is_exact():
     assert ExactScalar(Fraction(1, 2), Fraction(1, 2), 13).floor() == 2
 
 
+def _scalar_draw(rng, D):
+    """A random element of Q(sqrt(D)) as an ExactScalar and as its Fraction
+    pair (a, b) for a + b*sqrt(D): rational a quarter of the time, and with
+    30-digit numerators a fifth of the time."""
+    top, den = (10**30, 10**12) if rng.random() < 0.2 else (9, 7)
+
+    def frac():
+        return Fraction(rng.randrange(-top, top + 1), rng.randrange(1, den))
+
+    a = frac()
+    b = frac() if rng.random() < 0.75 else Fraction(0)
+    return ExactScalar(a, b, D if b else None), (a, b)
+
+
+def _scalar_results(seed, rounds):
+    """(result, oracle pair, D) for the field operations on random operands,
+    with int and Fraction operands on either side."""
+    rng = random.Random(seed)
+    for _ in range(rounds):
+        D = rng.choice([2, 3, 5, 6, 7, 13, 21, 1009])
+        (x, (a, b)), (y, (c, d)) = _scalar_draw(rng, D), _scalar_draw(rng, D)
+        k = rng.randrange(-5, 6)
+        f = Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))
+        yield x, (a, b), D
+        yield x + y, (a + c, b + d), D
+        yield x - y, (a - c, b - d), D
+        yield x * y, oracles._q_mul((a, b), (c, d), D), D
+        yield k + x, (k + a, b), D
+        yield x + f, (a + f, b), D
+        yield f - x, (f - a, -b), D
+        yield x - k, (a - k, b), D
+        yield k * x, (k * a, k * b), D
+        yield x * f, (a * f, b * f), D
+        yield -x, (-a, -b), D
+        yield x.conjugate(), (a, -b), D
+        if c or d:
+            inverse = oracles._q_inverse((c, d), D)
+            yield x / y, oracles._q_mul((a, b), inverse, D), D
+            yield k / y, (k * inverse[0], k * inverse[1]), D
+            yield y.inverse(), inverse, D
+        if f:
+            yield x / f, (a / f, b / f), D
+
+
+def _scalar_repr(a, b, D) -> str:
+    if b == 0:
+        return str(a)
+    tail = ("" if abs(b) == 1 else f"{abs(b)}*") + f"sqrt({D})"
+    sign = "-" if b < 0 else "+" if a else ""
+    return f"{a if a else ''}{sign}{tail}"
+
+
+def test_scalar_ops_match_the_fraction_pair_oracle():
+    for x, (a, b), D in _scalar_results(51, 400):
+        assert (x.a, x.b) == (a, b)
+        assert x.D == (D if b else None) and x.is_rational == (b == 0)
+        sign = oracles._q_sign((a, b), D)
+        assert x.sign() == sign and (x < 0) == (sign < 0) and bool(x) == (sign != 0)
+        assert x.norm() == a * a - D * b * b and x.trace() == 2 * a
+        n, m = x.floor(), x.ceil()
+        assert oracles._q_sign((a - n, b), D) >= 0 > oracles._q_sign((a - n - 1, b), D)
+        assert oracles._q_sign((a - m, b), D) <= 0 < oracles._q_sign((a - m + 1, b), D)
+        assert repr(x) == _scalar_repr(a, b, D)
+        assert x == ExactScalar(a, b, D if b else None)
+        if b == 0:
+            assert x == a and hash(x) == hash(x.as_fraction()) == hash(a)
+            if a.denominator == 1:
+                assert x == a.numerator and hash(x) == hash(a.numerator)
+        else:
+            assert x != a and x != ExactScalar(a, 0)
+            with pytest.raises(DegenerateInputError):
+                x.as_fraction()
+
+
 def test_vector_primitive_rational():
     v = Vector([Fraction(2, 3), Fraction(-4, 3), Fraction(2, 3)])
     assert v.primitive() == Vector([1, -2, 1])
