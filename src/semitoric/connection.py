@@ -87,8 +87,8 @@ def local_lattice(point: MaxDepthPoint) -> tuple:
 def _lattice_canonical(columns) -> tuple:
     """Canonical form (denominator, row HNF) of the lattice spanned by the
     given rational vectors."""
-    den = lcm(*(f.denominator for v in columns for f in v.as_fractions())) if columns else 1
-    rows = [tuple(int(f * den) for f in v.as_fractions()) for v in columns]
+    den = lcm(*(v.den for v in columns)) if columns else 1
+    rows = [tuple(x * (den // v.den) for x in v.num) for v in columns]
     H, _ = hermite_normal_form(IntMatrix(rows))
     hrows = [row for row in H.rows if any(row)]
     g = den
@@ -193,9 +193,7 @@ def compatibility_check(atlas: BoundaryAtlas) -> Report:
             ok3 = False
             details3 = "a generator acts trivially"
         if g.linear.rows != ident.rows:
-            moved = _lattice_canonical(
-                [Vector(g.linear.apply(Vector(row)).as_fractions()) for row in _basis_rows(base)]
-            )
+            moved = _lattice_canonical([g.linear.apply(Vector(row)) for row in _basis_rows(base)])
             if moved != base:
                 ok3 = False
                 details3 = "a linear part does not preserve the lattice"

@@ -19,7 +19,6 @@ Every sign test and floor is done in integers on the two embeddings
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .errors import DegenerateInputError, ResourceBoundError
@@ -86,7 +85,7 @@ class VertexChain:
         return len(self.vertices)
 
     def element(self, v):
-        return self.cusp.ideal.element(Fraction(v[0]), Fraction(v[1]))
+        return self.cusp.ideal.element(v[0], v[1])
 
     def norms(self) -> tuple:
         return tuple(self.element(v).norm() for v in self.vertices)

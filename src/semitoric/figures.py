@@ -5,7 +5,6 @@ same chain always renders to the same bytes."""
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .lattice import Vector, _quad_sign
 
@@ -16,10 +15,9 @@ def _fmt(x: float) -> str:
 
 
 def _approx(scalar) -> float:
-    f = Fraction(scalar.a) + Fraction(scalar.b) * Fraction(
-        math.isqrt(10**12 * (scalar.D or 0)), 10**6
-    )
-    return float(f)
+    """The scalar with sqrt(D) cut to six decimals, correctly rounded."""
+    root = math.isqrt(10**12 * (scalar.D or 0))
+    return (scalar.num * 10**6 + scalar.irr * root) / (scalar.den * 10**6)
 
 
 def hull_figure(chain) -> str:

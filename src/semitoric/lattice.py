@@ -12,9 +12,11 @@ of a cusp's support cone, reaches that loop through realification: writing
 x = y + z*sqrt(D), each vector (a + b*sqrt(D)) / den gives the two integer
 rows of the rational and the sqrt(D) part of den <v, x>, so ranks over
 Q(sqrt(D)) are half the integer ranks and kernels are read back from the
-integer kernel.  ExactScalar is the scalar type seen from outside (vector
-entries, dot products, parsing and dumping); inside the cone layer it
-remains only for rare steps such as scaling by a non-integer.
+integer kernel.  Scalars share that integer form: an ExactScalar is
+(num + irr*sqrt(D)) / den, stored like a one-entry vector, so scalar
+arithmetic, signs, floors and equality are integer arithmetic as well.
+Fractions appear only at the boundary: the ExactScalar constructor, the
+coefficients ``a`` and ``b``, norms, traces and ``as_fraction``.
 
 Cones are given by finitely many generators and carry a closed /
 relative-interior interpretation flag.  Facet enumeration is done by brute
@@ -50,25 +52,14 @@ def is_squarefree(n: int) -> bool:
     return True
 
 
-def _cmp_int_vs_sqrt(y: int, q: int, d: int) -> int:
-    """Sign of y - q*sqrt(d) for integers y, q and squarefree d >= 2."""
-    rhs_sign = (q > 0) - (q < 0)
-    lhs_sign = (y > 0) - (y < 0)
-    if lhs_sign != rhs_sign:
-        return 1 if lhs_sign > rhs_sign else -1
-    if lhs_sign == 0:
-        return 0
-    # same nonzero sign: compare squares (sqrt(d) irrational, so never equal)
-    diff = y * y - q * q * d
-    if lhs_sign > 0:
-        return 1 if diff > 0 else -1
-    return 1 if diff < 0 else -1
-
-
 def _quad_sign(p: int, q: int, D) -> int:
     """Sign of p + q*sqrt(D) for integers p, q and squarefree D >= 2 (any D
-    when q = 0)."""
-    return _cmp_int_vs_sqrt(p, -q, D)
+    when q = 0).  When p and q have opposite signs the larger of p^2 and
+    q^2 D decides; the two are never equal, as sqrt(D) is irrational."""
+    sp, sq = (p > 0) - (p < 0), (q > 0) - (q < 0)
+    if sp * sq >= 0:
+        return sp or sq
+    return sp if p * p > q * q * D else sq
 
 
 def _floor_quotient(p1: int, q1: int, p2: int, q2: int, D: int) -> int:
@@ -84,13 +75,16 @@ def _floor_quotient(p1: int, q1: int, p2: int, q2: int, D: int) -> int:
     return (s + (r if t >= 0 else -r - 1)) // n
 
 
-_FRACTION_ZERO = Fraction(0)
-
-
 class ExactScalar:
-    """Element a + b*sqrt(D) with rational a, b; purely rational when b == 0."""
+    """Element (num + irr*sqrt(D)) / den of Q or of Q(sqrt(D)), in integers.
 
-    __slots__ = ("a", "b", "D")
+    The form is that of a one-entry Vector: den > 0, gcd(num, irr, den) = 1,
+    and D is None exactly when irr = 0.  Arithmetic, signs, floors and
+    equality stay in integers; the coefficients ``a`` and ``b`` of
+    a + b*sqrt(D) are Fractions built when asked for.
+    """
+
+    __slots__ = ("num", "irr", "den", "D")
 
     def __init__(self, a=0, b=0, D=None):
         a = Fraction(a)
@@ -102,30 +96,39 @@ class ExactScalar:
                 raise MixedDiscriminantError("irrational part without a discriminant")
             if not isinstance(D, int) or D < 2 or not is_squarefree(D):
                 raise DegenerateInputError(f"discriminant must be squarefree >= 2, got {D!r}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "D", D)
+        den = math.lcm(a.denominator, b.denominator)
+        self._put(a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), den, D)
+
+    def _put(self, num: int, irr: int, den: int, D) -> "ExactScalar":
+        put = object.__setattr__
+        put(self, "num", num)
+        put(self, "irr", irr)
+        put(self, "den", den)
+        put(self, "D", D)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactScalar is immutable")
 
     @staticmethod
-    def _of(a: Fraction, b: Fraction, D) -> "ExactScalar":
-        """Result of arithmetic on validated operands: a and b are already
-        Fractions and D, when b != 0, is an already checked discriminant."""
-        x = object.__new__(ExactScalar)
-        object.__setattr__(x, "a", a)
-        object.__setattr__(x, "b", b)
-        object.__setattr__(x, "D", D if b else None)
-        return x
+    def _of(num: int, irr: int, den: int, D) -> "ExactScalar":
+        """(num + irr*sqrt(D)) / den in canonical form, for den != 0 and D,
+        when irr != 0, an already checked discriminant."""
+        if den < 0:
+            num, irr, den = -num, -irr, -den
+        if den != 1:
+            g = math.gcd(num, irr, den)
+            num, irr, den = num // g, irr // g, den // g
+        return object.__new__(ExactScalar)._put(num, irr, den, D if irr else None)
 
     # -- coercion -----------------------------------------------------------
 
     @staticmethod
-    def lift(x, D=None) -> "ExactScalar":
+    def lift(x) -> "ExactScalar":
         if isinstance(x, ExactScalar):
             return x
-        return ExactScalar._of(Fraction(x), _FRACTION_ZERO, None)
+        f = x if isinstance(x, (int, Fraction)) else Fraction(x)
+        return ExactScalar._of(f.numerator, 0, f.denominator, None)
 
     def _join(self, other) -> "tuple[ExactScalar, ExactScalar]":
         other = ExactScalar.lift(other)
@@ -139,12 +142,14 @@ class ExactScalar:
 
     def __add__(self, other):
         s, o = self._join(other)
-        return ExactScalar._of(s.a + o.a, s.b + o.b, s.D or o.D)
+        return ExactScalar._of(
+            s.num * o.den + o.num * s.den, s.irr * o.den + o.irr * s.den, s.den * o.den, s.D or o.D
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExactScalar._of(-self.a, -self.b, self.D)
+        return ExactScalar._of(-self.num, -self.irr, self.den, self.D)
 
     def __sub__(self, other):
         return self + (-ExactScalar.lift(other))
@@ -155,19 +160,17 @@ class ExactScalar:
     def __mul__(self, other):
         s, o = self._join(other)
         D = s.D or o.D
-        a = s.a * o.a + (s.b * o.b * D if D is not None else 0)
-        b = s.a * o.b + s.b * o.a
-        return ExactScalar._of(a, b, D)
+        num = s.num * o.num + (s.irr * o.irr * D if D else 0)
+        return ExactScalar._of(num, s.num * o.irr + s.irr * o.num, s.den * o.den, D)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "ExactScalar":
         if not self:
             raise ZeroDivisionError("inverse of zero")
-        if self.D is None:
-            return ExactScalar._of(1 / self.a, _FRACTION_ZERO, None)
-        n = self.norm()
-        return ExactScalar._of(self.a / n, -self.b / n, self.D)
+        # den / (num + irr sqrt(D)) = den (num - irr sqrt(D)) / (num^2 - irr^2 D)
+        n = self.num * self.num - self.irr * self.irr * (self.D or 0)
+        return ExactScalar._of(self.den * self.num, -self.den * self.irr, n, self.D)
 
     def __truediv__(self, other):
         s, o = self._join(other)
@@ -179,16 +182,14 @@ class ExactScalar:
     # -- field-theoretic data -----------------------------------------------
 
     def conjugate(self) -> "ExactScalar":
-        return ExactScalar._of(self.a, -self.b, self.D)
+        return ExactScalar._of(self.num, -self.irr, self.den, self.D)
 
     def norm(self) -> Fraction:
         """a^2 - b^2 D, the product of the two embeddings."""
-        if self.D is None:
-            return self.a * self.a
-        return self.a * self.a - self.b * self.b * self.D
+        return Fraction(self.num * self.num - self.irr * self.irr * (self.D or 0), self.den * self.den)
 
     def trace(self) -> Fraction:
-        return 2 * self.a
+        return Fraction(2 * self.num, self.den)
 
     def is_totally_positive(self) -> bool:
         return self.sign() > 0 and self.conjugate().sign() > 0
@@ -196,28 +197,24 @@ class ExactScalar:
     # -- order --------------------------------------------------------------
 
     def sign(self) -> int:
-        if self.b == 0:
-            return (self.a > 0) - (self.a < 0)
-        a, b = self.a, self.b
-        return _quad_sign(a.numerator * b.denominator, b.numerator * a.denominator, self.D)
+        return _quad_sign(self.num, self.irr, self.D)
 
     def __bool__(self):
-        return self.a != 0 or self.b != 0
+        return bool(self.num or self.irr)
 
     def __eq__(self, other):
         try:
             s, o = self._join(other)
         except (TypeError, ValueError):
             return NotImplemented
-        return s.a == o.a and s.b == o.b
+        return (s.num, s.irr, s.den) == (o.num, o.irr, o.den)
 
     def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.D))
+        return hash((self.a, self.b, self.D) if self.irr else self.a)
 
     def _cmp(self, other) -> int:
-        return (self - other).sign()
+        s, o = self._join(other)
+        return _quad_sign(s.num * o.den - o.num * s.den, s.irr * o.den - o.irr * s.den, s.D or o.D)
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -237,43 +234,42 @@ class ExactScalar:
     # -- rational access ----------------------------------------------------
 
     @property
+    def a(self) -> Fraction:
+        return Fraction(self.num, self.den)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.irr, self.den)
+
+    @property
     def is_rational(self) -> bool:
-        return self.b == 0
+        return not self.irr
 
     def as_fraction(self) -> Fraction:
-        if self.b != 0:
+        if self.irr:
             raise DegenerateInputError(f"{self} is irrational")
         return self.a
 
     def floor(self) -> int:
-        a, b = self.a, self.b
-        return _floor_quotient(
-            a.numerator * b.denominator, b.numerator * a.denominator,
-            a.denominator * b.denominator, 0, self.D or 0,
-        )
+        return _floor_quotient(self.num, self.irr, self.den, 0, self.D or 0)
 
     def ceil(self) -> int:
         return -((-self).floor())
 
     def __repr__(self):
-        if self.b == 0:
-            return str(self.a)
-        head = "" if self.a == 0 else f"{self.a}"
-        coef = "" if abs(self.b) == 1 else f"{abs(self.b)}*"
-        tail = f"{coef}sqrt({self.D})"
-        if self.a == 0:
-            return tail if self.b > 0 else f"-{tail}"
-        return f"{head}{'+' if self.b > 0 else '-'}{tail}"
+        a, b = self.a, self.b
+        if b == 0:
+            return str(a)
+        tail = ("" if abs(b) == 1 else f"{abs(b)}*") + f"sqrt({self.D})"
+        return f"{a or ''}{'-' if b < 0 else '+' if a else ''}{tail}"
 
 
 def _as_int(x):
     """The value of a scalar-like x as an int, or None when it is not an integer."""
     if type(x) is int:
         return x
-    if isinstance(x, ExactScalar):
-        return x.a.numerator if not x.b and x.a.denominator == 1 else None
-    f = Fraction(x)
-    return f.numerator if f.denominator == 1 else None
+    x = ExactScalar.lift(x)
+    return x.num if not x.irr and x.den == 1 else None
 
 
 class Vector:
@@ -296,9 +292,9 @@ class Vector:
         fields = {x.D for x in scalars} - {None}
         if len(fields) > 1:
             raise MixedDiscriminantError(f"cannot mix sqrt({min(fields)}) with sqrt({max(fields)})")
-        den = math.lcm(*(f.denominator for x in scalars for f in (x.a, x.b)))
-        num = tuple(x.a.numerator * (den // x.a.denominator) for x in scalars)
-        irr = tuple(x.b.numerator * (den // x.b.denominator) for x in scalars)
+        den = math.lcm(*(x.den for x in scalars))
+        num = tuple(x.num * (den // x.den) for x in scalars)
+        irr = tuple(x.irr * (den // x.den) for x in scalars)
         return cls._of(num, irr, den, fields.pop() if fields else None)
 
     @classmethod
@@ -325,10 +321,7 @@ class Vector:
     @property
     def entries(self) -> tuple:
         irr = self.irr or (0,) * len(self.num)
-        return tuple(
-            ExactScalar._of(Fraction(a, self.den), Fraction(b, self.den), self.D)
-            for a, b in zip(self.num, irr)
-        )
+        return tuple(ExactScalar._of(a, b, self.den, self.D) for a, b in zip(self.num, irr))
 
     @property
     def rank(self) -> int:
@@ -365,8 +358,7 @@ class Vector:
 
     def dot(self, other) -> ExactScalar:
         p, q, D = _dot_parts(self, other)
-        den = self.den * other.den
-        return ExactScalar._of(Fraction(p, den), Fraction(q, den), D)
+        return ExactScalar._of(p, q, self.den * other.den, D)
 
     @property
     def is_zero(self) -> bool:
@@ -399,9 +391,16 @@ class Vector:
                 return self.scale(abs(e).inverse())
 
     def key(self):
+        """Sort key: entrywise (a, b, D) for a + b*sqrt(D), with D None where
+        b = 0; a and b are rational ExactScalars, which compare exactly."""
         if self.ints is not None:
             return tuple((x, 0, None) for x in self.ints)
-        return tuple((e.a, e.b, e.D) for e in self.entries)
+        irr = self.irr or (0,) * len(self.num)
+        rational = ExactScalar._of
+        return tuple(
+            (rational(a, 0, self.den, None), rational(b, 0, self.den, None), self.D if b else None)
+            for a, b in zip(self.num, irr)
+        )
 
     def __eq__(self, other):
         if not isinstance(other, Vector):

@@ -39,9 +39,9 @@ from .report import Condition, Report
 
 def _frac(x) -> Fraction:
     if hasattr(x, "D"):
-        if x.b != 0:
+        if x.irr:
             raise DegenerateInputError("irrational entry in monodromy data")
-        return Fraction(x.a)
+        return x.a
     return Fraction(x)
 
 

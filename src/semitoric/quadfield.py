@@ -1,9 +1,11 @@
 """Real quadratic fields: units, ideal bases, tube coordinates, cusp cones.
 
-Elements of Q(sqrt(D)) are ExactScalar values.  The two real embeddings are
-always ordered as (identity, conjugate); everything downstream relies on that
-order staying fixed.  The fundamental unit comes from the continued fraction
-of the maximal order's generator, in O(period) integer steps.
+Elements of Q(sqrt(D)) are ExactScalar values, whose integer form
+(num + irr*sqrt(D)) / den gives units, ring bases and module coordinates
+directly.  The two real embeddings are always ordered as (identity,
+conjugate); everything downstream relies on that order staying fixed.  The
+fundamental unit comes from the continued fraction of the maximal order's
+generator, in O(period) integer steps.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ def ring_basis(D: int) -> tuple:
     else w = sqrt(D)."""
     check_discriminant(D)
     if D % 4 == 1:
-        w = ExactScalar(Fraction(1, 2), Fraction(1, 2), D)
+        w = ExactScalar._of(1, 1, 2, D)
     else:
         w = sqrtD(D)
     return ExactScalar(1), w
@@ -73,8 +75,8 @@ def fundamental_unit(D: int, bound: int = PELL_BOUND) -> QuadNum:
         p0, q0, p, q = p, q, a * p + p0, a * q + q0
     if D % 4 == 1:
         # w' = 1 - w
-        return ExactScalar(Fraction(2 * p - q, 2), Fraction(q, 2), D)
-    return ExactScalar(p, q, D)
+        return ExactScalar._of(2 * p - q, q, 2, D)
+    return ExactScalar._of(p, q, 1, D)
 
 
 def fundamental_totally_positive_unit(D: int, bound: int = PELL_BOUND) -> QuadNum:
@@ -110,14 +112,17 @@ class QuadIdeal:
 
     def coordinates(self, x: QuadNum) -> tuple:
         """(c1, c2) in Q^2 with x = c1*alpha + c2*beta, by Cramer's rule on
-        the rational and sqrt(D) parts.  The determinant is nonzero because
-        the twist is -2*det*sqrt(D)."""
+        the integer rational and sqrt(D) parts.  The determinant is nonzero
+        because the twist is -2*det*sqrt(D)."""
         x = ExactScalar.lift(x)
         if x.D not in (None, self.D):
             raise MixedDiscriminantError(f"{x} does not lie in Q(sqrt({self.D}))")
         a, b = self.alpha, self.beta
-        det = a.a * b.b - b.a * a.b
-        return ((x.a * b.b - b.a * x.b) / det, (a.a * x.b - x.a * a.b) / det)
+        det = (a.num * b.irr - b.num * a.irr) * x.den
+        return (
+            Fraction((x.num * b.irr - b.num * x.irr) * a.den, det),
+            Fraction((a.num * x.irr - x.num * a.irr) * b.den, det),
+        )
 
     def element(self, c1, c2) -> QuadNum:
         return ExactScalar.lift(c1) * self.alpha + ExactScalar.lift(c2) * self.beta

@@ -177,6 +177,24 @@ def test_scalar_ops_match_the_fraction_pair_oracle():
                 x.as_fraction()
 
 
+def _assert_canonical(x):
+    assert x.den > 0 and math.gcd(x.num, x.irr, x.den) == 1
+    assert (x.D is None) == (x.irr == 0)
+
+
+def test_scalars_stay_in_canonical_integer_form():
+    rng = random.Random(52)
+    for x, _, _ in _scalar_results(52, 300):
+        _assert_canonical(x)
+    for _ in range(200):
+        D = rng.choice([2, 5, 13])
+        u, v = (_quad_vector(_random_pairs(rng, 3), D) for _ in range(2))
+        keys = () if u.ints is not None else tuple(e for key in u.key() for e in key[:2])
+        for x in u.entries + (u.dot(v),) + keys:
+            _assert_canonical(x)
+    assert (ExactScalar(Fraction(4, 6), Fraction(2, 6), 5).num, ExactScalar(0).den) == (2, 1)
+
+
 def test_vector_primitive_rational():
     v = Vector([Fraction(2, 3), Fraction(-4, 3), Fraction(2, 3)])
     assert v.primitive() == Vector([1, -2, 1])
