@@ -92,9 +92,7 @@ def _cusp_from_args(args) -> CuspData:
         rows = args.ideal.split(";")
         if len(rows) != 2:
             raise SemitoricError("an ideal takes two generators 'a1,b1;a2,b2'")
-        alpha = _parse_pair(rows[0], D)
-        beta = _parse_pair(rows[1], D)
-        ideal = QuadIdeal(alpha, beta, D)
+        ideal = QuadIdeal(_parse_pair(rows[0], D), _parse_pair(rows[1], D), D)
     else:
         ideal = QuadIdeal.maximal_order(D)
     if args.unit:
@@ -409,8 +407,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse ends --help with 0 and a bad flag with 2
+        return e.code
     try:
         return args.func(args)
     except ResourceBoundError as e:
