@@ -4,10 +4,11 @@ A Decomposition holds finitely many representative cones (as relative
 interiors), a finitely generated symmetry group acting by lattice
 automorphisms, and the support region: the Gamma-admissible decompositions
 of Ash-Mumford-Rapoport-Tai (1975, ch. II).  Validation checks the four
-defining conditions on the representatives together with one shell of group
-translates; for infinite groups the reports are certificates on the explored
-region, not global decision procedures.  The exact cover is certified, not
-sampled, by the argument in ``validate_decomposition``.
+defining conditions on the representatives together with ``shell_depth``
+shells of group translates (one by default); for infinite groups the
+reports are certificates on the explored region, not global decision
+procedures.  The exact cover is certified, not sampled, by the argument in
+``validate_decomposition``.
 
 One geometric test serves every overlap question: ``_meets(a, b)`` decides
 whether the relative interior of ``a`` meets ``b``, open or closed, trying a
@@ -206,9 +207,9 @@ def validate_decomposition(
     shell_depth: int = 1,
     probe_radius_cap: int = 16,
 ) -> Report:
-    """Check the four decomposition conditions on representatives plus one
-    shell of group translates.  A cone is full-dimensional when its
-    dimension is d, that of the support S.
+    """Check the four decomposition conditions on representatives plus
+    ``shell_depth`` shells of group translates.  A cone is full-dimensional
+    when its dimension is d, that of the support S.
 
     (i)   the group preserves the support, members are pairwise disjoint and
           lie in the support, and the cover is certified: some member is
@@ -319,10 +320,12 @@ def validate_decomposition(
                 (m, "codimension-one member inside the support is not a facet "
                     "of full-dimensional translates on both sides")
             )
+    shells = "one shell" if shell_depth <= 1 else f"{shell_depth} shells"
+    searched = f"representatives plus {shells} of translates"
     cond1 = Condition(
         "disjoint-cover",
         not witnesses_i,
-        "representatives plus one shell of translates",
+        searched if shell_depth else f"overlaps among the representatives, neighbours over {searched}",
         witnesses_i,
     )
 

@@ -479,6 +479,18 @@ def test_shell_zero_passes_the_cusp_fan(cusp_fan_file, capsys):
     doc = _json_out(capsys)
     assert doc["passed"] is True
     assert all(c["passed"] and not c["witnesses"] for c in doc["conditions"])
+    # the cover details name the region that was searched
+    searched = {}
+    for shell in ("0", "1", "2"):
+        assert cli.main(["fan", "validate", cusp_fan_file, "--shell", shell]) == 0
+        cover = next(c for c in _json_out(capsys)["conditions"] if c["name"] == "disjoint-cover")
+        searched[shell] = cover["details"]
+    assert searched == {
+        "0": "overlaps among the representatives, neighbours over representatives "
+             "plus one shell of translates",
+        "1": "representatives plus one shell of translates",
+        "2": "representatives plus 2 shells of translates",
+    }
 
 
 def test_help_returns_zero_with_the_parser_text(capsys):
