@@ -91,11 +91,10 @@ class ExactScalar:
         b = Fraction(b)
         if b == 0:
             D = None
-        else:
-            if D is None:
-                raise MixedDiscriminantError("irrational part without a discriminant")
-            if not isinstance(D, int) or D < 2 or not is_squarefree(D):
-                raise DegenerateInputError(f"discriminant must be squarefree >= 2, got {D!r}")
+        elif D is None:
+            raise MixedDiscriminantError("irrational part without a discriminant")
+        elif not isinstance(D, int) or D < 2 or not is_squarefree(D):
+            raise DegenerateInputError(f"discriminant must be squarefree >= 2, got {D!r}")
         den = math.lcm(a.denominator, b.denominator)
         self._put(a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), den, D)
 
@@ -391,8 +390,7 @@ class Vector:
                 return self.scale(abs(e).inverse())
 
     def key(self):
-        """Sort key: entrywise (a, b, D) for a + b*sqrt(D), with D None where
-        b = 0; a and b are rational ExactScalars, which compare exactly."""
+        """Entrywise (a, b, D) of a + b*sqrt(D), D None where b = 0, exactly."""
         if self.ints is not None:
             return tuple((x, 0, None) for x in self.ints)
         irr = self.irr or (0,) * len(self.num)

@@ -119,10 +119,8 @@ class QuadIdeal:
             raise MixedDiscriminantError(f"{x} does not lie in Q(sqrt({self.D}))")
         a, b = self.alpha, self.beta
         det = (a.num * b.irr - b.num * a.irr) * x.den
-        return (
-            Fraction((x.num * b.irr - b.num * x.irr) * a.den, det),
-            Fraction((a.num * x.irr - x.num * a.irr) * b.den, det),
-        )
+        c1 = Fraction((x.num * b.irr - b.num * x.irr) * a.den, det)
+        return c1, Fraction((a.num * x.irr - x.num * a.irr) * b.den, det)
 
     def element(self, c1, c2) -> QuadNum:
         return ExactScalar.lift(c1) * self.alpha + ExactScalar.lift(c2) * self.beta
