@@ -263,14 +263,6 @@ class ExactScalar:
         return f"{a or ''}{'-' if b < 0 else '+' if a else ''}{tail}"
 
 
-def _as_int(x):
-    """The value of a scalar-like x as an int, or None when it is not an integer."""
-    if type(x) is int:
-        return x
-    x = ExactScalar.lift(x)
-    return x.num if not x.irr and x.den == 1 else None
-
-
 class Vector:
     """Immutable vector over Q or Q(sqrt(D)), stored in integers.
 
@@ -348,12 +340,13 @@ class Vector:
         return Vector._of(tuple(-x for x in self.num), irr, self.den, self.D)
 
     def scale(self, c) -> "Vector":
-        k = _as_int(c)
-        if k is not None:
-            irr = self.irr and tuple(k * x for x in self.irr)
-            return Vector._of(tuple(k * x for x in self.num), irr, self.den, self.D)
         c = ExactScalar.lift(c)
-        return Vector(c * x for x in self.entries)
+        if c.D and self.D and c.D != self.D:
+            raise MixedDiscriminantError(f"cannot mix sqrt({c.D}) with sqrt({self.D})")
+        D = c.D or self.D
+        a, b = self.num, self.irr or (0,) * len(self.num)
+        num = tuple(c.num * x + c.irr * y * (D or 0) for x, y in zip(a, b))
+        return Vector._of(num, tuple(c.num * y + c.irr * x for x, y in zip(a, b)), c.den * self.den, D)
 
     def dot(self, other) -> ExactScalar:
         p, q, D = _dot_parts(self, other)

@@ -273,6 +273,18 @@ def test_vector_apply_primitive_and_key_match_the_scalar_path():
         assert sorted(vectors, key=Vector.key) == by_scalars
 
 
+def test_vector_scale_matches_the_entrywise_products():
+    rng = random.Random(53)
+    for _ in range(300):
+        D = rng.choice([2, 3, 5, 13])
+        v = _quad_vector(_random_pairs(rng, rng.randrange(1, 5)), D)
+        c, _ = _scalar_draw(rng, D)
+        for k in (c, rng.randrange(-4, 5), Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))):
+            assert v.scale(k) == Vector(k * x for x in v.entries)
+    with pytest.raises(MixedDiscriminantError):
+        Vector([ExactScalar(0, 1, 2)]).scale(ExactScalar(0, 1, 3))
+
+
 def test_vector_equality_and_hash_do_not_depend_on_how_it_was_built():
     rng = random.Random(50)
     for _ in range(200):
