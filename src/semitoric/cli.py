@@ -92,7 +92,9 @@ def _cusp_from_args(args) -> CuspData:
         rows = args.ideal.split(";")
         if len(rows) != 2:
             raise SemitoricError("an ideal takes two generators 'a1,b1;a2,b2'")
-        ideal = QuadIdeal(_parse_pair(rows[0], D), _parse_pair(rows[1], D), D)
+        alpha = _parse_pair(rows[0], D)
+        beta = _parse_pair(rows[1], D)
+        ideal = QuadIdeal(alpha, beta, D)
     else:
         ideal = QuadIdeal.maximal_order(D)
     if args.unit:
