@@ -1,4 +1,4 @@
-"""Byte-identity guard for the cusp, fan and atlas subcommands.
+"""Byte-identity guard for the cusp, fan, atlas and series subcommands.
 
 Each entry of ``GOLDEN`` is one in-process CLI call with its exit code and
 the sha256 of its stdout.  The calls run on the cusp fans of eight
@@ -6,7 +6,11 @@ discriminants, on their copies with the last member deleted, and on
 seeded Stern-Brocot and octant fans, together with their atlases; the
 quadratic-output commands (cusp fans and figures, the SBB decomposition of
 the cusp cone and its validation, strata and atlases of the cusp fans) run
-on the same eight discriminants.  A refactor that keeps these outputs byte-identical keeps the table; a change
+on the same eight discriminants.  ``SERIES_GOLDEN`` pins the exit code
+and the sha256 of stdout and of stderr of ``series reframe`` and ``series
+check`` calls on seeded rank-2 to rank-4 series and on documents that spell
+their coefficients in every accepted and several rejected ways.  A
+refactor that keeps these outputs byte-identical keeps the tables; a change
 that means to alter an output updates the affected entries and says why.
 """
 
@@ -182,3 +186,181 @@ GOLDEN = {
 @pytest.mark.parametrize("call", sorted(GOLDEN))
 def test_cli_output_is_unchanged(call, files, capsys):
     assert run_call(call, files, capsys) == GOLDEN[call]
+
+
+# -- series ----------------------------------------------------------------------------
+
+# Coefficient spellings that parse, each a term of the "spellings" document,
+# and spellings that do not, each the one coefficient of an "errN" document.
+SPELLINGS = (
+    "7", "-3/8", "1.5", "+3/4", " 3/4", "1_000", "٣/4", "2/4", "-0/5", "1e3",
+    "007/010", "-12", 5, -2,
+)
+BAD_SPELLINGS = ("1/0", "3/-4", "3 / 4", "0x10", "-", "", "1/", "/2")
+
+
+def _series_doc(rank, terms, truncation, complete=None) -> dict:
+    doc = {
+        "format": "series/1",
+        "rank": rank,
+        "truncation": truncation,
+        "terms": [{"exponent": list(e), "coefficient": c} for e, c in terms],
+    }
+    if complete is not None:
+        doc["complete_order"] = complete
+    return doc
+
+
+def _seeded_terms(rank) -> list:
+    """12*rank seeded terms with integer and "p/q" coefficients; the rank-3
+    exponents may have negative entries."""
+    rng = random.Random(rank)
+    lo = -1 if rank == 3 else 0
+    exps = set()
+    while len(exps) < 12 * rank:
+        exps.add(tuple(rng.randint(lo, 4) for _ in range(rank)))
+    return [
+        (e, rng.choice((rng.randint(-9, 9), f"{rng.randint(-9, 9)}/{rng.randint(1, 6)}")))
+        for e in sorted(exps)
+    ]
+
+
+def series_documents() -> dict:
+    docs = {}
+    for rank in (2, 3, 4):
+        terms = _seeded_terms(rank)
+        truncation = max(sum(map(abs, e)) for e, _ in terms) + 1
+        docs[f"ser{rank}"] = _series_doc(rank, terms, truncation, 3 if rank == 3 else None)
+    docs["spellings"] = _series_doc(2, [((i, 1), c) for i, c in enumerate(SPELLINGS)], 20)
+    for i, c in enumerate(BAD_SPELLINGS):
+        docs[f"err{i}"] = _series_doc(2, [((0, 0), 1), ((1, 0), c)], 2)
+    docs["true"] = _series_doc(2, [((1, 0), True)], 2)
+    docs["float"] = _series_doc(2, [((1, 0), 1.5)], 2)
+    docs["dup"] = _series_doc(2, [((1, 0), 1), ((1, 0), "2/3")], 2)
+    docs["beyond"] = _series_doc(2, [((1, 0), 1), ((2, 1), 1)], 2)
+    docs["complete"] = _series_doc(2, [((1, 0), 1)], 2, 3)
+    docs["zeros"] = _series_doc(2, [((1, 0), 0), ((1, 0), "2/3"), ((5, 5), "0/3")], 2)
+    docs["boolexp"] = _series_doc(2, [((1, True), 1)], 2)
+    docs["shortexp"] = _series_doc(2, [((1,), 1)], 2)
+    docs["nocoeff"] = dict(_series_doc(2, [], 2), terms=[{"exponent": [1, 0]}])
+    docs["notobj"] = dict(_series_doc(2, [], 2), terms=[[1, 0]])
+    return docs
+
+
+@pytest.fixture(scope="module")
+def series_files(tmp_path_factory) -> dict:
+    root = tmp_path_factory.mktemp("golden-series")
+    paths = {}
+    for name, doc in series_documents().items():
+        path = root / f"{name}.json"
+        path.write_text(canonical_dumps(doc))
+        paths[name] = str(path)
+    return paths
+
+
+def _series_calls() -> list:
+    matrices = {2: ("2,1;1,1", "0,1;1,0"), 3: ("1,1,0;0,1,0;0,2,1",), 4: ("1,0,0,1;0,1,0,0;0,1,1,0;0,0,0,1",)}
+    framings = {2: "1,0;1,1", 3: "1,0,0;1,1,0;0,0,1", 4: "1,1,0,0;0,1,0,0;0,0,1,0;0,0,1,1"}
+    calls = []
+    for rank, ms in matrices.items():
+        name, F = f"ser{rank}", framings[rank]
+        calls.append(f"series check {name}")
+        calls.append(f"series check {name} --framing {F}")
+        for M in ms:
+            calls.append(f"series reframe {name} --matrix {M}")
+            calls.append(f"series check {name} --matrix {M}")
+            calls.append(f"series check {name} --framing {F} --matrix {M}")
+    for name in ["spellings", "true", "float", "dup", "beyond", "complete", "zeros", "boolexp",
+                 "shortexp", "nocoeff", "notobj"] + [
+        f"err{i}" for i in range(len(BAD_SPELLINGS))
+    ]:
+        calls.append(f"series check {name}")
+        calls.append(f"series reframe {name} --matrix 1,1;0,1")
+    calls += [
+        "series reframe ser2 --matrix 2,0;0,1",
+        "series reframe ser3 --matrix 1,0;0,1",
+        "series check ser2 --framing 1,0;1,2",
+        "series check ser2 --matrix 1,0,0;0,1,0;0,0,1",
+    ]
+    return calls
+
+
+def run_series_call(call: str, series_files: dict, capsys) -> tuple:
+    """(exit code, sha256 of stdout, sha256 of stderr) of one series call."""
+    words = call.split()
+    code = cli.main(words[:2] + [series_files.get(w, w) for w in words[2:]])
+    captured = capsys.readouterr()
+    return (
+        code,
+        hashlib.sha256(captured.out.encode()).hexdigest(),
+        hashlib.sha256(captured.err.encode()).hexdigest(),
+    )
+
+
+SERIES_GOLDEN = {
+    "series check ser2": (0, "1d501b7f8c0c3032c41ff429c45cbbb489b09aa5494b9554d9fa215de35cbf20", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "series check ser2 --framing 1,0;1,1": (1, "f1bd6ea3b8c03335d0a916120650906390336d8b3a972ea27c687c4654f5ca2a", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "series reframe ser2 --matrix 2,1;1,1": (0, "da313370003ad928933e481e7e5c60d441a2ce093790be4afac6b77379dabd95", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "series check ser2 --matrix 2,1;1,1": (0, "4e4d2ecdef0b29867e6db6e71d3a4ce4c997239133386ec7e07641696b95035b", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "series check ser2 --framing 1,0;1,1 --matrix 2,1;1,1": (1, "d17e8565599a8eec85541507afe113b40d61b2c944060c1e9a473da5aecf36f7", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "series reframe ser2 --matrix 0,1;1,0": (0, "cac228af73384e7e9070a4c3aaf9041f52e81aa828138856b25c9f0c0d6dd8c2", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "series check ser2 --matrix 0,1;1,0": (0, "4e4d2ecdef0b29867e6db6e71d3a4ce4c997239133386ec7e07641696b95035b", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "series check ser2 --framing 1,0;1,1 --matrix 0,1;1,0": (1, "9fa2aac909a8328c4d7fc4780236e3f73cb8b59ef810d39c37d50d971a24dc89", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "series check ser3": (1, "9c8dee3f07f76bf0bfa05719a6b6c975115efab45c8bc85ec9c92bbd6317d17f", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "series check ser3 --framing 1,0,0;1,1,0;0,0,1": (1, "9c8dee3f07f76bf0bfa05719a6b6c975115efab45c8bc85ec9c92bbd6317d17f", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "series reframe ser3 --matrix 1,1,0;0,1,0;0,2,1": (0, "6c407315f832fa6aba457b2f68f66def06cf9657a52c0b86eaaca60a26a424bb", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "series check ser3 --matrix 1,1,0;0,1,0;0,2,1": (1, "e34480e277b005e5246523b9f34f73859d4d016dcb089a18973607abbfa2510c", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "series check ser3 --framing 1,0,0;1,1,0;0,0,1 --matrix 1,1,0;0,1,0;0,2,1": (1, "e87a899dbfa090554d0410c1cd808860a9ac401442daaad7b6c59c8bc676d2ff", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "series check ser4": (0, "1d501b7f8c0c3032c41ff429c45cbbb489b09aa5494b9554d9fa215de35cbf20", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "series check ser4 --framing 1,1,0,0;0,1,0,0;0,0,1,0;0,0,1,1": (1, "1f19ed9de939e9214df7bf1c4a68449df9a39ab2a20a4cd743a174973b9df106", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "series reframe ser4 --matrix 1,0,0,1;0,1,0,0;0,1,1,0;0,0,0,1": (0, "b25a8fe9d446ccf1fe0acfd66e1df5016f5613c9e9d25bd51dce89490f870a4f", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "series check ser4 --matrix 1,0,0,1;0,1,0,0;0,1,1,0;0,0,0,1": (0, "4e4d2ecdef0b29867e6db6e71d3a4ce4c997239133386ec7e07641696b95035b", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "series check ser4 --framing 1,1,0,0;0,1,0,0;0,0,1,0;0,0,1,1 --matrix 1,0,0,1;0,1,0,0;0,1,1,0;0,0,0,1": (1, "68dbf2ac035048039d3a492631f54b023496a4482552b5fe01db346e0dffca5b", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "series check spellings": (0, "1d501b7f8c0c3032c41ff429c45cbbb489b09aa5494b9554d9fa215de35cbf20", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "series reframe spellings --matrix 1,1;0,1": (0, "4854328770e5bda6f7979ddfc85018fce8164158eed969b5b2911f3be1bd8afa", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "series check true": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "2950a84dd4b0bbc0c418b87b6e867cd4911f9e4c48d2dd59bc2c2e509087fa4a"),
+    "series reframe true --matrix 1,1;0,1": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "2950a84dd4b0bbc0c418b87b6e867cd4911f9e4c48d2dd59bc2c2e509087fa4a"),
+    "series check float": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "e5557cc5ab0c5f7f8b5186df3b7281ce285542ce35f6d4718a8793cacdb6b2f8"),
+    "series reframe float --matrix 1,1;0,1": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "e5557cc5ab0c5f7f8b5186df3b7281ce285542ce35f6d4718a8793cacdb6b2f8"),
+    "series check dup": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "d35059c490293cb15787f0d1c38298bd41ffc365e5bc6d1330635fd26f03d1ec"),
+    "series reframe dup --matrix 1,1;0,1": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "d35059c490293cb15787f0d1c38298bd41ffc365e5bc6d1330635fd26f03d1ec"),
+    "series check beyond": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "51df34f4a8654594500d20d72cb53b3abb13ab10c777b9f5f9e4a938b50a3af1"),
+    "series reframe beyond --matrix 1,1;0,1": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "51df34f4a8654594500d20d72cb53b3abb13ab10c777b9f5f9e4a938b50a3af1"),
+    "series check complete": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "ee9abb647405b56c4468f3d7a454dc31eee35785f3df251a13aaf28aefc03e3c"),
+    "series reframe complete --matrix 1,1;0,1": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "ee9abb647405b56c4468f3d7a454dc31eee35785f3df251a13aaf28aefc03e3c"),
+    "series check zeros": (0, "1d501b7f8c0c3032c41ff429c45cbbb489b09aa5494b9554d9fa215de35cbf20", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "series reframe zeros --matrix 1,1;0,1": (0, "8f11cd01b0982c280e40e604165fd5d6caf2b70e861aac8ca6c7fceb29962820", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "series check boolexp": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "a3958410650b72282410a6172625cff47349139bc4a9740bef45f5a54310016a"),
+    "series reframe boolexp --matrix 1,1;0,1": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "a3958410650b72282410a6172625cff47349139bc4a9740bef45f5a54310016a"),
+    "series check shortexp": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "a3958410650b72282410a6172625cff47349139bc4a9740bef45f5a54310016a"),
+    "series reframe shortexp --matrix 1,1;0,1": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "a3958410650b72282410a6172625cff47349139bc4a9740bef45f5a54310016a"),
+    "series check nocoeff": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "3c1a50082fdb598f9479770b7dc2d66c600bbb7e736ecf83b3367e50c1daae72"),
+    "series reframe nocoeff --matrix 1,1;0,1": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "3c1a50082fdb598f9479770b7dc2d66c600bbb7e736ecf83b3367e50c1daae72"),
+    "series check notobj": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "37b25012d33bad671a6c28809f6214d72b045f0dfefed33387f0600442182848"),
+    "series reframe notobj --matrix 1,1;0,1": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "37b25012d33bad671a6c28809f6214d72b045f0dfefed33387f0600442182848"),
+    "series check err0": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "cebd484fbdd69c905f9ffe3f33ef2f620dd17365c9a274d13584d1f685843ee7"),
+    "series reframe err0 --matrix 1,1;0,1": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "cebd484fbdd69c905f9ffe3f33ef2f620dd17365c9a274d13584d1f685843ee7"),
+    "series check err1": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "331b912ed8f2fcb289069b0f269def4c1f77da19b1f5607a8ab1c68ac7f6010a"),
+    "series reframe err1 --matrix 1,1;0,1": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "331b912ed8f2fcb289069b0f269def4c1f77da19b1f5607a8ab1c68ac7f6010a"),
+    "series check err2": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "157c59e75b7377cef5a36dd631a807ad89c4d692ba06495bf5d1b2f88e1a333a"),
+    "series reframe err2 --matrix 1,1;0,1": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "157c59e75b7377cef5a36dd631a807ad89c4d692ba06495bf5d1b2f88e1a333a"),
+    "series check err3": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "205e14cb01c94d812274430be60caad860c8378b9a6483e0af5405e424797f8a"),
+    "series reframe err3 --matrix 1,1;0,1": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "205e14cb01c94d812274430be60caad860c8378b9a6483e0af5405e424797f8a"),
+    "series check err4": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "1712c06cd4bafc2c2e8c5e6d7548906e257c5724e7241c62a0947dda0c1fd9a1"),
+    "series reframe err4 --matrix 1,1;0,1": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "1712c06cd4bafc2c2e8c5e6d7548906e257c5724e7241c62a0947dda0c1fd9a1"),
+    "series check err5": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "a9251b3fffb189b1f4993ddc508387bba29c7f4b70e5b58579210f78c9ea8010"),
+    "series reframe err5 --matrix 1,1;0,1": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "a9251b3fffb189b1f4993ddc508387bba29c7f4b70e5b58579210f78c9ea8010"),
+    "series check err6": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "e26874fb40b0877036d69aa0d9f522b3a3dae91575c9577940fb55d67acef4f0"),
+    "series reframe err6 --matrix 1,1;0,1": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "e26874fb40b0877036d69aa0d9f522b3a3dae91575c9577940fb55d67acef4f0"),
+    "series check err7": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "af2f86bc7968dea81b051ea7cba3ec1db141197576a2dcfcf61d91a209466deb"),
+    "series reframe err7 --matrix 1,1;0,1": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "af2f86bc7968dea81b051ea7cba3ec1db141197576a2dcfcf61d91a209466deb"),
+    "series reframe ser2 --matrix 2,0;0,1": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "22170b7a96ec6a1c1b3eeed4a7f4a12d7877ef036a781d86b5a5109fb5fb6352"),
+    "series reframe ser3 --matrix 1,0;0,1": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "b2f7d7fa648c38a097d4a1838d2eee2c4eafd86035c9bb1a17e0b3db46cd7228"),
+    "series check ser2 --framing 1,0;1,2": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "6e1d89358d66fd22ba6b90489d27b665d68008b8541545e5f9b7acbb8cb363d7"),
+    "series check ser2 --matrix 1,0,0;0,1,0;0,0,1": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "b2f7d7fa648c38a097d4a1838d2eee2c4eafd86035c9bb1a17e0b3db46cd7228"),
+}
+
+
+@pytest.mark.parametrize("call", _series_calls())
+def test_series_output_is_unchanged(call, series_files, capsys):
+    assert run_series_call(call, series_files, capsys) == SERIES_GOLDEN[call]

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from semitoric import (
@@ -19,6 +21,10 @@ from semitoric import (
     series_truncate,
     standard_framing,
 )
+from semitoric.errors import FormatError
+from semitoric.formats import canonical_dumps, dump_series, load_series, parse_frac
+
+PROPERTIES = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
 def _l1(expo):
@@ -200,3 +206,75 @@ def test_standard_framing_is_identity():
     f = standard_framing(3)
     assert f.basis.rows == IntMatrix.identity(3).rows
     assert f.coordinates((2, 0, 1)) == (2, 0, 1)
+
+
+# -- properties ----------------------------------------------------------------------
+
+
+@st.composite
+def series_and_matrices(draw):
+    """A series of rank 2 to 4 with exponents in [-3, 3] and a unimodular
+    matrix built from elementary row operations, sign changes and swaps."""
+    rank = draw(st.integers(2, 4))
+    expo = st.tuples(*[st.integers(-3, 3)] * rank)
+    coeff = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    terms = draw(st.dictionaries(expo, coeff, max_size=12))
+    truncation = max([_l1(e) for e in terms] + [0]) + draw(st.integers(0, 3))
+    complete = draw(st.integers(0, truncation))
+    rows = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    index = st.integers(0, rank - 1)
+    steps = st.lists(st.tuples(st.integers(0, 2), index, index, st.integers(-3, 3)), max_size=8)
+    for kind, i, j, k in draw(steps):
+        if kind == 0 and i != j:
+            rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
+        elif kind == 1:
+            rows[i] = [-a for a in rows[i]]
+        else:
+            rows[i], rows[j] = rows[j], rows[i]
+    return series(rank, terms, truncation, complete), IntMatrix(rows)
+
+
+@PROPERTIES
+@given(series_and_matrices())
+def test_reframing_back_recovers_the_terms(sm):
+    s, M = sm
+    back = reframe(reframe(s, M), M.inverse_unimodular())
+    assert back.terms == s.terms
+
+
+@PROPERTIES
+@given(series_and_matrices())
+def test_series_documents_are_byte_stable(sm):
+    s, M = sm
+    for t in (s, reframe(s, M)):
+        text = canonical_dumps(dump_series(t))
+        again = load_series(dump_series(t))
+        assert again == t
+        assert canonical_dumps(dump_series(again)) == text
+
+
+def _fraction_or_error(text):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as e:
+        return type(e), str(e)
+
+
+@PROPERTIES
+@given(st.text(alphabet="0123456789-+/ ._eE\u0663x\t", max_size=10))
+@example("1" * 4301)
+@example("-" + "1" * 4301)
+@example("1/" + "2" * 4301)
+@example("-0/5")
+@example("1/0")
+@example("-")
+def test_parse_frac_agrees_with_fraction(text):
+    expected = _fraction_or_error(text)
+    if isinstance(expected, Fraction):
+        got = parse_frac(text, "x")
+        assert type(got) is Fraction and got == expected
+    else:
+        with pytest.raises(FormatError) as info:
+            parse_frac(text, "x")
+        assert type(info.value.__context__) is expected[0]
+        assert str(info.value) == f"x: bad rational {text!r}: {expected[1]}"
