@@ -4,11 +4,17 @@ Scalars are strings "p/q" for rationals or objects {"a","b","D"} for
 quadratic values a + b sqrt(D).  Serialization is canonical (sorted keys,
 compact separators, trailing newline) so identical data always produces
 identical bytes.
+
+Rationals are read by ``parse_frac``: the plain ASCII spellings "-?n" and
+"-?n/d" with d nonzero, which every dump writes, become a Fraction of two
+ints directly; any other string goes through ``Fraction(str)``, so it keeps
+that parser's value, and its error text inside the FormatError.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .connection import BoundaryAtlas, MaxDepthPoint, NondescentWitness
@@ -58,8 +64,12 @@ def _frac_list(obj, path: str) -> tuple:
 
 
 def frac_str(f: Fraction) -> str:
-    f = Fraction(f)
+    if type(f) is not Fraction:
+        f = Fraction(f)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+
+_PLAIN_RATIONAL = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?")
 
 
 def parse_frac(obj, path: str) -> Fraction:
@@ -69,6 +79,12 @@ def parse_frac(obj, path: str) -> Fraction:
         return Fraction(obj)
     if isinstance(obj, str):
         try:
+            plain = _PLAIN_RATIONAL.fullmatch(obj)
+            if plain:
+                sign, num, den = plain.groups()
+                num, den = int(num), int(den or 1)
+                if den:
+                    return Fraction(-num if sign else num, den)
             return Fraction(obj)
         except (ValueError, ZeroDivisionError) as e:
             raise FormatError(f"{path}: bad rational {obj!r}: {e}") from None
@@ -406,6 +422,14 @@ def dump_series(s: FormalSeries) -> dict:
     }
 
 
+def _series_term(t, rank: int, tpath: str) -> tuple:
+    """(exponent, coefficient) of one term, or the FormatError at ``tpath``."""
+    expo = _require(t, "exponent", tpath)
+    if not _int_list(expo, rank):
+        raise FormatError(f"{tpath}.exponent: expected {rank} integers")
+    return tuple(expo), parse_frac(_require(t, "coefficient", tpath), f"{tpath}.coefficient")
+
+
 def load_series(obj, path: str = "series") -> FormalSeries:
     _check_format(obj, SERIES_FORMAT, path)
     rank = _require(obj, "rank", path)
@@ -422,12 +446,16 @@ def load_series(obj, path: str = "series") -> FormalSeries:
         raise FormatError(f"{path}.terms: expected a list")
     terms = []
     for i, t in enumerate(terms_obj):
-        tpath = f"{path}.terms[{i}]"
-        expo = _require(t, "exponent", tpath)
-        if not _int_list(expo, rank):
-            raise FormatError(f"{tpath}.exponent: expected {rank} integers")
-        coeff = parse_frac(_require(t, "coefficient", tpath), f"{tpath}.coefficient")
-        terms.append((tuple(expo), coeff))
+        try:
+            expo = t["exponent"]
+            if type(expo) is list and len(expo) == rank:
+                expo = tuple(expo)
+                if all(type(e) is int for e in expo):
+                    terms.append((expo, parse_frac(t["coefficient"], "")))
+                    continue
+        except (TypeError, KeyError, FormatError):
+            pass
+        terms.append(_series_term(t, rank, f"{path}.terms[{i}]"))
     try:
         return FormalSeries(rank, tuple(terms), truncation, complete)
     except ValueError as e:

@@ -124,10 +124,13 @@ class ExactScalar:
 
     @staticmethod
     def lift(x) -> "ExactScalar":
+        """An ExactScalar, int or Fraction as an ExactScalar; no other type
+        is coerced, so floats and strings raise TypeError."""
         if isinstance(x, ExactScalar):
             return x
-        f = x if isinstance(x, (int, Fraction)) else Fraction(x)
-        return ExactScalar._of(f.numerator, 0, f.denominator, None)
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"cannot use a {type(x).__name__} as an exact scalar")
+        return ExactScalar._of(x.numerator, 0, x.denominator, None)
 
     def _join(self, other) -> "tuple[ExactScalar, ExactScalar]":
         other = ExactScalar.lift(other)
@@ -140,6 +143,8 @@ class ExactScalar:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
+        if not isinstance(other, _LIFTABLE):
+            return NotImplemented
         s, o = self._join(other)
         return ExactScalar._of(
             s.num * o.den + o.num * s.den, s.irr * o.den + o.irr * s.den, s.den * o.den, s.D or o.D
@@ -151,12 +156,18 @@ class ExactScalar:
         return ExactScalar._of(-self.num, -self.irr, self.den, self.D)
 
     def __sub__(self, other):
+        if not isinstance(other, _LIFTABLE):
+            return NotImplemented
         return self + (-ExactScalar.lift(other))
 
     def __rsub__(self, other):
+        if not isinstance(other, _LIFTABLE):
+            return NotImplemented
         return ExactScalar.lift(other) - self
 
     def __mul__(self, other):
+        if not isinstance(other, _LIFTABLE):
+            return NotImplemented
         s, o = self._join(other)
         D = s.D or o.D
         num = s.num * o.num + (s.irr * o.irr * D if D else 0)
@@ -172,10 +183,14 @@ class ExactScalar:
         return ExactScalar._of(self.den * self.num, -self.den * self.irr, n, self.D)
 
     def __truediv__(self, other):
+        if not isinstance(other, _LIFTABLE):
+            return NotImplemented
         s, o = self._join(other)
         return s * o.inverse()
 
     def __rtruediv__(self, other):
+        if not isinstance(other, _LIFTABLE):
+            return NotImplemented
         return ExactScalar.lift(other) / self
 
     # -- field-theoretic data -----------------------------------------------
@@ -261,6 +276,10 @@ class ExactScalar:
             return str(a)
         tail = ("" if abs(b) == 1 else f"{abs(b)}*") + f"sqrt({self.D})"
         return f"{a or ''}{'-' if b < 0 else '+' if a else ''}{tail}"
+
+
+# The operand types the ExactScalar operators accept; others get NotImplemented.
+_LIFTABLE = (ExactScalar, int, Fraction)
 
 
 class Vector:

@@ -5,6 +5,14 @@ truncation bound on the l1 norm of the stored exponents.  Reframing by a
 unimodular matrix keeps every transformed term, so round trips are exact on
 terms; the metadata records how far the transformed series is still
 guaranteed complete.
+
+The public constructor checks every term.  ``reframe``, ``series_truncate``,
+``series_add`` and ``series_multiply`` build their results with the
+unchecked ``FormalSeries._of`` instead, because their terms hold by
+construction: a unimodular map is a bijection of Z^n, so reframed exponents
+stay distinct; coefficients are carried over unchanged or, in sums and
+products, kept only when nonzero; and each result's truncation bounds the
+l1 norm of its exponents and its complete order, which is nonnegative.
 """
 
 from __future__ import annotations
@@ -55,7 +63,7 @@ def standard_framing(rank: int) -> Framing:
 
 
 def _l1(expo) -> int:
-    return sum(abs(int(e)) for e in expo)
+    return sum(map(abs, expo))
 
 
 @dataclass(frozen=True)
@@ -75,11 +83,12 @@ class FormalSeries:
     def __post_init__(self):
         clean = {}
         for expo, coeff in self.terms:
-            expo = tuple(int(e) for e in expo)
+            expo = tuple(map(int, expo))
             if len(expo) != self.rank:
                 raise DegenerateInputError("exponent length does not match the rank")
-            coeff = Fraction(coeff)
-            if coeff == 0:
+            if type(coeff) is not Fraction:
+                coeff = Fraction(coeff)
+            if not coeff:
                 continue
             if expo in clean:
                 raise DegenerateInputError(f"duplicate exponent {expo}")
@@ -91,6 +100,19 @@ class FormalSeries:
         object.__setattr__(self, "terms", tuple(sorted(clean.items())))
         if not (0 <= self.complete_order <= self.truncation):
             raise DegenerateInputError("complete order must lie within the truncation")
+
+    @classmethod
+    def _of(cls, rank: int, terms, truncation: int, complete_order: int) -> "FormalSeries":
+        """The series with these terms, sorted but not checked: the caller
+        guarantees distinct int-tuple exponents of length ``rank`` and l1 norm
+        at most ``truncation``, nonzero Fraction coefficients, and
+        0 <= complete_order <= truncation."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "rank", rank)
+        object.__setattr__(s, "terms", tuple(sorted(terms)))
+        object.__setattr__(s, "truncation", truncation)
+        object.__setattr__(s, "complete_order", complete_order)
+        return s
 
     def coefficient(self, expo) -> Fraction:
         expo = tuple(int(e) for e in expo)
@@ -117,13 +139,13 @@ def series(rank: int, terms, truncation: int, complete_order: int | None = None)
 def effectivity_check(s: FormalSeries, framing: Framing | None = None) -> Report:
     """Whether every exponent lies in the nonnegative span of the framing
     basis.  One condition, "effective"; its witness is the first offending
-    exponent."""
-    framing = framing or standard_framing(s.rank)
-    if framing.rank != s.rank:
+    exponent.  Without a framing the coordinates are the exponents
+    themselves, so the standard framing costs no matrix work."""
+    if framing is not None and framing.rank != s.rank:
         raise DegenerateInputError("framing basis has the wrong rank")
     for expo, _ in s.terms:
-        coords = framing.coordinates(expo)
-        if any(c < 0 for c in coords):
+        coords = framing.coordinates(expo) if framing else expo
+        if min(coords, default=0) < 0:
             return Report([Condition("effective", False, "", [expo])])
     return Report([Condition("effective", True)])
 
@@ -140,16 +162,14 @@ def reframe(s: FormalSeries, M: IntMatrix) -> FormalSeries:
     if M.nrows != s.rank:
         raise DegenerateInputError("framing change has the wrong rank")
     Mt = M.transpose()
-    new_terms = []
-    for expo, coeff in s.terms:
-        new_terms.append((Mt.apply_int(expo), coeff))
+    new_terms = [(Mt.apply_int(expo), coeff) for expo, coeff in s.terms]
     inv_t = M.inverse_unimodular().transpose()
     rho = max(
         sum(abs(inv_t[i][j]) for i in range(s.rank)) for j in range(s.rank)
     )
     complete = s.complete_order // rho
-    truncation = max([_l1(e) for e, _ in new_terms] + [complete])
-    return FormalSeries(s.rank, tuple(new_terms), truncation, complete)
+    truncation = max([complete] + [_l1(e) for e, _ in new_terms])
+    return FormalSeries._of(s.rank, new_terms, truncation, complete)
 
 
 def reframing_preserves_effectivity(M: IntMatrix, framing: Framing | None = None):
@@ -162,16 +182,15 @@ def reframing_preserves_effectivity(M: IntMatrix, framing: Framing | None = None
     if not M.is_unimodular():
         raise DegenerateInputError("framing changes must be unimodular")
     rank = M.nrows
-    framing = framing or standard_framing(rank)
-    if framing.rank != rank:
+    if framing is not None and framing.rank != rank:
         raise DegenerateInputError("framing change has the wrong rank")
-    B = framing.basis
+    basis = framing.basis if framing else IntMatrix.identity(rank)
     Mt = M.transpose()
-    for i in range(rank):
-        image = Mt.apply_int(B.rows[i])
-        coords = framing.coordinates(image)
-        if any(c < 0 for c in coords):
-            return Report([Condition("preserves-effectivity", False, "", [tuple(B.rows[i])])])
+    for row in basis.rows:
+        image = Mt.apply_int(row)
+        coords = framing.coordinates(image) if framing else image
+        if min(coords, default=0) < 0:
+            return Report([Condition("preserves-effectivity", False, "", [tuple(row)])])
     return Report([Condition("preserves-effectivity", True)])
 
 
@@ -188,7 +207,7 @@ def series_add(a: FormalSeries, b: FormalSeries) -> FormalSeries:
         if _l1(expo) > t:
             continue
         out[expo] = out.get(expo, Fraction(0)) + coeff
-    return FormalSeries(a.rank, tuple(out.items()), t, c)
+    return FormalSeries._of(a.rank, [(e, v) for e, v in out.items() if v], t, c)
 
 
 def series_multiply(
@@ -200,7 +219,6 @@ def series_multiply(
     so the product is complete up to the smaller complete order."""
     if a.rank != b.rank:
         raise DegenerateInputError("series ranks differ")
-    framing = framing or standard_framing(a.rank)
     for s in (a, b):
         rep = effectivity_check(s, framing)
         if not rep:
@@ -215,11 +233,11 @@ def series_multiply(
             if _l1(expo) > c:
                 continue
             out[expo] = out.get(expo, Fraction(0)) + ca * cb
-    return FormalSeries(a.rank, tuple(out.items()), c, c)
+    return FormalSeries._of(a.rank, [(e, v) for e, v in out.items() if v], c, c)
 
 
 def series_truncate(s: FormalSeries, order: int) -> FormalSeries:
     if order < 0:
         raise DegenerateInputError("truncation order must be nonnegative")
-    terms = tuple((e, c) for e, c in s.terms if _l1(e) <= order)
-    return FormalSeries(s.rank, terms, min(order, s.truncation), min(order, s.complete_order))
+    terms = [(e, c) for e, c in s.terms if _l1(e) <= order]
+    return FormalSeries._of(s.rank, terms, min(order, s.truncation), min(order, s.complete_order))

@@ -430,6 +430,25 @@ def test_series_check_rejects_rank_mismatches(tmp_path, capsys):
     assert captured.out == "" and "Traceback" not in captured.err
 
 
+def test_series_check_without_framing_scales_with_the_input(tmp_path, capsys):
+    """In the standard framing an exponent is its own coordinate vector, so
+    no rank-n identity is reduced: rank 2,000 answers at once."""
+    rank = 2000
+    empty = _write(tmp_path, "empty.json", dump_series(series(rank, {}, 0)))
+    start = time.perf_counter()
+    assert cli.main(["series", "check", empty]) == 0
+    assert time.perf_counter() - start < 2.0
+    assert _json_out(capsys) == {"effective": True, "witness": None}
+
+    terms = {tuple(int(i == k) for i in range(rank)): k + 1 for k in range(0, rank, 40)}
+    bad = tuple(-1 if i == 7 else int(i == 8) for i in range(rank))
+    doc = dump_series(series(rank, {**terms, bad: 1}, 2))
+    start = time.perf_counter()
+    assert cli.main(["series", "check", _write(tmp_path, "terms.json", doc)]) == 1
+    assert time.perf_counter() - start < 2.0
+    assert _json_out(capsys) == {"effective": False, "witness": list(bad)}
+
+
 def test_negative_draws_and_order_exit_two(tmp_path, capsys):
     mono = _write(
         tmp_path,

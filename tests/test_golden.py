@@ -259,7 +259,11 @@ def series_files(tmp_path_factory) -> dict:
 
 
 def _series_calls() -> list:
-    matrices = {2: ("2,1;1,1", "0,1;1,0"), 3: ("1,1,0;0,1,0;0,2,1",), 4: ("1,0,0,1;0,1,0,0;0,1,1,0;0,0,0,1",)}
+    matrices = {
+        2: ("2,1;1,1", "0,1;1,0"),
+        3: ("1,1,0;0,1,0;0,2,1",),
+        4: ("1,0,0,1;0,1,0,0;0,1,1,0;0,0,0,1",),
+    }
     framings = {2: "1,0;1,1", 3: "1,0,0;1,1,0;0,0,1", 4: "1,1,0,0;0,1,0,0;0,0,1,0;0,0,1,1"}
     calls = []
     for rank, ms in matrices.items():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from semitoric import (
     ExactScalar,
     IntMatrix,
     MixedDiscriminantError,
+    QuadIdeal,
     UnsupportedRankError,
     Vector,
     complete_to_basis,
@@ -76,6 +78,30 @@ def test_scalar_mixed_discriminants_rejected():
         x + y
     with pytest.raises(MixedDiscriminantError):
         x * y
+
+
+def test_scalars_mix_only_with_exact_numbers():
+    one = ExactScalar(1)
+    assert one != "1" and not one == "1" and len({one, "1"}) == 2
+    assert one != 1.0 and len({one, 1, Fraction(1)}) == 1
+    for other in (0.1, "1/2"):
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(TypeError):
+                op(one, other)
+            with pytest.raises(TypeError):
+                op(other, one)
+        with pytest.raises(TypeError):
+            Vector([1, other])
+    # exact operands keep working, on both sides and in the other entry points
+    half = Fraction(1, 2)
+    assert one + half == half + one == ExactScalar(Fraction(3, 2))
+    assert 2 - one == one and 2 / ExactScalar(4) == half and one * True == one
+    x = ExactScalar(half, 3, 5)
+    assert (x.a, x.b, x.D) == (half, 3, 5) and ExactScalar("1/2") == half
+    assert Vector([half, 1, x]).entries == (ExactScalar(half), one, x)
+    ideal = QuadIdeal.maximal_order(5)
+    assert ideal.coordinates(ideal.element(half, -3)) == (half, -3)
+    assert ideal.coordinates(7) == (7, 0)
 
 
 def test_scalar_floor_ceil_sign():

@@ -9,6 +9,7 @@ import oracles
 from semitoric import (
     Cone,
     DegenerateInputError,
+    FormatError,
     Framing,
     IntMatrix,
     Vector,
@@ -21,7 +22,6 @@ from semitoric import (
     series_truncate,
     standard_framing,
 )
-from semitoric.errors import FormatError
 from semitoric.formats import canonical_dumps, dump_series, load_series, parse_frac
 
 PROPERTIES = settings(max_examples=150, deadline=None, derandomize=True, database=None)
