@@ -1,4 +1,5 @@
-"""Byte-identity guard for the cusp, fan, atlas and series subcommands.
+"""Byte-identity guard for the cusp, fan, atlas, series and monodromy
+subcommands.
 
 Each entry of ``GOLDEN`` is one in-process CLI call with its exit code and
 the sha256 of its stdout.  The calls run on the cusp fans of eight
@@ -9,13 +10,19 @@ the cusp cone and its validation, strata and atlases of the cusp fans) run
 on the same eight discriminants.  ``SERIES_GOLDEN`` pins the exit code
 and the sha256 of stdout and of stderr of ``series reframe`` and ``series
 check`` calls on seeded rank-2 to rank-4 series and on documents that spell
-their coefficients in every accepted and several rejected ways.  A
-refactor that keeps these outputs byte-identical keeps the tables; a change
-that means to alter an output updates the affected entries and says why.
+their coefficients in every accepted and several rejected ways.
+``MONODROMY_GOLDEN`` pins the same three values for ``monodromy coords`` at
+orders 0, 3 and the default and for ``monodromy check``, on the elliptic,
+quintic-like and product fixtures with scaled omega0, on a dense pairing,
+on a sign-degenerate one, on one whose bottom pairing vanishes at the origin
+and on a document without a pairing.  A refactor that keeps these outputs
+byte-identical keeps the tables; a change that means to alter an output
+updates the affected entries and says why.
 """
 
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -23,7 +30,7 @@ import fixtures
 from semitoric import CuspData, Decomposition, build_fan, cli
 from semitoric.connection import atlas_from_fan
 from semitoric.errors import DegenerateInputError
-from semitoric.formats import canonical_dumps, dump_atlas, dump_fan
+from semitoric.formats import canonical_dumps, dump_atlas, dump_fan, dump_monodromy
 
 DISCRIMINANTS = (2, 3, 5, 6, 7, 13, 21, 29)
 
@@ -289,10 +296,11 @@ def _series_calls() -> list:
     return calls
 
 
-def run_series_call(call: str, series_files: dict, capsys) -> tuple:
-    """(exit code, sha256 of stdout, sha256 of stderr) of one series call."""
+def run_captured_call(call: str, paths: dict, capsys) -> tuple:
+    """(exit code, sha256 of stdout, sha256 of stderr) of one call; a word
+    naming a document stands for its path."""
     words = call.split()
-    code = cli.main(words[:2] + [series_files.get(w, w) for w in words[2:]])
+    code = cli.main(words[:2] + [paths.get(w, w) for w in words[2:]])
     captured = capsys.readouterr()
     return (
         code,
@@ -367,4 +375,113 @@ SERIES_GOLDEN = {
 
 @pytest.mark.parametrize("call", _series_calls())
 def test_series_output_is_unchanged(call, series_files, capsys):
-    assert run_series_call(call, series_files, capsys) == SERIES_GOLDEN[call]
+    assert run_captured_call(call, series_files, capsys) == SERIES_GOLDEN[call]
+
+
+# -- monodromy -------------------------------------------------------------------------
+
+# A dense pairing makes the bottom pairing <g0 | omega(z)> a nonconstant
+# series on the quintic-like operator; against omega0 = (1, 0, 0, -1) that
+# series vanishes at the origin.
+DENSE = ((1, 1, 1, 1), (1, 1, 1, 1), (1, 1, 1, 2), (1, 1, 3, 1))
+
+
+def monodromy_documents() -> dict:
+    elliptic = fixtures.elliptic_operator().rows
+    quintic = fixtures.quintic_like_operator().rows
+    product = [T.rows for T in fixtures.product_operators()]
+    Q2, Q4 = fixtures.antidiagonal_pairing(2), fixtures.antidiagonal_pairing(4)
+    docs = {}
+    for i, c in enumerate((1, 4, Fraction(-3, 2))):
+        docs[f"elliptic{i}"] = dump_monodromy([elliptic], Q2, (0, c))
+        docs[f"quintic{i}"] = dump_monodromy([quintic], Q4, (c, 0, 0, 0))
+        docs[f"product{i}"] = dump_monodromy(product, Q4, (c, 0, 0, 0))
+    docs["dense"] = dump_monodromy([quintic], DENSE, (1, 1, 1, 1))
+    docs["sign"] = dump_monodromy([elliptic], ((0, 1), (-1, 0)), (0, 1))
+    docs["vanish"] = dump_monodromy([quintic], DENSE, (1, 0, 0, -1))
+    docs["nopairing"] = dump_monodromy([elliptic], omega0=(0, 1))
+    return docs
+
+
+@pytest.fixture(scope="module")
+def monodromy_files(tmp_path_factory) -> dict:
+    root = tmp_path_factory.mktemp("golden-monodromy")
+    paths = {}
+    for name, doc in monodromy_documents().items():
+        path = root / f"{name}.json"
+        path.write_text(canonical_dumps(doc))
+        paths[name] = str(path)
+    return paths
+
+
+def _monodromy_calls() -> list:
+    calls = []
+    for name in monodromy_documents():
+        calls += [
+            f"monodromy coords {name} --order 0",
+            f"monodromy coords {name} --order 3",
+            f"monodromy coords {name}",
+            f"monodromy check {name}",
+        ]
+    return calls
+
+
+MONODROMY_GOLDEN = {
+    "monodromy coords elliptic0 --order 0": (1, "97d6d979aac81e492c61421b39a11696ac7c59d86ae949cda41279115a2e7520", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy coords elliptic0 --order 3": (0, "a40822b02b2b527b0fe1117af4499b80d89de38f131ee1bb888b1b2071ab78fc", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy coords elliptic0": (0, "fa843b13fa096359aea8b432b23d995b56a8ae00d5d3d8e6706ed3040db3b17c", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy check elliptic0": (0, "00bfc8a5ec4551780d91de78131120f96aa4ee51b08c62b9f51b11b02d6eb2e0", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy coords quintic0 --order 0": (1, "97d6d979aac81e492c61421b39a11696ac7c59d86ae949cda41279115a2e7520", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy coords quintic0 --order 3": (0, "2cc3b32343143cb1ddb330ac92d6e447aa5bef6695cc2248db13ab8182b5cf88", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy coords quintic0": (0, "fa843b13fa096359aea8b432b23d995b56a8ae00d5d3d8e6706ed3040db3b17c", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy check quintic0": (0, "b4f37dee1b693e4bcf0ceb71996ac91c6b9824fe088788247f124d0f3f14af16", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy coords product0 --order 0": (1, "92adf67b643422abc0c92d4b7a36cbce7e846f64ca1acbc87b72d52fc1ccffcf", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy coords product0 --order 3": (0, "00cf99e69623fdc96bc248fdf05a5fc08c94b31655803a79d673fe25e6356b4f", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy coords product0": (0, "9a14cffbe59506348a450f1e442278e3712c45e51bd7b1d88073699f68de871d", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy check product0": (0, "bed5a41e2457ed8fde96749be90599c350fd4738acfb7a9266e55f7d86ec0a1b", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy coords elliptic1 --order 0": (1, "97d6d979aac81e492c61421b39a11696ac7c59d86ae949cda41279115a2e7520", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy coords elliptic1 --order 3": (0, "a40822b02b2b527b0fe1117af4499b80d89de38f131ee1bb888b1b2071ab78fc", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy coords elliptic1": (0, "fa843b13fa096359aea8b432b23d995b56a8ae00d5d3d8e6706ed3040db3b17c", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy check elliptic1": (0, "00bfc8a5ec4551780d91de78131120f96aa4ee51b08c62b9f51b11b02d6eb2e0", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy coords quintic1 --order 0": (1, "97d6d979aac81e492c61421b39a11696ac7c59d86ae949cda41279115a2e7520", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy coords quintic1 --order 3": (0, "2cc3b32343143cb1ddb330ac92d6e447aa5bef6695cc2248db13ab8182b5cf88", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy coords quintic1": (0, "fa843b13fa096359aea8b432b23d995b56a8ae00d5d3d8e6706ed3040db3b17c", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy check quintic1": (0, "b4f37dee1b693e4bcf0ceb71996ac91c6b9824fe088788247f124d0f3f14af16", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy coords product1 --order 0": (1, "92adf67b643422abc0c92d4b7a36cbce7e846f64ca1acbc87b72d52fc1ccffcf", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy coords product1 --order 3": (0, "00cf99e69623fdc96bc248fdf05a5fc08c94b31655803a79d673fe25e6356b4f", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy coords product1": (0, "9a14cffbe59506348a450f1e442278e3712c45e51bd7b1d88073699f68de871d", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy check product1": (0, "bed5a41e2457ed8fde96749be90599c350fd4738acfb7a9266e55f7d86ec0a1b", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy coords elliptic2 --order 0": (1, "97d6d979aac81e492c61421b39a11696ac7c59d86ae949cda41279115a2e7520", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy coords elliptic2 --order 3": (0, "a40822b02b2b527b0fe1117af4499b80d89de38f131ee1bb888b1b2071ab78fc", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy coords elliptic2": (0, "fa843b13fa096359aea8b432b23d995b56a8ae00d5d3d8e6706ed3040db3b17c", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy check elliptic2": (0, "00bfc8a5ec4551780d91de78131120f96aa4ee51b08c62b9f51b11b02d6eb2e0", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy coords quintic2 --order 0": (1, "97d6d979aac81e492c61421b39a11696ac7c59d86ae949cda41279115a2e7520", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy coords quintic2 --order 3": (0, "2cc3b32343143cb1ddb330ac92d6e447aa5bef6695cc2248db13ab8182b5cf88", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy coords quintic2": (0, "fa843b13fa096359aea8b432b23d995b56a8ae00d5d3d8e6706ed3040db3b17c", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy check quintic2": (0, "b4f37dee1b693e4bcf0ceb71996ac91c6b9824fe088788247f124d0f3f14af16", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy coords product2 --order 0": (1, "92adf67b643422abc0c92d4b7a36cbce7e846f64ca1acbc87b72d52fc1ccffcf", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy coords product2 --order 3": (0, "00cf99e69623fdc96bc248fdf05a5fc08c94b31655803a79d673fe25e6356b4f", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy coords product2": (0, "9a14cffbe59506348a450f1e442278e3712c45e51bd7b1d88073699f68de871d", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy check product2": (0, "bed5a41e2457ed8fde96749be90599c350fd4738acfb7a9266e55f7d86ec0a1b", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy coords dense --order 0": (1, "2ec700aba878f30684745abd63a70bfceb4b76681fa9b0baba1997cfc0756989", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy coords dense --order 3": (1, "ba35916f00bcb467c9560d9cf846a44c082f9d5654b966ec9caf50fd617ece52", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy coords dense": (1, "3819d297e1dc05c68b9bf51ebef8e3dd6cfa28aca90ef2c651936f15e0ec44fd", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy check dense": (0, "b4f37dee1b693e4bcf0ceb71996ac91c6b9824fe088788247f124d0f3f14af16", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy coords sign --order 0": (1, "97d6d979aac81e492c61421b39a11696ac7c59d86ae949cda41279115a2e7520", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy coords sign --order 3": (1, "ca2d1d83bf268abd417ee05c09c9ec22b6759e87ca45409fd50adc023cd989ce", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy coords sign": (1, "47e4d75557e5456f6991293db725772ab022609d2f137201be956ab7f9e6f181", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy check sign": (0, "00bfc8a5ec4551780d91de78131120f96aa4ee51b08c62b9f51b11b02d6eb2e0", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy coords vanish --order 0": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "1c29575bc6c1913d8b07de56c41a5e92a2e85ad56e6fe7e472d42377836930bf"),
+    "monodromy coords vanish --order 3": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "1c29575bc6c1913d8b07de56c41a5e92a2e85ad56e6fe7e472d42377836930bf"),
+    "monodromy coords vanish": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "1c29575bc6c1913d8b07de56c41a5e92a2e85ad56e6fe7e472d42377836930bf"),
+    "monodromy check vanish": (0, "b4f37dee1b693e4bcf0ceb71996ac91c6b9824fe088788247f124d0f3f14af16", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy coords nopairing --order 0": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "1b61ebdd1be1a5e526cd023b7288486c165cb54f1fcd0e055721e759a4aa5f93"),
+    "monodromy coords nopairing --order 3": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "1b61ebdd1be1a5e526cd023b7288486c165cb54f1fcd0e055721e759a4aa5f93"),
+    "monodromy coords nopairing": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "1b61ebdd1be1a5e526cd023b7288486c165cb54f1fcd0e055721e759a4aa5f93"),
+    "monodromy check nopairing": (0, "00bfc8a5ec4551780d91de78131120f96aa4ee51b08c62b9f51b11b02d6eb2e0", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+
+@pytest.mark.parametrize("call", _monodromy_calls())
+def test_monodromy_output_is_unchanged(call, monodromy_files, capsys):
+    assert run_captured_call(call, monodromy_files, capsys) == MONODROMY_GOLDEN[call]
