@@ -107,6 +107,7 @@ from .series import (
     reframing_preserves_effectivity,
     series,
     series_add,
+    series_inverse,
     series_multiply,
     series_truncate,
     standard_framing,

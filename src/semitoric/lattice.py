@@ -87,8 +87,9 @@ class ExactScalar:
     __slots__ = ("num", "irr", "den", "D")
 
     def __init__(self, a=0, b=0, D=None):
-        a = Fraction(a)
-        b = Fraction(b)
+        for x in (a, b):
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"cannot use a {type(x).__name__} as an exact scalar")
         if b == 0:
             D = None
         elif D is None:

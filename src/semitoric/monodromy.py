@@ -3,7 +3,9 @@
 All operators are rational matrices acting on column vectors.  Logarithms of
 unipotent operators terminate exactly; weight spaces come from images and
 kernels of powers; the coordinate construction pairs an exponential of the
-log operators against an adapted integral basis.
+log operators against an adapted integral basis.  Its truncated power-series
+arithmetic (products and the inverse of the bottom pairing) is that of
+``series``.
 
 The matrix algebra runs in integers: a rational matrix is cleared by the
 least common denominator of its entries, which changes neither its image nor
@@ -15,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
 
 from .errors import DegenerateInputError, NotUnipotentError
 from .lattice import (
@@ -35,6 +37,7 @@ from .lattice import (
     integer_kernel,
 )
 from .report import Condition, Report
+from .series import series, series_inverse, series_multiply
 
 
 def _frac(x) -> Fraction:
@@ -89,13 +92,6 @@ def minimal_polynomial(T) -> list:
         power = _mat_mul(power, T)
 
 
-def _poly_eval(p, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 def _poly_divide_linear_root_one(p) -> list:
     """Divide p by (x - 1); requires p(1) == 0."""
     out = [Fraction(0)] * (len(p) - 1)
@@ -142,7 +138,7 @@ def unipotent_log(T) -> tuple:
     powers = _nonzero_powers(A, d)
     if powers is None:
         p = minimal_polynomial(T)
-        while len(p) > 1 and _poly_eval(p, Fraction(1)) == 0:
+        while len(p) > 1 and sum(p) == 0:
             p = _poly_divide_linear_root_one(p)
         raise NotUnipotentError(
             f"operator is not unipotent: minimal polynomial keeps the factor {_poly_str(p)}"
@@ -483,47 +479,6 @@ def _multiple_of(vec, g0) -> Fraction:
     return coeff if coeff is not None else Fraction(0)
 
 
-def _poly_add(a, b) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, Fraction(0)) + v
-        if out[k] == 0:
-            del out[k]
-    return out
-
-
-def _poly_scale(a, c) -> dict:
-    c = Fraction(c)
-    return {k: c * v for k, v in a.items() if c * v != 0}
-
-
-def _poly_mul(a, b, cap) -> dict:
-    out = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            k = tuple(x + y for x, y in zip(ka, kb))
-            if sum(k) > cap:
-                continue
-            out[k] = out.get(k, Fraction(0)) + va * vb
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def _poly_inverse(a, r, cap) -> dict:
-    zero = tuple([0] * r)
-    c0 = a.get(zero, Fraction(0))
-    if c0 == 0:
-        raise DegenerateInputError("pairing against the bottom vector vanishes at the origin")
-    u = _poly_scale(_poly_add(a, {zero: -c0}), Fraction(1, c0))
-    inv = {zero: Fraction(1)}
-    term = {zero: Fraction(1)}
-    for _ in range(cap):
-        term = _poly_scale(_poly_mul(term, u, cap), -1)
-        if not term:
-            break
-        inv = _poly_add(inv, term)
-    return _poly_scale(inv, Fraction(1, c0))
-
-
 @dataclass(frozen=True)
 class QuasiCanonicalCoordinates:
     """Coordinates f_j = z_j + c_j + rho_j.
@@ -578,8 +533,9 @@ def quasi_canonical_coordinates(
     omega(z) = exp(sum z_j N_j) omega0.
 
     The caller supplies the pairing matrix Q; the adapted basis defaults to
-    the integral normalization.  f_j collects the inverse pairing matrix
-    against the numerator pairings, divided by the pairing with g0.
+    the integral normalization.  f_j is the pairing with
+    h_j = sum_k (m^-1)_kj g_k divided by the pairing with g0, as series
+    complete up to ``order``.
     """
     if order < 0:
         raise DegenerateInputError(f"the series order must be nonnegative, got {order}")
@@ -598,14 +554,13 @@ def quasi_canonical_coordinates(
     if m_inv is None:
         raise DegenerateInputError("pairing matrix m is singular")
 
-    # omega(z) up to total degree cap, as exponent -> vector
+    # omega(z) up to total degree ``order``, as exponent -> vector
     omega0 = tuple(_frac(x) for x in omega0)
     zero = tuple([0] * r)
     level = {zero: omega0}
     omega = {zero: omega0}
-    cap = order
     truncated = False
-    for _deg in range(1, cap + 1):
+    for _deg in range(1, order + 1):
         nxt = {}
         for expo, vec in level.items():
             for j in range(r):
@@ -623,51 +578,27 @@ def quasi_canonical_coordinates(
     else:
         truncated = bool(level)
 
-    # scalar polynomials <g | omega(z)>, with the 1/beta! weights
-    def pairing_poly(g):
-        out = {}
-        for expo, vec in omega.items():
-            w = Fraction(1)
-            for e in expo:
-                w /= factorial(e)
-            val = pairing(Q, g, vec) * w
-            if val != 0:
-                out[expo] = val
-        return out
+    # <g | omega(z)> as a series, with the 1/beta! weights
+    def pairing_series(g):
+        terms = [(e, pairing(Q, g, vec) / prod(map(factorial, e))) for e, vec in omega.items()]
+        return series(r, terms, order)
 
-    denom = pairing_poly(g0)
-    numers = [pairing_poly(g) for g in gs]
-    denom_inv = _poly_inverse(denom, r, cap)
-    exact = not truncated and len(denom) == 1
-    fs = []
-    for j in range(r):
-        total = {}
-        for k in range(r):
-            coeff = m_inv[k][j]
-            if coeff == 0:
-                continue
-            total = _poly_add(total, _poly_scale(numers[k], coeff))
-        fs.append(_poly_mul(total, denom_inv, cap))
-    constants, remainders, linear_parts = [], [], []
-    degenerate = False
-    for j, f in enumerate(fs):
-        constants.append(f.get(zero, Fraction(0)))
-        lin = tuple(
-            f.get(tuple(1 if t == i else 0 for t in range(r)), Fraction(0)) for i in range(r)
-        )
-        linear_parts.append(lin)
-        expect = tuple(Fraction(1) if i == j else Fraction(0) for i in range(r))
-        if lin != expect:
-            degenerate = True
-        rem = {k: v for k, v in f.items() if sum(k) >= 2}
-        remainders.append(rem)
+    bottom = pairing_series(g0)
+    if not bottom.coefficient(zero):
+        raise DegenerateInputError("pairing against the bottom vector vanishes at the origin")
+    inverse = series_inverse(bottom)
+    # f_j = <h_j | omega> / <g0 | omega> with h_j = sum_k (m^-1)_kj g_k
+    hs = _mat_mul(tuple(zip(*m_inv)), gs)
+    fs = tuple(series_multiply(pairing_series(h), inverse).as_dict() for h in hs)
+    units = tuple(tuple(int(t == i) for t in range(r)) for i in range(r))
+    linear_parts = tuple(tuple(f.get(u, Fraction(0)) for u in units) for f in fs)
     return QuasiCanonicalCoordinates(
-        tuple(fs),
-        tuple(constants),
-        tuple(remainders),
+        fs,
+        tuple(f.get(zero, Fraction(0)) for f in fs),
+        tuple({e: c for e, c in f.items() if sum(e) >= 2} for f in fs),
         tuple(tuple(row) for row in m),
-        exact,
-        degenerate,
-        tuple(linear_parts),
-        cap,
+        not truncated and len(bottom.terms) == 1,
+        linear_parts != units,
+        linear_parts,
+        order,
     )

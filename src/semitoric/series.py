@@ -7,12 +7,14 @@ terms; the metadata records how far the transformed series is still
 guaranteed complete.
 
 The public constructor checks every term.  ``reframe``, ``series_truncate``,
-``series_add`` and ``series_multiply`` build their results with the
-unchecked ``FormalSeries._of`` instead, because their terms hold by
-construction: a unimodular map is a bijection of Z^n, so reframed exponents
-stay distinct; coefficients are carried over unchanged or, in sums and
-products, kept only when nonzero; and each result's truncation bounds the
-l1 norm of its exponents and its complete order, which is nonnegative.
+``series_add``, ``series_multiply`` and ``series_inverse`` build their
+results with the unchecked ``FormalSeries._of`` instead, because their terms
+hold by construction: a unimodular map is a bijection of Z^n, so reframed
+exponents stay distinct; coefficients are carried over unchanged or, in
+sums, products and inverses, kept only when nonzero; the inverse collects
+each exponent in the one layer of its degree, so its exponents are distinct
+too; and each result's truncation bounds the l1 norm of its exponents and
+its complete order, which is nonnegative.
 """
 
 from __future__ import annotations
@@ -83,7 +85,9 @@ class FormalSeries:
     def __post_init__(self):
         clean = {}
         for expo, coeff in self.terms:
-            expo = tuple(map(int, expo))
+            expo = tuple(expo)
+            if any(type(e) is not int for e in expo):
+                raise DegenerateInputError(f"exponent {expo} has a non-integer entry")
             if len(expo) != self.rank:
                 raise DegenerateInputError("exponent length does not match the rank")
             if type(coeff) is not Fraction:
@@ -234,6 +238,36 @@ def series_multiply(
                 continue
             out[expo] = out.get(expo, Fraction(0)) + ca * cb
     return FormalSeries._of(a.rank, [(e, v) for e, v in out.items() if v], c, c)
+
+
+def series_inverse(s: FormalSeries) -> FormalSeries:
+    """Multiplicative inverse of an effective series with a nonzero constant
+    term c0, complete up to the complete order of the series.
+
+    The coefficients come degree by degree from s * inverse = 1: the one at
+    a nonzero exponent e is -(1/c0) times the sum of s_a * inverse_(e - a)
+    over the nonzero exponents a of s."""
+    rep = effectivity_check(s)
+    if not rep:
+        raise DegenerateInputError(
+            f"inverse needs an effective series; exponent {rep.witness} is not"
+        )
+    zero = (0,) * s.rank
+    c0 = s.coefficient(zero)
+    if not c0:
+        raise DegenerateInputError("inverse needs a nonzero constant term")
+    c = s.complete_order
+    rest = [(e, coeff, sum(e)) for e, coeff in s.terms if 0 < sum(e) <= c]
+    layers = [{zero: 1 / c0}]
+    for d in range(1, c + 1):
+        acc = {}
+        for ea, ca, da in rest:
+            if da <= d:
+                for eb, cb in layers[d - da].items():
+                    expo = tuple(x + y for x, y in zip(ea, eb))
+                    acc[expo] = acc.get(expo, Fraction(0)) + ca * cb
+        layers.append({e: -v / c0 for e, v in acc.items() if v})
+    return FormalSeries._of(s.rank, [t for layer in layers for t in layer.items()], c, c)
 
 
 def series_truncate(s: FormalSeries, order: int) -> FormalSeries:

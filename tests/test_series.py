@@ -18,6 +18,7 @@ from semitoric import (
     reframing_preserves_effectivity,
     series,
     series_add,
+    series_inverse,
     series_multiply,
     series_truncate,
     standard_framing,
@@ -59,6 +60,10 @@ def test_constructor_guards():
         series(2, {(3, 2): 1}, 4)
     with pytest.raises(DegenerateInputError, match="complete order"):
         series(2, {(1, 0): 1}, 4, complete_order=5)
+    with pytest.raises(DegenerateInputError, match="non-integer"):
+        series(2, {(1.5, 0): 1, (0, 2.9): 2}, 4)
+    with pytest.raises(DegenerateInputError, match="non-integer"):
+        series(2, {(Fraction(1), 0): 1}, 4)
 
 
 def test_effectivity_witness_in_standard_framing():
@@ -193,6 +198,20 @@ def test_series_multiply_requires_effectivity():
         series_multiply(a, b)
 
 
+def test_series_inverse_of_a_geometric_series():
+    s = series(1, {(0,): 2, (1,): -2}, 5, complete_order=4)
+    inv = series_inverse(s)
+    assert inv.as_dict() == {(k,): Fraction(1, 2) for k in range(5)}
+    assert inv.truncation == inv.complete_order == 4
+
+
+def test_series_inverse_guards():
+    with pytest.raises(DegenerateInputError, match="nonzero constant term"):
+        series_inverse(series(2, {(1, 0): 1, (0, 2): 3}, 4))
+    with pytest.raises(DegenerateInputError, match="effective"):
+        series_inverse(series(2, {(0, 0): 1, (1, -1): 1}, 4))
+
+
 def test_series_truncate():
     s = series(2, {(1, 0): 1, (2, 2): 3, (0, 3): 4}, 6)
     out = series_truncate(s, 3)
@@ -251,6 +270,30 @@ def test_series_documents_are_byte_stable(sm):
         again = load_series(dump_series(t))
         assert again == t
         assert canonical_dumps(dump_series(again)) == text
+
+
+@st.composite
+def invertible_series(draw):
+    """An effective series of rank 1 to 3 with a nonzero constant term and
+    negative and fractional coefficients."""
+    rank = draw(st.integers(1, 3))
+    expo = st.tuples(*[st.integers(0, 3)] * rank)
+    coeff = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    terms = draw(st.dictionaries(expo, coeff, max_size=10))
+    terms[(0,) * rank] = draw(coeff.filter(bool))
+    truncation = max(_l1(e) for e in terms) + draw(st.integers(0, 2))
+    complete = draw(st.integers(0, truncation))
+    return series(rank, terms, truncation, complete)
+
+
+@PROPERTIES
+@given(invertible_series())
+def test_series_inverse_times_the_series_is_one(s):
+    inv = series_inverse(s)
+    assert inv.truncation == inv.complete_order == s.complete_order
+    one = series_multiply(s, inv)
+    assert one.as_dict() == {(0,) * s.rank: Fraction(1)}
+    assert one.complete_order == s.complete_order
 
 
 def _fraction_or_error(text):
