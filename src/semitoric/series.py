@@ -119,7 +119,7 @@ class FormalSeries:
         return s
 
     def coefficient(self, expo) -> Fraction:
-        expo = tuple(int(e) for e in expo)
+        expo = tuple(expo)
         for e, c in self.terms:
             if e == expo:
                 return c

@@ -64,6 +64,7 @@ def test_constructor_guards():
         series(2, {(1.5, 0): 1, (0, 2.9): 2}, 4)
     with pytest.raises(DegenerateInputError, match="non-integer"):
         series(2, {(Fraction(1), 0): 1}, 4)
+    assert series(2, {(1, 0): 2}, 4).coefficient((1.5, 0)) == 0
 
 
 def test_effectivity_witness_in_standard_framing():
