@@ -1,10 +1,21 @@
-"""Property tests on random rank-2 and rank-3 integral cones."""
+"""Property tests on random integral cones of ranks 2 to 4, and on seeded
+cones over Q(sqrt(2)) and Q(sqrt(5))."""
 
+import random
+
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from semitoric.fans import _meets
-from semitoric.lattice import Cone, Vector, cone_intersection, faces, is_strongly_convex
+from semitoric.lattice import (
+    Cone,
+    ExactScalar,
+    Vector,
+    cone_intersection,
+    faces,
+    is_strongly_convex,
+)
 
 CONES = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -33,25 +44,81 @@ def _cone(rank, rows) -> Cone:
 def _meets_by_intersection(a: Cone, b: Cone) -> bool:
     """Whether the relative interior of ``a`` meets ``b`` (open or closed
     per ``b.relint``), read off one relative-interior point of the
-    intersection of the closures."""
-    inter = cone_intersection(a, b)
-    if not inter.generators:
-        return False
-    s = inter.interior_sample()
+    intersection of the closures: the origin when that intersection is
+    zero."""
+    s = cone_intersection(a, b).interior_sample()
     return a.contains(s, relint=True) and b.contains(s)
 
 
-@CONES
-@given(cone_pairs(), st.booleans())
-@example((2, [(1, 0)], [(1, 0), (0, 1)]), False)
-@example((3, [(1, 0, 0), (0, 1, 0)], [(1, 0, 0), (0, 1, 0), (0, 0, 1)]), False)
-def test_meets_agrees_with_the_intersection(pair, b_open):
-    rank, a_rows, b_rows = pair
+def _is_line_space(c: Cone) -> bool:
+    """A nonzero linear subspace: its relative interior holds the origin.
+    Decomposition members are never such cones."""
+    return bool(c.generators) and not c.dual_description()[0]
+
+
+@st.composite
+def meet_pairs(draw):
+    """(rank, rows of a, rows of b) in ranks 2 to 4.  Either side may be
+    empty (the zero cone), ``a`` often shares generators with ``b``, and in
+    about half the draws every row lies in the hyperplane x_1 = 0, so that
+    both cones are lower-dimensional."""
+    rank = draw(st.sampled_from((2, 3, 4)))
+    first = st.just(0) if draw(st.booleans()) else st.integers(-3, 3)
+    vector = st.tuples(first, *[st.integers(-3, 3)] * (rank - 1)).filter(any)
+    b_rows = draw(st.lists(vector, max_size=4))
+    shared = draw(st.lists(st.sampled_from(b_rows), max_size=len(b_rows), unique=True)) if b_rows else []
+    return rank, shared + draw(st.lists(vector, max_size=2)), b_rows
+
+
+def _check_meets(rank, a_rows, b_rows, b_open):
     a = _cone(rank, a_rows).relative_interior()
     b = _cone(rank, b_rows)
     if b_open:
         b = b.relative_interior()
+    assume(not _is_line_space(a) and not _is_line_space(b))
     assert _meets(a, b) == _meets_by_intersection(a, b)
+
+
+@CONES
+@given(meet_pairs(), st.booleans())
+@example((2, [(1, 0)], [(1, 0), (0, 1)]), False)
+@example((3, [(1, 0, 0), (0, 1, 0)], [(1, 0, 0), (0, 1, 0), (0, 0, 1)]), False)
+@example((4, [], [(1, 0, 0, 0), (0, 1, 0, 0)]), False)
+@example((4, [], [(1, 0, 0, 0), (0, 1, 0, 0)]), True)
+@example((4, [(1, 0, 0, 0)], []), False)
+@example((4, [], []), True)
+@example((4, [(0, 1, 0, 0), (0, 0, 1, 0)], [(0, 1, 1, 0), (0, 0, 1, 1)]), True)
+@example((4, [(0, 1, 1, 0)], [(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]), True)
+def test_meets_agrees_with_the_intersection(pair, b_open):
+    _check_meets(*pair, b_open)
+
+
+def _quadratic_rows(rng, rank, D, count):
+    """``count`` nonzero rows whose entries are p + q*sqrt(D), |p|, |q| <= 2,
+    with q = 0 in about half the entries."""
+    rows = []
+    while len(rows) < count:
+        row = [ExactScalar(rng.randint(-2, 2), rng.randint(-2, 2) * rng.randint(0, 1), D) for _ in range(rank)]
+        if any(row):
+            rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("D", [2, 5])
+def test_meets_agrees_with_the_intersection_over_quadratic_fields(D):
+    rng = random.Random(D)
+    answers = []
+    for _ in range(60):
+        rank = rng.choice((2, 3, 4))
+        b_rows = _quadratic_rows(rng, rank, D, rng.randint(0, 4))
+        a_rows = rng.sample(b_rows, rng.randint(0, len(b_rows))) + _quadratic_rows(rng, rank, D, rng.randint(0, 2))
+        a = _cone(rank, a_rows).relative_interior()
+        for b in (_cone(rank, b_rows), _cone(rank, b_rows).relative_interior()):
+            if _is_line_space(a) or _is_line_space(b):
+                continue
+            answers.append(_meets(a, b))
+            assert answers[-1] == _meets_by_intersection(a, b), (a, b)
+    assert len(answers) > 80 and 0 < sum(answers) < len(answers)
 
 
 @CONES

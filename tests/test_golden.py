@@ -4,10 +4,11 @@ subcommands.
 Each entry of ``GOLDEN`` is one in-process CLI call with its exit code and
 the sha256 of its stdout.  The calls run on the cusp fans of eight
 discriminants, on their copies with the last member deleted, and on
-seeded Stern-Brocot and octant fans, together with their atlases; the
-quadratic-output commands (cusp fans and figures, the SBB decomposition of
-the cusp cone and its validation, strata and atlases of the cusp fans) run
-on the same eight discriminants.  ``SERIES_GOLDEN`` pins the exit code
+seeded Stern-Brocot and octant fans, together with their atlases;
+``fan validate`` also runs at shell depths 0 and 2 on three of the cusp
+fans and their copies.  The quadratic-output commands (cusp fans and
+figures, the SBB decomposition of the cusp cone and its validation, strata
+and atlases of the cusp fans) run on the same eight discriminants.  ``SERIES_GOLDEN`` pins the exit code
 and the sha256 of stdout and of stderr of ``series reframe`` and ``series
 check`` calls on seeded rank-2 to rank-4 series and on documents that spell
 their coefficients in every accepted and several rejected ways.
@@ -112,6 +113,18 @@ GOLDEN = {
     "fan validate sbb13": (0, "f37521e97b406d3fe14f9944d4a190bf60adf4c39724de7009325f60c0f52acb"),
     "fan validate sbb21": (0, "f37521e97b406d3fe14f9944d4a190bf60adf4c39724de7009325f60c0f52acb"),
     "fan validate sbb29": (0, "f37521e97b406d3fe14f9944d4a190bf60adf4c39724de7009325f60c0f52acb"),
+    "fan validate cusp2 --shell 0": (0, "d4067cb2087933ad7077bc73e2c88235dcb86817614970aacdfcbc88632dba62"),
+    "fan validate cusp2 --shell 2": (0, "6705d1bcc2f98a73f2f43d76d0929bf7fee34e8b998d0b8d7d4734e4c0ea983c"),
+    "fan validate cusp5 --shell 0": (0, "6b34e7543f3df5ef425a6ba58e376bccbd2b1ccca0dbbd1e54654e24716726ce"),
+    "fan validate cusp5 --shell 2": (0, "1f01f8820125d9e1731812ec646b4b62cbe052978e512be7769aa4164fc51ae2"),
+    "fan validate cusp13 --shell 0": (0, "a2d073adf5ab8e3e18b48fef4c3f18c0099b233c2c7d2321f34870d4c10d4a26"),
+    "fan validate cusp13 --shell 2": (0, "ed6d77fe156a043290d9c610f42961912a310f37fbfab6332bb38382d0dda923"),
+    "fan validate cusp2-del --shell 0": (1, "fc6bfdc6bcbeca2af46a8b1617f123b6670d9a0a1fcffc2bf57e0ab97b9edada"),
+    "fan validate cusp2-del --shell 2": (1, "c18af10441489753d73cffae7ce5b937aa65e162085161c13d4154f959a3d1f6"),
+    "fan validate cusp5-del --shell 0": (1, "bddb2547631bf0eeec66779e24879105458614185fdef45d33b96fe7d6730b06"),
+    "fan validate cusp5-del --shell 2": (1, "724ca96799b84767ad8f8b5391bcc0ee9d8d4fa3bd516fe47924b7c054cd97b7"),
+    "fan validate cusp13-del --shell 0": (1, "bbf28bb759eed865f4f0fc80f4d1fe93460867aee66bb278e956554b13172d75"),
+    "fan validate cusp13-del --shell 2": (1, "8bacbf99a33c33a41582dc65fbd2794ae62c1550fb78e9539823fadfa3a1d78e"),
     "fan common cusp5 cusp5-del": (0, "4dc9733d014d99d119177edb1d14cc9999a6040ca83f8ac5131d30f21982cb91"),
     "fan common cusp13 cusp13-del": (0, "5f41e1cb91b2cacd0d91ffd55983d4dd1bba172ae41d63a6d81b7bfcd0d24dcb"),
     "fan common cusp21 cusp21-del": (0, "f4b654ff01eee6a44a0d32d62e10bff39506cb7200295a1f92f5f9cdc59ed73b"),
