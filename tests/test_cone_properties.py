@@ -89,6 +89,12 @@ def _check_meets(rank, a_rows, b_rows, b_open):
 @example((4, [], []), True)
 @example((4, [(0, 1, 0, 0), (0, 0, 1, 0)], [(0, 1, 1, 0), (0, 0, 1, 1)]), True)
 @example((4, [(0, 1, 1, 0)], [(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]), True)
+# disjoint pairs that no facet normal or span equation of a or b separates
+@example((4, [(-2, 1, 2, 1), (1, 0, 2, 2), (2, 2, 1, 0)],
+          [(-1, 1, 2, 2), (-1, 2, -2, 0), (2, 2, -1, 1), (2, 2, 1, 0)]), False)
+@example((4, [(-2, 0, 2, 1), (-2, 1, -2, 0), (-1, 1, -1, 2), (1, -2, -2, 2)],
+          [(-2, 0, 2, 1), (-1, 1, -1, 2), (2, 1, -2, 1)]), False)
+@example((4, [(1, -2, 2, 1), (1, 2, 0, -1)], [(-1, 0, 2, -1), (0, 0, 1, 0), (2, 1, 0, 0)]), True)
 def test_meets_agrees_with_the_intersection(pair, b_open):
     _check_meets(*pair, b_open)
 
