@@ -11,8 +11,15 @@ procedures.  The exact cover is certified, not sampled, by the argument in
 ``validate_decomposition``.
 
 One geometric test serves every overlap question: ``_meets(a, b)`` decides
-whether the relative interior of ``a`` meets ``b``, open or closed, trying a
-separating facet normal or span equation before it intersects.  One filter,
+whether the relative interior of ``a`` meets ``b``, open or closed, without
+intersecting them.  After trying a separating facet normal or span
+equation, it reads the answer off the facet normals of cone(a, -b): the
+relative interior of ``a`` meets ``b`` exactly when every such normal
+vanishes on the generators of ``a``, and also on those of ``b`` when ``b``
+is open.  For a point sum(l_i a_i) = sum(m_j b_j) with l > 0 (and m > 0)
+is a vanishing combination of the a_i and -b_j positive on them, and a
+generator of a cone has a positive coefficient in a vanishing combination
+exactly when it lies in the lineality space.  One filter,
 ``_one_per_orbit``, keeps a single piece per group orbit when pieces are
 collected into members.
 """
@@ -23,9 +30,11 @@ from dataclasses import dataclass
 
 from .errors import DegenerateInputError, GroupMismatchError, RequiresRationalConeError
 from .lattice import (
+    MAX_CONE_RANK,
     Cone,
     IntMatrix,
     Vector,
+    _dual_description,
     _dot_sign,
     _vector_rank,
     as_vector,
@@ -147,10 +156,15 @@ class Decomposition:
         return hits
 
 
+_IDENTITY_ROWS = {n: IntMatrix.identity(n).rows for n in range(MAX_CONE_RANK + 1)}
+
+
 def _act_linear(t: IntMatrix, cone: Cone) -> Cone:
-    if t.rows == IntMatrix.identity(cone.rank).rows:
+    """The image of ``cone`` under ``t``.  A unimodular map keeps extremal
+    primitive generators extremal and primitive, so they are not reduced."""
+    if t.rows == _IDENTITY_ROWS[cone.rank]:
         return cone
-    return Cone(cone.rank, [t.apply(g) for g in cone.generators], relint=cone.relint)
+    return Cone(cone.rank, [t.apply(g) for g in cone.generators], relint=cone.relint, _reduce=False)
 
 
 # -- validation ---------------------------------------------------------------
@@ -177,18 +191,25 @@ def _separated(a: Cone, b: Cone) -> bool:
 
 def _meets(a: Cone, b: Cone) -> bool:
     """Whether the relative interior of ``a`` meets ``b``, read as its
-    relative interior when ``b.relint`` and as its closure otherwise."""
+    relative interior when ``b.relint`` and as its closure otherwise.
+
+    It does when sum(l_i a_i) = sum(m_j b_j) for some l > 0 and m >= 0
+    (m > 0 when ``b.relint``), that is, when a nonnegative combination of
+    the a_i and -b_j, positive on the a_i (and the b_j), vanishes.  A
+    generator of C = cone(a, -b) has a positive coefficient in a vanishing
+    combination exactly when it lies in the lineality space of C, the common
+    zeros of the facet normals of C; summing such combinations gives one
+    positive on all of them.
+    """
     if not a.generators:
         return not (b.relint and b.generators)
     if not b.generators:
         return False
     if _separated(a, b) or (b.relint and _separated(b, a)):
         return False
-    inter = cone_intersection(a, b)
-    if not inter.generators:
-        return False
-    s = inter.interior_sample()
-    return a.contains(s, relint=True) and b.contains(s)
+    normals, _ = _dual_description(a.generators + tuple(-g for g in b.generators), a.rank)
+    tested = a.generators + b.generators if b.relint else a.generators
+    return all(_dot_sign(n, g) == 0 for n in normals for g in tested)
 
 
 def _one_per_orbit(pieces, ball) -> list:

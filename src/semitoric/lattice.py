@@ -919,9 +919,21 @@ class Cone:
         """(facet normals, span equations): the closure is the set of x with
         <n, x> >= 0 for every normal and <e, x> = 0 for every equation."""
         if self._dual is None:
-            desc = _dual_description(self.generators, self.rank)
+            closed = self._closure
+            if closed is not None:
+                desc = closed.dual_description()
+            else:
+                desc = _dual_description(self.generators, self.rank)
             object.__setattr__(self, "_dual", desc)
         return self._dual
+
+    def _counterpart(self, relint: bool) -> "Cone":
+        """The same generators read closed or open, with the dual
+        description and dimension already computed here."""
+        twin = Cone(self.rank, self.generators, relint=relint, _reduce=False)
+        object.__setattr__(twin, "_dual", self._dual)
+        object.__setattr__(twin, "_dim", self._dim)
+        return twin
 
     def closure(self) -> "Cone":
         """The closed cone; built once per relative interior, so what is
@@ -929,14 +941,14 @@ class Cone:
         if not self.relint:
             return self
         if self._closure is None:
-            closed = Cone(self.rank, self.generators, relint=False, _reduce=False)
-            object.__setattr__(self, "_closure", closed)
+            object.__setattr__(self, "_closure", self._counterpart(False))
         return self._closure
 
     def relative_interior(self) -> "Cone":
+        """The open cone; its dual description is that of this cone."""
         if self.relint:
             return self
-        inner = Cone(self.rank, self.generators, relint=True, _reduce=False)
+        inner = self._counterpart(True)
         object.__setattr__(inner, "_closure", self)
         return inner
 

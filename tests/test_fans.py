@@ -27,6 +27,7 @@ from semitoric import (
     strata,
     validate_decomposition,
 )
+from semitoric import fans, lattice
 from semitoric.fans import zero_cone
 
 
@@ -75,6 +76,22 @@ def test_random_rank3_fan_validates():
     rep = validate_decomposition(fan)
     assert rep.passed
     assert is_mumford_type(fan)
+
+
+def test_validation_decides_overlaps_without_intersecting(monkeypatch):
+    def refuse(a, b):
+        raise AssertionError("validate_decomposition intersected two cones")
+
+    monkeypatch.setattr(fans, "cone_intersection", refuse)
+    monkeypatch.setattr(lattice, "cone_intersection", refuse)
+    cusp = build_fan(CuspData.standard(13))
+    assert cusp.group
+    for fan in (
+        fixtures.octant_fan(random.Random(3), 4),
+        fixtures.stern_brocot_fan(random.Random(1), 6),
+        cusp,
+    ):
+        assert validate_decomposition(fan, shell_depth=2).passed
 
 
 def test_deleted_member_is_detected_with_witness():
