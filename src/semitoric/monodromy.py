@@ -21,6 +21,7 @@ from math import factorial, gcd, lcm, prod
 
 from .errors import DegenerateInputError, NotUnipotentError
 from .lattice import (
+    ExactScalar,
     IntMatrix,
     Vector,
     _denominator,
@@ -41,10 +42,14 @@ from .series import series, series_inverse, series_multiply
 
 
 def _frac(x) -> Fraction:
-    if hasattr(x, "D"):
+    """An int, Fraction or rational ExactScalar as a Fraction; floats,
+    strings and other types raise DegenerateInputError."""
+    if isinstance(x, ExactScalar):
         if x.irr:
             raise DegenerateInputError("irrational entry in monodromy data")
         return x.a
+    if not isinstance(x, (int, Fraction)):
+        raise DegenerateInputError(f"monodromy data must be exact rationals, got a {type(x).__name__}")
     return Fraction(x)
 
 
@@ -576,7 +581,7 @@ def quasi_canonical_coordinates(
             omega[e2] = vec
         level = nxt
     else:
-        truncated = bool(level)
+        truncated = any(any(_apply(L, vec)) for vec in level.values() for L in logs)
 
     # <g | omega(z)> as a series, with the 1/beta! weights
     def pairing_series(g):

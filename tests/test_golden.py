@@ -445,7 +445,7 @@ MONODROMY_GOLDEN = {
     "monodromy coords elliptic0": (0, "fa843b13fa096359aea8b432b23d995b56a8ae00d5d3d8e6706ed3040db3b17c", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "monodromy check elliptic0": (0, "00bfc8a5ec4551780d91de78131120f96aa4ee51b08c62b9f51b11b02d6eb2e0", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "monodromy coords quintic0 --order 0": (1, "97d6d979aac81e492c61421b39a11696ac7c59d86ae949cda41279115a2e7520", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "monodromy coords quintic0 --order 3": (0, "2cc3b32343143cb1ddb330ac92d6e447aa5bef6695cc2248db13ab8182b5cf88", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy coords quintic0 --order 3": (0, "a40822b02b2b527b0fe1117af4499b80d89de38f131ee1bb888b1b2071ab78fc", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "monodromy coords quintic0": (0, "fa843b13fa096359aea8b432b23d995b56a8ae00d5d3d8e6706ed3040db3b17c", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "monodromy check quintic0": (0, "b4f37dee1b693e4bcf0ceb71996ac91c6b9824fe088788247f124d0f3f14af16", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "monodromy coords product0 --order 0": (1, "92adf67b643422abc0c92d4b7a36cbce7e846f64ca1acbc87b72d52fc1ccffcf", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -457,7 +457,7 @@ MONODROMY_GOLDEN = {
     "monodromy coords elliptic1": (0, "fa843b13fa096359aea8b432b23d995b56a8ae00d5d3d8e6706ed3040db3b17c", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "monodromy check elliptic1": (0, "00bfc8a5ec4551780d91de78131120f96aa4ee51b08c62b9f51b11b02d6eb2e0", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "monodromy coords quintic1 --order 0": (1, "97d6d979aac81e492c61421b39a11696ac7c59d86ae949cda41279115a2e7520", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "monodromy coords quintic1 --order 3": (0, "2cc3b32343143cb1ddb330ac92d6e447aa5bef6695cc2248db13ab8182b5cf88", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy coords quintic1 --order 3": (0, "a40822b02b2b527b0fe1117af4499b80d89de38f131ee1bb888b1b2071ab78fc", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "monodromy coords quintic1": (0, "fa843b13fa096359aea8b432b23d995b56a8ae00d5d3d8e6706ed3040db3b17c", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "monodromy check quintic1": (0, "b4f37dee1b693e4bcf0ceb71996ac91c6b9824fe088788247f124d0f3f14af16", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "monodromy coords product1 --order 0": (1, "92adf67b643422abc0c92d4b7a36cbce7e846f64ca1acbc87b72d52fc1ccffcf", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -469,7 +469,7 @@ MONODROMY_GOLDEN = {
     "monodromy coords elliptic2": (0, "fa843b13fa096359aea8b432b23d995b56a8ae00d5d3d8e6706ed3040db3b17c", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "monodromy check elliptic2": (0, "00bfc8a5ec4551780d91de78131120f96aa4ee51b08c62b9f51b11b02d6eb2e0", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "monodromy coords quintic2 --order 0": (1, "97d6d979aac81e492c61421b39a11696ac7c59d86ae949cda41279115a2e7520", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "monodromy coords quintic2 --order 3": (0, "2cc3b32343143cb1ddb330ac92d6e447aa5bef6695cc2248db13ab8182b5cf88", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy coords quintic2 --order 3": (0, "a40822b02b2b527b0fe1117af4499b80d89de38f131ee1bb888b1b2071ab78fc", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "monodromy coords quintic2": (0, "fa843b13fa096359aea8b432b23d995b56a8ae00d5d3d8e6706ed3040db3b17c", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "monodromy check quintic2": (0, "b4f37dee1b693e4bcf0ceb71996ac91c6b9824fe088788247f124d0f3f14af16", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "monodromy coords product2 --order 0": (1, "92adf67b643422abc0c92d4b7a36cbce7e846f64ca1acbc87b72d52fc1ccffcf", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),

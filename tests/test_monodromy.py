@@ -7,6 +7,7 @@ import fixtures
 import oracles
 from semitoric import (
     DegenerateInputError,
+    ExactScalar,
     IntMatrix,
     MonodromySet,
     NotUnipotentError,
@@ -106,6 +107,22 @@ def test_monodromy_set_guards():
     assert not pair.commuting()
 
 
+@pytest.mark.parametrize("entry", [0.1, "1/10", None, 1j])
+def test_monodromy_entries_must_be_exact_rationals(entry):
+    with pytest.raises(DegenerateInputError):
+        unipotent_log([[1, entry], [0, 1]])
+    with pytest.raises(DegenerateInputError):
+        quasi_canonical_coordinates([fixtures.elliptic_operator()], Q2, (entry, 1))
+
+
+def test_monodromy_entries_take_ints_fractions_and_rational_scalars():
+    expected = ((0, Fraction(1, 10)), (0, 0))
+    assert unipotent_log([[1, Fraction(1, 10)], [0, 1]]) == expected
+    assert unipotent_log([[ExactScalar(1), ExactScalar(Fraction(1, 10))], [0, 1]]) == expected
+    with pytest.raises(DegenerateInputError):
+        unipotent_log([[1, ExactScalar(0, 1, 2)], [0, 1]])
+
+
 def test_maximal_unipotency_battery_against_oracle():
     rng = random.Random(29)
     for name, ops, w, expected in fixtures.max_unipotency_battery():
@@ -194,6 +211,17 @@ def test_quasi_canonical_exact_on_chain_fixtures():
     )
     assert qc4.exact and not qc4.degenerate
     assert qc4.constants == (0,) and qc4.linear_parts == ((1,),)
+
+
+def test_quasi_canonical_is_exact_at_the_last_degree_of_omega():
+    """omega(z) stops at degree 1 for the elliptic fixture and at degree 3
+    for the quintic-like one; an order that reaches that degree loses
+    nothing, one below it truncates."""
+    elliptic = quasi_canonical_coordinates([fixtures.elliptic_operator()], Q2, (0, 1), order=1)
+    assert elliptic.exact
+    quintic = [fixtures.quintic_like_operator()]
+    assert quasi_canonical_coordinates(quintic, Q4, (1, 0, 0, 0), order=3).exact
+    assert not quasi_canonical_coordinates(quintic, Q4, (1, 0, 0, 0), order=2).exact
 
 
 def test_quasi_canonical_inverts_a_nonconstant_bottom_pairing():
