@@ -920,10 +920,7 @@ class Cone:
         <n, x> >= 0 for every normal and <e, x> = 0 for every equation."""
         if self._dual is None:
             closed = self._closure
-            if closed is not None:
-                desc = closed.dual_description()
-            else:
-                desc = _dual_description(self.generators, self.rank)
+            desc = closed.dual_description() if closed else _dual_description(self.generators, self.rank)
             object.__setattr__(self, "_dual", desc)
         return self._dual
 

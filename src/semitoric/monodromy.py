@@ -42,15 +42,13 @@ from .series import series, series_inverse, series_multiply
 
 
 def _frac(x) -> Fraction:
-    """An int, Fraction or rational ExactScalar as a Fraction; floats,
-    strings and other types raise DegenerateInputError."""
-    if isinstance(x, ExactScalar):
-        if x.irr:
-            raise DegenerateInputError("irrational entry in monodromy data")
+    """An int, Fraction or rational ExactScalar as a Fraction; anything else
+    (an irrational scalar, a float, a string) raises DegenerateInputError."""
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    if isinstance(x, ExactScalar) and not x.irr:
         return x.a
-    if not isinstance(x, (int, Fraction)):
-        raise DegenerateInputError(f"monodromy data must be exact rationals, got a {type(x).__name__}")
-    return Fraction(x)
+    raise DegenerateInputError(f"monodromy data must be exact rationals, got {x!r}")
 
 
 def _mat(rows) -> tuple:
