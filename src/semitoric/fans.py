@@ -16,10 +16,10 @@ intersecting them.  After trying a separating facet normal or span
 equation, it reads the answer off the facet normals of cone(a, -b): the
 relative interior of ``a`` meets ``b`` exactly when every such normal
 vanishes on the generators of ``a``, and also on those of ``b`` when ``b``
-is open.  For a point sum(l_i a_i) = sum(m_j b_j) with l > 0 (and m > 0)
-is a vanishing combination of the a_i and -b_j positive on them, and a
-generator of a cone has a positive coefficient in a vanishing combination
-exactly when it lies in the lineality space.  One filter,
+is open.  For a common point sum(l_i a_i) = sum(m_j b_j), l > 0 (and
+m > 0), gives a vanishing combination of the a_i and -b_j positive on them,
+and a generator of a cone has a positive coefficient in a vanishing
+combination exactly when it lies in the lineality space.  One filter,
 ``_one_per_orbit``, keeps a single piece per group orbit when pieces are
 collected into members.
 """

@@ -51,8 +51,9 @@ def _meets_by_intersection(a: Cone, b: Cone) -> bool:
 
 
 def _is_line_space(c: Cone) -> bool:
-    """A nonzero linear subspace: its relative interior holds the origin.
-    Decomposition members are never such cones."""
+    """A nonzero linear subspace, whose relative interior holds the origin;
+    the early returns of ``_meets`` take the zero cone for the only such
+    cone, so these are left out."""
     return bool(c.generators) and not c.dual_description()[0]
 
 
@@ -68,15 +69,6 @@ def meet_pairs(draw):
     b_rows = draw(st.lists(vector, max_size=4))
     shared = draw(st.lists(st.sampled_from(b_rows), max_size=len(b_rows), unique=True)) if b_rows else []
     return rank, shared + draw(st.lists(vector, max_size=2)), b_rows
-
-
-def _check_meets(rank, a_rows, b_rows, b_open):
-    a = _cone(rank, a_rows).relative_interior()
-    b = _cone(rank, b_rows)
-    if b_open:
-        b = b.relative_interior()
-    assume(not _is_line_space(a) and not _is_line_space(b))
-    assert _meets(a, b) == _meets_by_intersection(a, b)
 
 
 @CONES
@@ -96,7 +88,13 @@ def _check_meets(rank, a_rows, b_rows, b_open):
           [(-2, 0, 2, 1), (-1, 1, -1, 2), (2, 1, -2, 1)]), False)
 @example((4, [(1, -2, 2, 1), (1, 2, 0, -1)], [(-1, 0, 2, -1), (0, 0, 1, 0), (2, 1, 0, 0)]), True)
 def test_meets_agrees_with_the_intersection(pair, b_open):
-    _check_meets(*pair, b_open)
+    rank, a_rows, b_rows = pair
+    a = _cone(rank, a_rows).relative_interior()
+    b = _cone(rank, b_rows)
+    if b_open:
+        b = b.relative_interior()
+    assume(not _is_line_space(a) and not _is_line_space(b))
+    assert _meets(a, b) == _meets_by_intersection(a, b)
 
 
 def _quadratic_rows(rng, rank, D, count):
