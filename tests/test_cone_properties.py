@@ -50,11 +50,16 @@ def _meets_by_intersection(a: Cone, b: Cone) -> bool:
     return a.contains(s, relint=True) and b.contains(s)
 
 
-def _is_line_space(c: Cone) -> bool:
-    """A nonzero linear subspace, whose relative interior holds the origin;
-    the early returns of ``_meets`` take the zero cone for the only such
-    cone, so these are left out."""
-    return bool(c.generators) and not c.dual_description()[0]
+def _origin_only_pair(a: Cone, b: Cone) -> bool:
+    """Whether one side is the zero cone and the other a nonzero linear
+    subspace, whose relative interior holds the origin.  The early returns
+    of ``_meets`` take the zero cone for the only such cone, so these pairs
+    are left out; every other pair with a line or the whole space is
+    checked."""
+    def line_space(c):
+        return bool(c.generators) and not c.dual_description()[0]
+
+    return (not a.generators and line_space(b)) or (not b.generators and line_space(a))
 
 
 @st.composite
@@ -79,6 +84,10 @@ def meet_pairs(draw):
 @example((4, [], [(1, 0, 0, 0), (0, 1, 0, 0)]), True)
 @example((4, [(1, 0, 0, 0)], []), False)
 @example((4, [], []), True)
+# a line or the whole plane against a nonzero cone
+@example((2, [(1, 0)], [(1, 0), (-1, 0), (0, 1), (0, -1)]), False)
+@example((2, [(1, 0), (-1, 0)], [(0, 1)]), False)
+@example((2, [(1, 0), (-1, 0)], [(0, 1)]), True)
 @example((4, [(0, 1, 0, 0), (0, 0, 1, 0)], [(0, 1, 1, 0), (0, 0, 1, 1)]), True)
 @example((4, [(0, 1, 1, 0)], [(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]), True)
 # disjoint pairs that no facet normal or span equation of a or b separates
@@ -93,7 +102,7 @@ def test_meets_agrees_with_the_intersection(pair, b_open):
     b = _cone(rank, b_rows)
     if b_open:
         b = b.relative_interior()
-    assume(not _is_line_space(a) and not _is_line_space(b))
+    assume(not _origin_only_pair(a, b))
     assert _meets(a, b) == _meets_by_intersection(a, b)
 
 
@@ -118,7 +127,7 @@ def test_meets_agrees_with_the_intersection_over_quadratic_fields(D):
         a_rows = rng.sample(b_rows, rng.randint(0, len(b_rows))) + _quadratic_rows(rng, rank, D, rng.randint(0, 2))
         a = _cone(rank, a_rows).relative_interior()
         for b in (_cone(rank, b_rows), _cone(rank, b_rows).relative_interior()):
-            if _is_line_space(a) or _is_line_space(b):
+            if _origin_only_pair(a, b):
                 continue
             answers.append(_meets(a, b))
             assert answers[-1] == _meets_by_intersection(a, b), (a, b)
