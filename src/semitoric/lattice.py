@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from operator import add, mul
 
@@ -471,6 +472,7 @@ class IntMatrix:
         raise AttributeError("IntMatrix is immutable")
 
     @staticmethod
+    @cache
     def identity(n: int) -> "IntMatrix":
         return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
@@ -917,20 +919,12 @@ class Cone:
 
     def dual_description(self):
         """(facet normals, span equations): the closure is the set of x with
-        <n, x> >= 0 for every normal and <e, x> = 0 for every equation."""
-        if self._dual is None:
-            closed = self._closure
-            desc = closed.dual_description() if closed else _dual_description(self.generators, self.rank)
-            object.__setattr__(self, "_dual", desc)
-        return self._dual
-
-    def _counterpart(self, relint: bool) -> "Cone":
-        """The same generators read closed or open, with the dual
-        description and dimension already computed here."""
-        twin = Cone(self.rank, self.generators, relint=relint, _reduce=False)
-        object.__setattr__(twin, "_dual", self._dual)
-        object.__setattr__(twin, "_dim", self._dim)
-        return twin
+        <n, x> >= 0 for every normal and <e, x> = 0 for every equation;
+        computed once and kept with the closure."""
+        closed = self.closure()
+        if closed._dual is None:
+            object.__setattr__(closed, "_dual", _dual_description(self.generators, self.rank))
+        return closed._dual
 
     def closure(self) -> "Cone":
         """The closed cone; built once per relative interior, so what is
@@ -938,14 +932,13 @@ class Cone:
         if not self.relint:
             return self
         if self._closure is None:
-            object.__setattr__(self, "_closure", self._counterpart(False))
+            object.__setattr__(self, "_closure", Cone(self.rank, self.generators, _reduce=False))
         return self._closure
 
     def relative_interior(self) -> "Cone":
-        """The open cone; its dual description is that of this cone."""
         if self.relint:
             return self
-        inner = self._counterpart(True)
+        inner = Cone(self.rank, self.generators, relint=True, _reduce=False)
         object.__setattr__(inner, "_closure", self)
         return inner
 
