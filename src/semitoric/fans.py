@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 from .errors import DegenerateInputError, GroupMismatchError, RequiresRationalConeError
 from .lattice import (
-    MAX_CONE_RANK,
     Cone,
     IntMatrix,
     Vector,
@@ -156,13 +155,11 @@ class Decomposition:
         return hits
 
 
-_IDENTITY_ROWS = {n: IntMatrix.identity(n).rows for n in range(MAX_CONE_RANK + 1)}
-
-
 def _act_linear(t: IntMatrix, cone: Cone) -> Cone:
-    """The image of ``cone`` under ``t``.  A unimodular map keeps extremal
-    primitive generators extremal and primitive, so they are not reduced."""
-    if t.rows == _IDENTITY_ROWS[cone.rank]:
+    """The image of ``cone`` under the unimodular ``t`` (a GroupElement's
+    linear part or a product of them).  Such a map keeps extremal primitive
+    generators extremal and primitive, so they are not reduced."""
+    if t.rows == IntMatrix.identity(cone.rank).rows:
         return cone
     return Cone(cone.rank, [t.apply(g) for g in cone.generators], relint=cone.relint, _reduce=False)
 
@@ -635,14 +632,15 @@ def admissibility_check(rank: int, pi: Cone, certificate, probe: Cone) -> Report
     full-dimensional cell is then tested exactly.  The one condition,
     "probe-cover", holds on the probe or fails with an uncovered point as
     its witness.  This is a checker for the supplied certificate, not a
-    search.
+    search.  Each certificate entry is a GroupElement or an IntMatrix, which
+    must be unimodular as a GroupElement's linear part is.
     """
     if not probe.is_rational:
         raise RequiresRationalConeError("probe must be rational polyhedral")
     pieces = []
     for g in certificate:
-        linear = g.linear if isinstance(g, GroupElement) else g
-        inter = cone_intersection(_act_linear(linear, pi), probe)
+        g = g if isinstance(g, GroupElement) else GroupElement(g)
+        inter = cone_intersection(g.act(pi), probe)
         if inter.dim() == probe.dim():
             pieces.append(inter)
     hyperplanes = []

@@ -333,6 +333,8 @@ def test_admissibility_certificate_and_witness():
     assert not short.passed
     assert probe.contains(short.witness)
     assert not sector.contains(short.witness)
+    with pytest.raises(DegenerateInputError, match="unimodular"):
+        admissibility_check(2, sector, [IntMatrix([[2, 0], [0, 1]])], probe)
 
 
 def _words_ball(gens, rank, depth):
