@@ -21,7 +21,6 @@ from math import factorial, gcd, lcm, prod
 
 from .errors import DegenerateInputError, NotUnipotentError
 from .lattice import (
-    ExactScalar,
     IntMatrix,
     Vector,
     _denominator,
@@ -46,8 +45,8 @@ def _frac(x) -> Fraction:
     (an irrational scalar, a float, a string) raises DegenerateInputError."""
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
-    if isinstance(x, ExactScalar) and not x.irr:
-        return x.a
+    if hasattr(x, "as_fraction"):
+        return x.as_fraction()
     raise DegenerateInputError(f"monodromy data must be exact rationals, got {x!r}")
 
 
