@@ -932,7 +932,8 @@ class Cone:
         if not self.relint:
             return self
         if self._closure is None:
-            object.__setattr__(self, "_closure", Cone(self.rank, self.generators, _reduce=False))
+            closed = Cone(self.rank, self.generators, relint=False, _reduce=False)
+            object.__setattr__(self, "_closure", closed)
         return self._closure
 
     def relative_interior(self) -> "Cone":
