@@ -457,9 +457,10 @@ def test_negative_draws_and_order_exit_two(tmp_path, capsys):
     )
     assert cli.main(["monodromy", "check", mono, "--draws", "-3"]) == 2
     assert "draws must be nonnegative" in capsys.readouterr().err
-    assert cli.main(["monodromy", "coords", mono, "--order", "-1"]) == 2
-    captured = capsys.readouterr()
-    assert "order must be nonnegative" in captured.err and captured.out == ""
+    for order in ("-1", "0"):
+        assert cli.main(["monodromy", "coords", mono, "--order", order]) == 2
+        captured = capsys.readouterr()
+        assert "order must be at least 1" in captured.err and captured.out == ""
     assert cli.main(["monodromy", "check", mono, "--draws", "0"]) == 0
     assert _json_out(capsys)["draws"] == 1
 

@@ -1,15 +1,26 @@
-"""Exact arithmetic throughout: no module of ``semitoric`` except ``figures``,
+"""AST scans of the ``semitoric`` source.
+
+Exact arithmetic throughout: no module of ``semitoric`` except ``figures``,
 which writes SVG coordinates, holds a float literal, calls ``float`` or
-uses the floating-point functions and constants of ``math``."""
+uses the floating-point functions and constants of ``math``.
+
+Nothing public without a use: every public function, class and method is
+referenced by other library code, by an acceptance criterion or in a
+backtick span of README.md.  Names are matched by their last component, as
+a bare name or an attribute, so a method counts as used when any attribute
+of that name is read."""
 
 import ast
 import pathlib
+import re
+from collections import Counter
 
 import pytest
 
 import semitoric
 
 SOURCE = pathlib.Path(semitoric.__file__).parent
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 FLOAT_MATH = {"sqrt", "log", "exp", "pi", "e", "fsum", "isclose"}
 
 
@@ -53,3 +64,59 @@ def test_float_uses_finds_each_kind():
 )
 def test_module_uses_no_floating_point(name):
     assert float_uses(ast.parse((SOURCE / name).read_text())) == []
+
+
+def references(tree) -> Counter:
+    """How often each name is read, as a bare name or as an attribute."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+    return found
+
+
+def public_definitions(tree):
+    """(qualified name, node) for each public top-level function or class
+    and each public method of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
+def unused(modules: dict, named: set) -> list:
+    """The public definitions of ``modules`` (module name -> tree) that no
+    code outside their own body reads and that ``named`` leaves out."""
+    everywhere = sum((references(tree) for tree in modules.values()), Counter())
+    return sorted(
+        f"{module}.{qualified}"
+        for module, tree in modules.items()
+        for qualified, node in public_definitions(tree)
+        if node.name not in named and everywhere[node.name] == references(node)[node.name]
+    )
+
+
+def test_unused_finds_functions_classes_and_methods():
+    tree = ast.parse(
+        "def used(): return 1\n"
+        "def recursive(n): return recursive(n - 1)\n"
+        "class Kept:\n"
+        "    def called(self): return used()\n"
+        "    def caller(self): return self.called()\n"
+        "    def _private(self): pass\n"
+    )
+    assert unused({"m": tree}, set()) == ["m.Kept", "m.Kept.caller", "m.recursive"]
+    assert unused({"m": tree}, {"Kept", "caller", "recursive"}) == []
+
+
+def test_every_public_name_has_a_use():
+    modules = {p.stem: ast.parse(p.read_text()) for p in sorted(SOURCE.glob("*.py"))}
+    criteria = references(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))
+    readme = (ROOT / "README.md").read_text()
+    documented = {w for span in re.findall(r"`([^`]*)`", readme) for w in re.findall(r"\w+", span)}
+    assert unused(modules, set(criteria) | documented) == []
