@@ -13,10 +13,8 @@ from .connection import (
     NondescentWitness,
     Reconstruction,
     atlas_from_fan,
-    chart_transition,
     compatibility_check,
     disc_translation_pullback,
-    flat_frame_transform,
     laurent_nabla,
     local_lattice,
     nondescent_witness,
@@ -49,7 +47,6 @@ from .fans import (
     GroupElement,
     Stratum,
     Support,
-    admissibility_check,
     boundary_chart,
     common_refinement,
     decompositions_match,
@@ -67,7 +64,6 @@ from .lattice import (
     complete_to_basis,
     cone_from_inequalities,
     cone_intersection,
-    elementary_divisors,
     faces,
     hermite_normal_form,
     integer_kernel,
@@ -91,12 +87,10 @@ from .quadfield import (
     CuspData,
     QuadIdeal,
     cusp_cone,
-    cusp_cone_normals,
     fundamental_totally_positive_unit,
     fundamental_unit,
     ring_basis,
     sqrtD,
-    tube_coordinates,
 )
 from .report import Condition, Report
 from .series import (
@@ -106,11 +100,8 @@ from .series import (
     reframe,
     reframing_preserves_effectivity,
     series,
-    series_add,
     series_inverse,
     series_multiply,
-    series_truncate,
-    standard_framing,
 )
 
 __version__ = "0.1.0"

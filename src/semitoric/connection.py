@@ -28,7 +28,6 @@ from .lattice import (
     _denominator,
     _int_rank,
     _inverse,
-    _mat_mul,
     _times,
     hermite_normal_form,
     is_strongly_convex,
@@ -257,9 +256,6 @@ class Reconstruction:
     decomposition: Decomposition
     group: tuple
 
-    def lattice_basis(self) -> list:
-        return _basis_rows(self.lattice)
-
 
 def reconstruct(atlas: BoundaryAtlas) -> Reconstruction:
     """Lattice, support and cone decomposition determined by a compatible
@@ -270,31 +266,6 @@ def reconstruct(atlas: BoundaryAtlas) -> Reconstruction:
         raise DegenerateInputError(f"atlas is not compatible: {', '.join(failed)}")
     dec = _face_decomposition(atlas)
     return Reconstruction(report.data["lattice"], dec.support, dec, atlas.group)
-
-
-def flat_frame_transform(g) -> IntMatrix:
-    """Action of a group element on flat frames: the transpose of its linear
-    part.  Frames compose contravariantly:
-    flat_frame_transform(g * h) == flat_frame_transform(h) * flat_frame_transform(g).
-    """
-    linear = g.linear if isinstance(g, GroupElement) else g
-    return linear.transpose()
-
-
-def chart_transition(atlas: BoundaryAtlas, label_p: str, label_q: str) -> IntMatrix:
-    """Monomial exponent matrix C rewriting the chart at q in the chart at
-    p: coordinate i at q equals the product of chart-p coordinates raised to
-    the entries of row i."""
-    p = atlas.point(label_p)
-    q = atlas.point(label_q)
-    if any(len(x.cone.generators) != x.cone.rank for x in (p, q)):
-        raise DegenerateInputError("chart transitions need simplicial chart cones")
-    Wp = [g.as_integers() for g in p.cone.generators]
-    Wq = [g.as_integers() for g in q.cone.generators]
-    prod = _mat_mul(Wp, _inverse(Wq))
-    if any(x.denominator != 1 for row in prod for x in row):
-        raise DegenerateInputError("charts are not monomially related over the integers")
-    return IntMatrix(prod).transpose()
 
 
 # -- the model computation showing why compatibility is needed -----------------

@@ -193,9 +193,6 @@ class CycleResolution:
     def self_intersection_numbers(self) -> tuple:
         return tuple(-x for x in self.b)
 
-    def euler_contribution(self) -> int:
-        return len(self.b)
-
 
 def _lex_min_rotation(cycle: tuple):
     rotations = [(cycle[i:] + cycle[:i], i) for i in range(len(cycle))]

@@ -38,7 +38,6 @@ from .lattice import (
     _vector_rank,
     as_vector,
     complete_to_basis,
-    cone_from_inequalities,
     cone_intersection,
     is_unimodular_part_of_basis,
 )
@@ -57,9 +56,6 @@ class GroupElement:
         if not self.linear.is_unimodular():
             raise DegenerateInputError("group element linear part must be unimodular")
         object.__setattr__(self, "translation", tuple(int(t) for t in self.translation))
-
-    def act(self, cone: Cone) -> Cone:
-        return _act_linear(self.linear, cone)
 
     def inverse_linear(self) -> IntMatrix:
         return self.linear.inverse_unimodular()
@@ -148,12 +144,6 @@ class Decomposition:
         ball = self.linear_ball(depth)
         return list(dict.fromkeys(_act_linear(t, m) for t in ball for m in self.members))
 
-    def member_containing(self, point, depth: int = 2):
-        """The translated member whose relative interior holds the point."""
-        point = as_vector(point, self.rank)
-        hits = [c for c in self.translated_members(depth) if c.contains(point)]
-        return hits
-
 
 def _act_linear(t: IntMatrix, cone: Cone) -> Cone:
     """The image of ``cone`` under the unimodular ``t`` (a GroupElement's
@@ -198,10 +188,6 @@ def _meets(a: Cone, b: Cone) -> bool:
     zeros of the facet normals of C; summing such combinations gives one
     positive on all of them.
     """
-    if not a.generators:
-        return not (b.relint and b.generators)
-    if not b.generators:
-        return False
     if _separated(a, b) or (b.relint and _separated(b, a)):
         return False
     normals, _ = _dual_description(a.generators + tuple(-g for g in b.generators), a.rank)
@@ -550,9 +536,6 @@ class Chart:
     rank: int
     coordinate_names: tuple
 
-    def disc_coordinates(self) -> tuple:
-        return self.coordinate_names[: self.k]
-
     def torus_coordinates(self) -> tuple:
         return self.coordinate_names[self.k :]
 
@@ -620,55 +603,6 @@ def common_refinement(P1: Decomposition, P2: Decomposition) -> Decomposition:
     ]
     members = _one_per_orbit(pieces, P1.linear_ball(2))
     return Decomposition(P1.rank, tuple(members), P1.group, P1.support)
-
-
-# -- admissibility ---------------------------------------------------------------
-
-
-def admissibility_check(rank: int, pi: Cone, certificate, probe: Cone) -> Report:
-    """Verify that the translates g . pi over the certificate cover the probe.
-
-    The probe is split along every facet hyperplane of every translate; each
-    full-dimensional cell is then tested exactly.  The one condition,
-    "probe-cover", holds on the probe or fails with an uncovered point as
-    its witness.  This is a checker for the supplied certificate, not a
-    search.  Each certificate entry is a GroupElement or an IntMatrix, which
-    must be unimodular as a GroupElement's linear part is.
-    """
-    if not probe.is_rational:
-        raise RequiresRationalConeError("probe must be rational polyhedral")
-    pieces = []
-    for g in certificate:
-        g = g if isinstance(g, GroupElement) else GroupElement(g)
-        inter = cone_intersection(g.act(pi), probe)
-        if inter.dim() == probe.dim():
-            pieces.append(inter)
-    hyperplanes = []
-    seen = set()
-    for piece in pieces:
-        normals, _ = piece.dual_description()
-        for n in normals:
-            key = min(n.key(), (-n).key())
-            if key not in seen:
-                seen.add(key)
-                hyperplanes.append(n)
-    base_normals, base_eqs = probe.dual_description()
-    target_dim = probe.dim()
-    work = [(0, list(base_normals))]
-    while work:
-        level, ineqs = work.pop()
-        cell = cone_from_inequalities(ineqs, base_eqs, rank)
-        if cell.dim() < target_dim:
-            continue
-        if level == len(hyperplanes):
-            sample = cell.interior_sample()
-            if not any(p.contains(sample) for p in pieces):
-                return Report([Condition("probe-cover", False, "", [sample])])
-            continue
-        n = hyperplanes[level]
-        work.append((level + 1, ineqs + [n]))
-        work.append((level + 1, ineqs + [-n]))
-    return Report([Condition("probe-cover", True)])
 
 
 # -- comparison helper ------------------------------------------------------------

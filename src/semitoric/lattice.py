@@ -269,9 +269,6 @@ class ExactScalar:
     def floor(self) -> int:
         return _floor_quotient(self.num, self.irr, self.den, 0, self.D or 0)
 
-    def ceil(self) -> int:
-        return -((-self).floor())
-
     def __repr__(self):
         a, b = self.a, self.b
         if b == 0:
@@ -821,15 +818,6 @@ def smith_normal_form(M: IntMatrix):
                 u[t] = [-x for x in u[t]]
             t += 1
     return IntMatrix(a), IntMatrix(u), IntMatrix(v)
-
-
-def elementary_divisors(M: IntMatrix) -> list:
-    d, _, _ = smith_normal_form(M)
-    out = []
-    for i in range(min(d.nrows, d.ncols)):
-        if d[i][i] != 0:
-            out.append(d[i][i])
-    return out
 
 
 def integer_kernel(M: IntMatrix) -> list:

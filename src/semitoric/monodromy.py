@@ -537,10 +537,11 @@ def quasi_canonical_coordinates(
     The caller supplies the pairing matrix Q; the adapted basis defaults to
     the integral normalization.  f_j is the pairing with
     h_j = sum_k (m^-1)_kj g_k divided by the pairing with g0, as series
-    complete up to ``order``.
+    complete up to ``order``.  The order is at least 1: below that no
+    linear term survives, so every input would read as degenerate.
     """
-    if order < 0:
-        raise DegenerateInputError(f"the series order must be nonnegative, got {order}")
+    if order < 1:
+        raise DegenerateInputError(f"the series order must be at least 1, got {order}")
     mset = operators if isinstance(operators, MonodromySet) else MonodromySet(tuple(operators))
     logs = mset.logs()
     r = mset.r

@@ -1,4 +1,4 @@
-"""Real quadratic fields: units, ideal bases, tube coordinates, cusp cones.
+"""Real quadratic fields: units, ideal bases, cusp cones.
 
 Elements of Q(sqrt(D)) are ExactScalar values, whose integer form
 (num + irr*sqrt(D)) / den gives units, ring bases and module coordinates
@@ -131,20 +131,6 @@ class QuadIdeal:
         return QuadIdeal(one, w, D)
 
 
-def tube_coordinates(ideal: QuadIdeal):
-    """Matrix of the coordinate change sending the embedding pair
-    (x, x') of a module element to its integer coordinates in (alpha, beta):
-    (w1, w2) |-> (beta'*w1 - beta*w2, -alpha'*w1 + alpha*w2) / (alpha*beta' - alpha'*beta).
-    Returned as a 2x2 array of ExactScalar."""
-    t = ideal.twist()
-    ti = t.inverse()
-    a, b = ideal.alpha, ideal.beta
-    return (
-        (b.conjugate() * ti, -b * ti),
-        (-a.conjugate() * ti, a * ti),
-    )
-
-
 def cusp_cone(ideal: QuadIdeal) -> Cone:
     """Open cone C = {(y1, y2) : alpha y1 + beta y2 > 0, alpha' y1 + beta' y2 > 0}
     in the tube coordinate plane, returned as a relative interior."""
@@ -162,14 +148,6 @@ def cusp_cone(ideal: QuadIdeal) -> Cone:
     if cone.dim() != 2:
         raise DegenerateInputError("cusp cone is degenerate")
     return cone
-
-
-def cusp_cone_normals(ideal: QuadIdeal) -> tuple:
-    a, b = ideal.alpha, ideal.beta
-    return (
-        Vector([a, b]),
-        Vector([a.conjugate(), b.conjugate()]),
-    )
 
 
 @dataclass(frozen=True)

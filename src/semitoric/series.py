@@ -6,15 +6,15 @@ unimodular matrix keeps every transformed term, so round trips are exact on
 terms; the metadata records how far the transformed series is still
 guaranteed complete.
 
-The public constructor checks every term.  ``reframe``, ``series_truncate``,
-``series_add``, ``series_multiply`` and ``series_inverse`` build their
-results with the unchecked ``FormalSeries._of`` instead, because their terms
-hold by construction: a unimodular map is a bijection of Z^n, so reframed
-exponents stay distinct; coefficients are carried over unchanged or, in
-sums, products and inverses, kept only when nonzero; the inverse collects
-each exponent in the one layer of its degree, so its exponents are distinct
-too; and each result's truncation bounds the l1 norm of its exponents and
-its complete order, which is nonnegative.
+The public constructor checks every term.  ``reframe``, ``series_multiply``
+and ``series_inverse`` build their results with the unchecked
+``FormalSeries._of`` instead, because their terms hold by construction: a
+unimodular map is a bijection of Z^n, so reframed exponents stay distinct;
+coefficients are carried over unchanged or, in products and inverses, kept
+only when nonzero; the inverse collects each exponent in the one layer of
+its degree, so its exponents are distinct too; and each result's
+truncation bounds the l1 norm of its exponents and its complete order,
+which is nonnegative.
 """
 
 from __future__ import annotations
@@ -58,10 +58,6 @@ class Framing:
     def coordinates(self, expo) -> tuple:
         """Integer coordinates of an exponent in this framing."""
         return self._coordinate_map.apply_int(expo)
-
-
-def standard_framing(rank: int) -> Framing:
-    return Framing(IntMatrix.identity(rank))
 
 
 def _l1(expo) -> int:
@@ -127,9 +123,6 @@ class FormalSeries:
 
     def as_dict(self) -> dict:
         return dict(self.terms)
-
-    def support_exponents(self) -> tuple:
-        return tuple(e for e, _ in self.terms)
 
 
 def series(rank: int, terms, truncation: int, complete_order: int | None = None) -> FormalSeries:
@@ -201,19 +194,6 @@ def reframing_preserves_effectivity(M: IntMatrix, framing: Framing | None = None
 # -- arithmetic ------------------------------------------------------------------
 
 
-def series_add(a: FormalSeries, b: FormalSeries) -> FormalSeries:
-    if a.rank != b.rank:
-        raise DegenerateInputError("series ranks differ")
-    t = min(a.truncation, b.truncation)
-    c = min(a.complete_order, b.complete_order)
-    out = {}
-    for expo, coeff in list(a.terms) + list(b.terms):
-        if _l1(expo) > t:
-            continue
-        out[expo] = out.get(expo, Fraction(0)) + coeff
-    return FormalSeries._of(a.rank, [(e, v) for e, v in out.items() if v], t, c)
-
-
 def series_multiply(
     a: FormalSeries, b: FormalSeries, framing: Framing | None = None
 ) -> FormalSeries:
@@ -268,10 +248,3 @@ def series_inverse(s: FormalSeries) -> FormalSeries:
                     acc[expo] = acc.get(expo, Fraction(0)) + ca * cb
         layers.append({e: -v / c0 for e, v in acc.items() if v})
     return FormalSeries._of(s.rank, [t for layer in layers for t in layer.items()], c, c)
-
-
-def series_truncate(s: FormalSeries, order: int) -> FormalSeries:
-    if order < 0:
-        raise DegenerateInputError("truncation order must be nonnegative")
-    terms = [(e, c) for e, c in s.terms if _l1(e) <= order]
-    return FormalSeries._of(s.rank, terms, min(order, s.truncation), min(order, s.complete_order))

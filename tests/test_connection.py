@@ -19,10 +19,8 @@ from semitoric import (
     Vector,
     atlas_from_fan,
     build_fan,
-    chart_transition,
     compatibility_check,
     disc_translation_pullback,
-    flat_frame_transform,
     decompositions_match,
     laurent_nabla,
     local_lattice,
@@ -94,8 +92,6 @@ def test_random_fan_atlas_compatible_and_reconstructs():
     assert decompositions_match(rec.decomposition, fan)
     assert rec.support.same_as(fan.support)
     assert rec.lattice == STANDARD_LATTICE_2
-    basis = rec.lattice_basis()
-    assert basis == [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
 
 
 def test_cusp_reconstruction_round_trip():
@@ -161,22 +157,6 @@ def test_incomplete_cover_flag_fails_first_condition():
     assert not cond.passed and "incomplete" in cond.details
 
 
-def test_chart_transitions_are_integer_monomial_maps():
-    rng = random.Random(7)
-    atlas = atlas_from_fan(fixtures.stern_brocot_fan(rng, 5))
-    labels = [p.label for p in atlas.points]
-    a, b, c = labels[:3]
-    Tab = chart_transition(atlas, a, b)
-    Tbc = chart_transition(atlas, b, c)
-    Tac = chart_transition(atlas, a, c)
-    assert (Tbc * Tab).rows == Tac.rows
-    assert chart_transition(atlas, a, a).rows == IntMatrix.identity(2).rows
-    assert abs(Tab.det()) == 1
-    assert (
-        chart_transition(atlas, b, a).rows == Tab.inverse_unimodular().rows
-    )
-
-
 def test_atlas_from_lower_dimensional_support_is_rejected():
     for ray in ((1, 0), (0, 1)):
         cone = Cone(2, [Vector(ray)])
@@ -184,29 +164,6 @@ def test_atlas_from_lower_dimensional_support_is_rejected():
         P = Decomposition(2, (zero_cone(2), cone), (), support)
         with pytest.raises(DegenerateInputError, match="full-dimensional"):
             atlas_from_fan(P)
-
-
-def test_chart_transition_rejects_non_simplicial_charts():
-    identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    simplicial = Cone(3, [Vector(v) for v in identity])
-    square = Cone(3, [Vector(v) for v in ((1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1))])
-    assert len(square.generators) == 4
-    points = (MaxDepthPoint("a", simplicial, identity), MaxDepthPoint("b", square, identity))
-    atlas = BoundaryAtlas(3, points, ())
-    for p, q in (("a", "b"), ("b", "a"), ("b", "b")):
-        with pytest.raises(DegenerateInputError, match="simplicial"):
-            chart_transition(atlas, p, q)
-    assert chart_transition(atlas, "a", "a").rows == identity
-
-
-def test_flat_frame_transform_reverses_composition():
-    g = GroupElement(IntMatrix(((1, 1), (0, 1))))
-    h = GroupElement(IntMatrix(((2, 1), (1, 1))))
-    gh = g.linear * h.linear
-    left = flat_frame_transform(gh)
-    right = flat_frame_transform(h) * flat_frame_transform(g)
-    assert left.rows == right.rows
-    assert flat_frame_transform(g).rows == g.linear.transpose().rows
 
 
 def test_nabla_calculus_rules():

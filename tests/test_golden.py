@@ -440,51 +440,51 @@ def _monodromy_calls() -> list:
 
 
 MONODROMY_GOLDEN = {
-    "monodromy coords elliptic0 --order 0": (1, "97d6d979aac81e492c61421b39a11696ac7c59d86ae949cda41279115a2e7520", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy coords elliptic0 --order 0": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "6fe96faff3553ab7a85936808660f1b5138948eb6bfcb2039b6494fa4e16bf0f"),
     "monodromy coords elliptic0 --order 3": (0, "a40822b02b2b527b0fe1117af4499b80d89de38f131ee1bb888b1b2071ab78fc", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "monodromy coords elliptic0": (0, "fa843b13fa096359aea8b432b23d995b56a8ae00d5d3d8e6706ed3040db3b17c", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "monodromy check elliptic0": (0, "00bfc8a5ec4551780d91de78131120f96aa4ee51b08c62b9f51b11b02d6eb2e0", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "monodromy coords quintic0 --order 0": (1, "97d6d979aac81e492c61421b39a11696ac7c59d86ae949cda41279115a2e7520", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy coords quintic0 --order 0": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "6fe96faff3553ab7a85936808660f1b5138948eb6bfcb2039b6494fa4e16bf0f"),
     "monodromy coords quintic0 --order 3": (0, "a40822b02b2b527b0fe1117af4499b80d89de38f131ee1bb888b1b2071ab78fc", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "monodromy coords quintic0": (0, "fa843b13fa096359aea8b432b23d995b56a8ae00d5d3d8e6706ed3040db3b17c", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "monodromy check quintic0": (0, "b4f37dee1b693e4bcf0ceb71996ac91c6b9824fe088788247f124d0f3f14af16", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "monodromy coords product0 --order 0": (1, "92adf67b643422abc0c92d4b7a36cbce7e846f64ca1acbc87b72d52fc1ccffcf", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy coords product0 --order 0": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "6fe96faff3553ab7a85936808660f1b5138948eb6bfcb2039b6494fa4e16bf0f"),
     "monodromy coords product0 --order 3": (0, "00cf99e69623fdc96bc248fdf05a5fc08c94b31655803a79d673fe25e6356b4f", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "monodromy coords product0": (0, "9a14cffbe59506348a450f1e442278e3712c45e51bd7b1d88073699f68de871d", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "monodromy check product0": (0, "bed5a41e2457ed8fde96749be90599c350fd4738acfb7a9266e55f7d86ec0a1b", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "monodromy coords elliptic1 --order 0": (1, "97d6d979aac81e492c61421b39a11696ac7c59d86ae949cda41279115a2e7520", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy coords elliptic1 --order 0": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "6fe96faff3553ab7a85936808660f1b5138948eb6bfcb2039b6494fa4e16bf0f"),
     "monodromy coords elliptic1 --order 3": (0, "a40822b02b2b527b0fe1117af4499b80d89de38f131ee1bb888b1b2071ab78fc", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "monodromy coords elliptic1": (0, "fa843b13fa096359aea8b432b23d995b56a8ae00d5d3d8e6706ed3040db3b17c", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "monodromy check elliptic1": (0, "00bfc8a5ec4551780d91de78131120f96aa4ee51b08c62b9f51b11b02d6eb2e0", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "monodromy coords quintic1 --order 0": (1, "97d6d979aac81e492c61421b39a11696ac7c59d86ae949cda41279115a2e7520", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy coords quintic1 --order 0": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "6fe96faff3553ab7a85936808660f1b5138948eb6bfcb2039b6494fa4e16bf0f"),
     "monodromy coords quintic1 --order 3": (0, "a40822b02b2b527b0fe1117af4499b80d89de38f131ee1bb888b1b2071ab78fc", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "monodromy coords quintic1": (0, "fa843b13fa096359aea8b432b23d995b56a8ae00d5d3d8e6706ed3040db3b17c", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "monodromy check quintic1": (0, "b4f37dee1b693e4bcf0ceb71996ac91c6b9824fe088788247f124d0f3f14af16", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "monodromy coords product1 --order 0": (1, "92adf67b643422abc0c92d4b7a36cbce7e846f64ca1acbc87b72d52fc1ccffcf", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy coords product1 --order 0": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "6fe96faff3553ab7a85936808660f1b5138948eb6bfcb2039b6494fa4e16bf0f"),
     "monodromy coords product1 --order 3": (0, "00cf99e69623fdc96bc248fdf05a5fc08c94b31655803a79d673fe25e6356b4f", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "monodromy coords product1": (0, "9a14cffbe59506348a450f1e442278e3712c45e51bd7b1d88073699f68de871d", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "monodromy check product1": (0, "bed5a41e2457ed8fde96749be90599c350fd4738acfb7a9266e55f7d86ec0a1b", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "monodromy coords elliptic2 --order 0": (1, "97d6d979aac81e492c61421b39a11696ac7c59d86ae949cda41279115a2e7520", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy coords elliptic2 --order 0": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "6fe96faff3553ab7a85936808660f1b5138948eb6bfcb2039b6494fa4e16bf0f"),
     "monodromy coords elliptic2 --order 3": (0, "a40822b02b2b527b0fe1117af4499b80d89de38f131ee1bb888b1b2071ab78fc", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "monodromy coords elliptic2": (0, "fa843b13fa096359aea8b432b23d995b56a8ae00d5d3d8e6706ed3040db3b17c", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "monodromy check elliptic2": (0, "00bfc8a5ec4551780d91de78131120f96aa4ee51b08c62b9f51b11b02d6eb2e0", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "monodromy coords quintic2 --order 0": (1, "97d6d979aac81e492c61421b39a11696ac7c59d86ae949cda41279115a2e7520", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy coords quintic2 --order 0": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "6fe96faff3553ab7a85936808660f1b5138948eb6bfcb2039b6494fa4e16bf0f"),
     "monodromy coords quintic2 --order 3": (0, "a40822b02b2b527b0fe1117af4499b80d89de38f131ee1bb888b1b2071ab78fc", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "monodromy coords quintic2": (0, "fa843b13fa096359aea8b432b23d995b56a8ae00d5d3d8e6706ed3040db3b17c", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "monodromy check quintic2": (0, "b4f37dee1b693e4bcf0ceb71996ac91c6b9824fe088788247f124d0f3f14af16", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "monodromy coords product2 --order 0": (1, "92adf67b643422abc0c92d4b7a36cbce7e846f64ca1acbc87b72d52fc1ccffcf", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy coords product2 --order 0": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "6fe96faff3553ab7a85936808660f1b5138948eb6bfcb2039b6494fa4e16bf0f"),
     "monodromy coords product2 --order 3": (0, "00cf99e69623fdc96bc248fdf05a5fc08c94b31655803a79d673fe25e6356b4f", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "monodromy coords product2": (0, "9a14cffbe59506348a450f1e442278e3712c45e51bd7b1d88073699f68de871d", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "monodromy check product2": (0, "bed5a41e2457ed8fde96749be90599c350fd4738acfb7a9266e55f7d86ec0a1b", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "monodromy coords dense --order 0": (1, "2ec700aba878f30684745abd63a70bfceb4b76681fa9b0baba1997cfc0756989", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy coords dense --order 0": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "6fe96faff3553ab7a85936808660f1b5138948eb6bfcb2039b6494fa4e16bf0f"),
     "monodromy coords dense --order 3": (1, "ba35916f00bcb467c9560d9cf846a44c082f9d5654b966ec9caf50fd617ece52", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "monodromy coords dense": (1, "3819d297e1dc05c68b9bf51ebef8e3dd6cfa28aca90ef2c651936f15e0ec44fd", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "monodromy check dense": (0, "b4f37dee1b693e4bcf0ceb71996ac91c6b9824fe088788247f124d0f3f14af16", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "monodromy coords sign --order 0": (1, "97d6d979aac81e492c61421b39a11696ac7c59d86ae949cda41279115a2e7520", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "monodromy coords sign --order 0": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "6fe96faff3553ab7a85936808660f1b5138948eb6bfcb2039b6494fa4e16bf0f"),
     "monodromy coords sign --order 3": (1, "ca2d1d83bf268abd417ee05c09c9ec22b6759e87ca45409fd50adc023cd989ce", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "monodromy coords sign": (1, "47e4d75557e5456f6991293db725772ab022609d2f137201be956ab7f9e6f181", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "monodromy check sign": (0, "00bfc8a5ec4551780d91de78131120f96aa4ee51b08c62b9f51b11b02d6eb2e0", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "monodromy coords vanish --order 0": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "1c29575bc6c1913d8b07de56c41a5e92a2e85ad56e6fe7e472d42377836930bf"),
+    "monodromy coords vanish --order 0": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "6fe96faff3553ab7a85936808660f1b5138948eb6bfcb2039b6494fa4e16bf0f"),
     "monodromy coords vanish --order 3": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "1c29575bc6c1913d8b07de56c41a5e92a2e85ad56e6fe7e472d42377836930bf"),
     "monodromy coords vanish": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "1c29575bc6c1913d8b07de56c41a5e92a2e85ad56e6fe7e472d42377836930bf"),
     "monodromy check vanish": (0, "b4f37dee1b693e4bcf0ceb71996ac91c6b9824fe088788247f124d0f3f14af16", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),

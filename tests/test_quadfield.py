@@ -12,12 +12,10 @@ from semitoric import (
     QuadIdeal,
     ResourceBoundError,
     cusp_cone,
-    cusp_cone_normals,
     fundamental_totally_positive_unit,
     fundamental_unit,
     ring_basis,
     sqrtD,
-    tube_coordinates,
 )
 from semitoric.lattice import is_squarefree
 
@@ -84,21 +82,12 @@ def test_ideal_coordinates_reject_another_field():
         ideal.coordinates(ExactScalar(0, 1, 3))
 
 
-def test_tube_coordinates_invert_the_embedding_pair():
-    ideal = QuadIdeal.maximal_order(5)
-    M = tube_coordinates(ideal)
-    x = ideal.element(2, -3)
-    w = (x, x.conjugate())
-    c1 = M[0][0] * w[0] + M[0][1] * w[1]
-    c2 = M[1][0] * w[0] + M[1][1] * w[1]
-    assert c1 == ExactScalar(2) and c2 == ExactScalar(-3)
-
-
 def test_cusp_cone_contains_totally_positive_elements():
     for D in (2, 5, 13):
         ideal = QuadIdeal.maximal_order(D)
         cone = cusp_cone(ideal)
-        (alpha, beta), (alphap, betap) = cusp_cone_normals(ideal)
+        alpha, beta = ideal.alpha, ideal.beta
+        alphap, betap = alpha.conjugate(), beta.conjugate()
         # the two normals are the coordinate functionals of the embeddings
         for c1 in range(-4, 5):
             for c2 in range(-4, 5):

@@ -17,11 +17,8 @@ from semitoric import (
     reframe,
     reframing_preserves_effectivity,
     series,
-    series_add,
     series_inverse,
     series_multiply,
-    series_truncate,
-    standard_framing,
 )
 from semitoric.formats import canonical_dumps, dump_series, load_series, parse_frac
 
@@ -48,7 +45,6 @@ def test_constructor_normalizes_terms():
     assert s.coefficient((1, 0)) == 2
     assert s.coefficient((5, 5)) == 0
     assert s.complete_order == 4
-    assert s.support_exponents() == ((0, 2), (1, 0))
 
 
 def test_constructor_guards():
@@ -166,14 +162,6 @@ def test_preserves_effectivity_in_custom_framing():
     assert rep.passed
 
 
-def test_series_add_cancels():
-    a = series(2, {(1, 0): 1, (0, 1): 2}, 4)
-    b = series(2, {(1, 0): -1, (1, 1): 5}, 6)
-    out = series_add(a, b)
-    assert out.truncation == 4
-    assert out.as_dict() == {(0, 1): Fraction(2), (1, 1): Fraction(5)}
-
-
 def test_series_multiply_matches_convolution():
     rng = random.Random(64)
     for _ in range(10):
@@ -211,21 +199,6 @@ def test_series_inverse_guards():
         series_inverse(series(2, {(1, 0): 1, (0, 2): 3}, 4))
     with pytest.raises(DegenerateInputError, match="effective"):
         series_inverse(series(2, {(0, 0): 1, (1, -1): 1}, 4))
-
-
-def test_series_truncate():
-    s = series(2, {(1, 0): 1, (2, 2): 3, (0, 3): 4}, 6)
-    out = series_truncate(s, 3)
-    assert out.as_dict() == {(1, 0): Fraction(1), (0, 3): Fraction(4)}
-    assert out.truncation == 3 and out.complete_order == 3
-    with pytest.raises(DegenerateInputError):
-        series_truncate(s, -1)
-
-
-def test_standard_framing_is_identity():
-    f = standard_framing(3)
-    assert f.basis.rows == IntMatrix.identity(3).rows
-    assert f.coordinates((2, 0, 1)) == (2, 0, 1)
 
 
 # -- properties ----------------------------------------------------------------------
