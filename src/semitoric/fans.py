@@ -186,7 +186,9 @@ def _meets(a: Cone, b: Cone) -> bool:
     generator of C = cone(a, -b) has a positive coefficient in a vanishing
     combination exactly when it lies in the lineality space of C, the common
     zeros of the facet normals of C; summing such combinations gives one
-    positive on all of them.
+    positive on all of them.  A zero cone needs no special case: the empty
+    sum is the origin, which lies in the relative interior of a cone exactly
+    when the cone is a linear subspace.
     """
     if _separated(a, b) or (b.relint and _separated(b, a)):
         return False
