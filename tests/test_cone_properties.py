@@ -146,3 +146,20 @@ def test_a_face_of_a_face_is_a_face(pair):
     for f in faces(c):
         for g in faces(f):
             assert g.generators in keys
+
+
+ZERO_MEMBER_PROBES = [
+    (2, []),
+    (2, [(1, 0)]),
+    (2, [(1, 0), (0, 1)]),
+    (2, [(1, 0), (-1, 0)]),
+    (3, [(1, 0, 0), (0, 1, 0), (1, 1, 1)]),
+    (4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1)]),
+]
+
+
+@pytest.mark.parametrize("rank, rows", ZERO_MEMBER_PROBES)
+def test_zero_member_meets_every_closed_cone(rank, rows):
+    """The relative interior of the zero cone is the origin, which every
+    closed cone holds."""
+    assert _meets(_cone(rank, []).relative_interior(), _cone(rank, rows))
