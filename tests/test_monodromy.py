@@ -381,3 +381,60 @@ def test_weight_spaces_and_dims_match_oracle_on_chains_and_products():
         rep = is_maximally_unipotent(mset, draws=3)
         assert rep.data["weight"] == n
         assert rep.data["dims"] == {"W0": d0, "W1": d1, "W2": d2}, (d, n)
+
+
+def _nilpotency_degree(logs, a, dim):
+    """The largest k with N^k != 0 for N = sum a_j logs[j], by brute force."""
+    N = oracles._cleared(
+        [[sum(Fraction(a[j]) * L[i][k] for j, L in enumerate(logs)) for k in range(dim)]
+         for i in range(dim)]
+    )
+    power, k = [[int(i == j) for j in range(dim)] for i in range(dim)], 0
+    while not oracles.mat_is_zero(oracles._int_mul(power, N)):
+        power, k = oracles._int_mul(power, N), k + 1
+    return k
+
+
+def _draw_battery():
+    """(name, operators): conjugated single chains (r = 1), the product
+    pair, and a repeated chain whose combinations N_a all lie on one ray."""
+    rng = random.Random(47)
+    cases = [
+        (f"chain-{d}", (fixtures.conjugate_operator(_chain(d), oracles.random_unimodular(rng, d)),))
+        for d in range(2, 8)
+    ]
+    return cases + [
+        ("product", fixtures.product_operators()),
+        ("duplicate-chain-4", (_chain(4), _chain(4))),
+    ]
+
+
+@pytest.mark.parametrize("draws", [0, 1, 20])
+@pytest.mark.parametrize("seed", [7, 11])
+def test_draw_report_matches_the_oracle_at_every_seeded_sample(draws, seed):
+    """The weight data and the bottom-weight details of
+    ``is_maximally_unipotent`` are those of the oracle evaluated at
+    (1, ..., 1) and at each of the ``draws`` seeded positive draws."""
+    for name, ops in _draw_battery():
+        mset = MonodromySet(ops)
+        logs = [[list(r) for r in L] for L in mset.logs()]
+        rng = random.Random(seed)
+        samples = [(1,) * mset.r] + [
+            tuple(rng.randint(1, 9) for _ in range(mset.r)) for _ in range(draws)
+        ]
+        weights, dims = set(), [set(), set(), set()]
+        for a in samples:
+            n = _nilpotency_degree(logs, a, mset.dim)
+            weights.add(n)
+            for seen, dim in zip(dims, oracles.oracle_weight_dims(logs, a, n, mset.dim)):
+                seen.add(dim)
+        rep = is_maximally_unipotent(ops, draws=draws, seed=seed)
+        assert rep.data == {
+            "weight": max(weights),
+            "dims": {"W0": max(dims[0]), "W1": max(dims[1]), "W2": max(dims[2])},
+            "draws": draws + 1,
+        }, name
+        assert rep.condition("bottom-weight").details == (
+            f"nilpotency degree {sorted(weights)}, dim W0 {sorted(dims[0])}, "
+            f"dim W1 {sorted(dims[1])} over {draws + 1} draws"
+        ), name
