@@ -11,7 +11,9 @@ figures, the SBB decomposition of the cusp cone and its validation, strata
 and atlases of the cusp fans) run on the same eight discriminants.  ``SERIES_GOLDEN`` pins the exit code
 and the sha256 of stdout and of stderr of ``series reframe`` and ``series
 check`` calls on seeded rank-2 to rank-4 series and on documents that spell
-their coefficients in every accepted and several rejected ways.
+their coefficients in every accepted and several rejected ways, or that mix
+parse faults with duplicate, truncation and complete-order faults, which
+pins the fault each reports.
 ``MONODROMY_GOLDEN`` pins the same three values for ``monodromy coords`` at
 orders 0, 3 and the default and for ``monodromy check``, on the elliptic,
 quintic-like and product fixtures with scaled omega0, on a dense pairing,
@@ -264,6 +266,17 @@ def series_documents() -> dict:
     docs["shortexp"] = _series_doc(2, [((1,), 1)], 2)
     docs["nocoeff"] = dict(_series_doc(2, [], 2), terms=[{"exponent": [1, 0]}])
     docs["notobj"] = dict(_series_doc(2, [], 2), terms=[[1, 0]])
+    # a semantic fault before a parse fault: the parse fault is reported
+    docs["dupbad"] = _series_doc(2, [((1, 0), 1), ((1, 0), 2), ((0, 1), "1/0")], 2)
+    docs["beyondexp"] = dict(
+        _series_doc(2, [((1, 0), 1), ((3, 0), 1)], 2),
+        terms=[{"exponent": [1, 0], "coefficient": 1}, {"exponent": [3, 0], "coefficient": 1},
+               {"exponent": 5, "coefficient": 1}],
+    )
+    # a zero term never counts as a duplicate
+    docs["zerodup"] = _series_doc(2, [((1, 0), 1), ((0, 1), "1/2"), ((1, 0), "0/7")], 2)
+    # the duplicate is reported before the complete order
+    docs["completedup"] = _series_doc(2, [((1, 0), 1), ((1, 0), 1)], 2, 3)
     return docs
 
 
@@ -295,7 +308,8 @@ def _series_calls() -> list:
             calls.append(f"series check {name} --matrix {M}")
             calls.append(f"series check {name} --framing {F} --matrix {M}")
     for name in ["spellings", "true", "float", "dup", "beyond", "complete", "zeros", "boolexp",
-                 "shortexp", "nocoeff", "notobj"] + [
+                 "shortexp", "nocoeff", "notobj", "dupbad", "beyondexp", "zerodup",
+                 "completedup"] + [
         f"err{i}" for i in range(len(BAD_SPELLINGS))
     ]:
         calls.append(f"series check {name}")
@@ -363,6 +377,14 @@ SERIES_GOLDEN = {
     "series reframe nocoeff --matrix 1,1;0,1": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "3c1a50082fdb598f9479770b7dc2d66c600bbb7e736ecf83b3367e50c1daae72"),
     "series check notobj": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "37b25012d33bad671a6c28809f6214d72b045f0dfefed33387f0600442182848"),
     "series reframe notobj --matrix 1,1;0,1": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "37b25012d33bad671a6c28809f6214d72b045f0dfefed33387f0600442182848"),
+    "series check dupbad": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "ce0a070e543794fd01f90c9f12a88779249cef46367e99e2eabf8955c56b297f"),
+    "series reframe dupbad --matrix 1,1;0,1": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "ce0a070e543794fd01f90c9f12a88779249cef46367e99e2eabf8955c56b297f"),
+    "series check beyondexp": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "b5bd059ccda9c87c4136cfeefbb6ee0924c26dc730f2dbe05b117a01c1e9fbfd"),
+    "series reframe beyondexp --matrix 1,1;0,1": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "b5bd059ccda9c87c4136cfeefbb6ee0924c26dc730f2dbe05b117a01c1e9fbfd"),
+    "series check zerodup": (0, "1d501b7f8c0c3032c41ff429c45cbbb489b09aa5494b9554d9fa215de35cbf20", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "series reframe zerodup --matrix 1,1;0,1": (0, "568593dabfb8608077722ce476af7beb1b50a234d3cea865a750bf73d3042005", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "series check completedup": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "d35059c490293cb15787f0d1c38298bd41ffc365e5bc6d1330635fd26f03d1ec"),
+    "series reframe completedup --matrix 1,1;0,1": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "d35059c490293cb15787f0d1c38298bd41ffc365e5bc6d1330635fd26f03d1ec"),
     "series check err0": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "cebd484fbdd69c905f9ffe3f33ef2f620dd17365c9a274d13584d1f685843ee7"),
     "series reframe err0 --matrix 1,1;0,1": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "cebd484fbdd69c905f9ffe3f33ef2f620dd17365c9a274d13584d1f685843ee7"),
     "series check err1": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "331b912ed8f2fcb289069b0f269def4c1f77da19b1f5607a8ab1c68ac7f6010a"),

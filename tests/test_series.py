@@ -10,6 +10,7 @@ from semitoric import (
     Cone,
     DegenerateInputError,
     FormatError,
+    FormalSeries,
     Framing,
     IntMatrix,
     Vector,
@@ -269,6 +270,56 @@ def test_series_inverse_times_the_series_is_one(s):
     assert one.as_dict() == {(0,) * s.rank: Fraction(1)}
     assert one.complete_order == s.complete_order
 
+
+
+@st.composite
+def series_documents(draw):
+    """A well-formed series/1 document of rank 1 to 3: exponents in
+    [-3, 3] that may repeat, coefficients spelled as integers or "p/q"
+    (some zero), a truncation that may leave terms beyond it, and a complete
+    order that may be absent or out of range."""
+    rank = draw(st.integers(1, 3))
+    expo = st.lists(st.integers(-3, 3), min_size=rank, max_size=rank)
+    coeff = st.one_of(
+        st.integers(-3, 3),
+        st.tuples(st.integers(-9, 9), st.integers(1, 6)).map(lambda t: f"{t[0]}/{t[1]}"),
+    )
+    terms = draw(st.lists(st.tuples(expo, coeff), max_size=10))
+    doc = {
+        "format": "series/1",
+        "rank": rank,
+        "truncation": draw(st.integers(0, 9)),
+        "terms": [{"exponent": e, "coefficient": c} for e, c in terms],
+    }
+    if draw(st.booleans()):
+        doc["complete_order"] = draw(st.integers(-1, 10))
+    return doc
+
+
+@PROPERTIES
+@given(series_documents())
+@example({"format": "series/1", "rank": 1, "truncation": 2, "complete_order": 3,
+          "terms": [{"exponent": [1], "coefficient": 1}, {"exponent": [1], "coefficient": 2}]})
+@example({"format": "series/1", "rank": 1, "truncation": 1,
+          "terms": [{"exponent": [1], "coefficient": 1}, {"exponent": [1], "coefficient": "0/2"}]})
+def test_load_series_agrees_with_the_public_constructor(doc):
+    """A parsed document is the series the checking constructor builds from
+    the parsed terms, or fails with that constructor's message."""
+    terms = tuple(
+        (tuple(t["exponent"]), Fraction(t["coefficient"])) for t in doc["terms"]
+    )
+    truncation = doc["truncation"]
+    try:
+        expected = FormalSeries(rank=doc["rank"], terms=terms, truncation=truncation,
+                                complete_order=doc.get("complete_order", truncation))
+    except DegenerateInputError as e:
+        with pytest.raises(FormatError) as info:
+            load_series(doc)
+        assert str(info.value) == f"series: {e}"
+        return
+    got = load_series(doc)
+    assert got == expected
+    assert all(type(c) is Fraction and all(type(x) is int for x in e) for e, c in got.terms)
 
 def _fraction_or_error(text):
     try:
