@@ -188,12 +188,15 @@ def _meets(a: Cone, b: Cone) -> bool:
     zeros of the facet normals of C; summing such combinations gives one
     positive on all of them.  A zero cone needs no special case: the empty
     sum is the origin, which lies in the relative interior of a cone exactly
-    when the cone is a linear subspace.
+    when the cone is a linear subspace.  With no generator to test (the zero
+    cone against a closed one) the answer is True without any facet normal.
     """
+    tested = a.generators + b.generators if b.relint else a.generators
+    if not tested:
+        return True
     if _separated(a, b) or (b.relint and _separated(b, a)):
         return False
     normals, _ = _dual_description(a.generators + tuple(-g for g in b.generators), a.rank)
-    tested = a.generators + b.generators if b.relint else a.generators
     return all(_dot_sign(n, g) == 0 for n in normals for g in tested)
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from semitoric import fans, lattice
 from semitoric.fans import _meets
 from semitoric.lattice import (
     Cone,
@@ -159,7 +160,18 @@ ZERO_MEMBER_PROBES = [
 
 
 @pytest.mark.parametrize("rank, rows", ZERO_MEMBER_PROBES)
-def test_zero_member_meets_every_closed_cone(rank, rows):
+def test_zero_member_meets_every_closed_cone(rank, rows, monkeypatch):
     """The relative interior of the zero cone is the origin, which every
-    closed cone holds."""
-    assert _meets(_cone(rank, []).relative_interior(), _cone(rank, rows))
+    closed cone holds; deciding it computes no dual description."""
+    calls = []
+
+    def counted(gens, rank):
+        calls.append(gens)
+        return real(gens, rank)
+
+    zero, b = _cone(rank, []).relative_interior(), _cone(rank, rows)
+    real = lattice._dual_description
+    monkeypatch.setattr(lattice, "_dual_description", counted)
+    monkeypatch.setattr(fans, "_dual_description", counted)
+    assert _meets(zero, b)
+    assert calls == []
