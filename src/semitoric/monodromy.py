@@ -18,6 +18,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, gcd, lcm, prod
+from operator import mul
 
 from .errors import DegenerateInputError, NotUnipotentError
 from .lattice import (
@@ -229,6 +230,7 @@ class MonodromySet:
     operators: tuple
     _logs: tuple = field(default=None, init=False, repr=False, compare=False)
     _scaled_logs: tuple = field(default=None, init=False, repr=False, compare=False)
+    _chains: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ops = tuple(_mat(T) for T in self.operators)
@@ -272,6 +274,24 @@ class MonodromySet:
             object.__setattr__(self, "_scaled_logs", (den, tuple(_times(L, den) for L in logs)))
         return self._scaled_logs
 
+    def chain(self, a) -> tuple | None:
+        """(n, dims, top) for N_a = sum a_j M_j over the scaled logs and a
+        positive integer vector a: the nilpotency degree n, the weight piece
+        dims of ``_weight_dims`` and the last nonzero power N_a^n (the
+        identity when n = 0); None when N_a is not nilpotent.  N_ca = c N_a
+        has the ranks and images of N_a, so the answer depends only on the
+        ray of a and is computed once per primitive direction a / gcd(a)."""
+        g = gcd(*a)
+        key = tuple(x // g for x in a)
+        if key not in self._chains:
+            powers = _nonzero_powers(_mat_combination(key, self.scaled_logs()[1]), self.dim)
+            entry = None
+            if powers is not None:
+                powers.insert(0, IntMatrix.identity(self.dim).rows)
+                entry = (len(powers) - 1, _weight_dims(powers), powers[-1])
+            self._chains[key] = entry
+        return self._chains[key]
+
 
 def combined_log(logs, a) -> tuple:
     return _mat_combination(a, logs)
@@ -292,6 +312,9 @@ def is_maximally_unipotent(
 
     ``data`` holds the observed nilpotency degree ``weight``, the weight
     piece ``dims`` and the number of ``draws`` (None, {} and 0 when skipped).
+    Draws along one ray give the same weight data, so each direction is
+    evaluated once (``MonodromySet.chain``); the draws are generated one at
+    a time.
     """
     if draws < 0:
         raise DegenerateInputError(f"the number of draws must be nonnegative, got {draws}")
@@ -321,19 +344,18 @@ def is_maximally_unipotent(
         return Report(conds, data={"weight": None, "dims": {}, "draws": 0})
 
     rng = random.Random(seed)
-    samples = [tuple([1] * mset.r)]
-    for _ in range(draws):
-        samples.append(tuple(rng.randint(1, 9) for _ in range(mset.r)))
+
+    def samples():
+        yield (1,) * mset.r
+        for _ in range(draws):
+            yield tuple(rng.randint(1, 9) for _ in range(mset.r))
 
     weights = set()
     dims0, dims1, dims2 = set(), set(), set()
-    _, scaled = mset.scaled_logs()
-    one = IntMatrix.identity(mset.dim).rows
-    for a in samples:
+    for a in samples():
         # commuting nilpotent logs: N_a is nilpotent
-        powers = [one] + _nonzero_powers(_mat_combination(a, scaled), mset.dim)
-        weights.add(len(powers) - 1)
-        d0, d1, d2 = _weight_dims(powers)
+        n, (d0, d1, d2), _ = mset.chain(a)
+        weights.add(n)
         dims0.add(d0)
         dims1.add(d1)
         dims2.add(d2)
@@ -349,7 +371,7 @@ def is_maximally_unipotent(
             "bottom-weight",
             stable and weight_ok and d0 == 1 and d1 == 1,
             f"nilpotency degree {sorted(weights)}, dim W0 {sorted(dims0)}, "
-            f"dim W1 {sorted(dims1)} over {len(samples)} draws",
+            f"dim W1 {sorted(dims1)} over {draws + 1} draws",
         )
     )
     lines_ok = stable and d0 == 1 and d1 == 1 and d2 == mset.r + 1
@@ -373,7 +395,7 @@ def is_maximally_unipotent(
         )
     )
     dims = {"W0": d0, "W1": d1, "W2": d2}
-    return Report(conds, data={"weight": n_obs, "dims": dims, "draws": len(samples)})
+    return Report(conds, data={"weight": n_obs, "dims": dims, "draws": draws + 1})
 
 
 # -- adapted integral basis -----------------------------------------------------------
@@ -390,11 +412,11 @@ def integral_normalization(operators) -> tuple:
     mset = operators if isinstance(operators, MonodromySet) else MonodromySet(tuple(operators))
     d = mset.dim
     den, scaled = mset.scaled_logs()
-    powers = _nonzero_powers(_mat_combination([1] * mset.r, scaled), d)
-    if powers is None:
+    chain = mset.chain((1,) * mset.r)
+    if chain is None:
         raise DegenerateInputError("the sum of the logs is not nilpotent")
-    top = powers[-1] if powers else IntMatrix.identity(d).rows  # N^n, whose image is W0
-    if _int_rank(top) != 1:
+    _, dims, top = chain  # top = N^n, whose image is W0
+    if dims[0] != 1:
         raise DegenerateInputError("bottom weight piece is not a line")
     g0 = _primitive_integer(next(col for col in zip(*top) if any(col)))
 
@@ -520,12 +542,15 @@ class QuasiCanonicalCoordinates:
         return tuple(out)
 
 
+def _covector(Q, g, n: int) -> tuple:
+    """The first n entries of the row g^T Q."""
+    g = [_frac(x) for x in g]
+    return tuple(sum(x * _frac(Q[i][j]) for i, x in enumerate(g)) for j in range(n))
+
+
 def pairing(Q, g, w) -> Fraction:
-    return sum(
-        _frac(g[i]) * _frac(Q[i][j]) * _frac(w[j])
-        for i in range(len(g))
-        for j in range(len(w))
-    )
+    """g^T Q w."""
+    return sum(c * _frac(x) for c, x in zip(_covector(Q, g, len(w)), w))
 
 
 def quasi_canonical_coordinates(
@@ -581,9 +606,15 @@ def quasi_canonical_coordinates(
     else:
         truncated = any(any(_apply(L, vec)) for vec in level.values() for L in logs)
 
-    # <g | omega(z)> as a series, with the 1/beta! weights
+    # <g | omega(z)> as a series, with the 1/beta! weights; g^T Q is formed
+    # once per basis vector, as long as the longest vector of omega
+    width = max(map(len, omega.values()))
+
     def pairing_series(g):
-        terms = [(e, pairing(Q, g, vec) / prod(map(factorial, e))) for e, vec in omega.items()]
+        row = _covector(Q, g, width)
+        terms = [
+            (e, sum(map(mul, row, vec)) / prod(map(factorial, e))) for e, vec in omega.items()
+        ]
         return series(r, terms, order)
 
     bottom = pairing_series(g0)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -438,3 +439,24 @@ def test_draw_report_matches_the_oracle_at_every_seeded_sample(draws, seed):
             f"nilpotency degree {sorted(weights)}, dim W0 {sorted(dims[0])}, "
             f"dim W1 {sorted(dims[1])} over {draws + 1} draws"
         ), name
+
+
+def _traced_peak(draws):
+    ops = (fixtures.conjugate_operator(_chain(4), oracles.random_unimodular(random.Random(53), 4)),)
+    # an untraced call first, so one-time interpreter allocations do not count
+    is_maximally_unipotent(ops, draws=draws)
+    tracemalloc.start()
+    try:
+        rep = is_maximally_unipotent(ops, draws=draws)
+        return tracemalloc.get_traced_memory()[1], rep
+    finally:
+        tracemalloc.stop()
+
+
+def test_draws_are_generated_as_the_loop_needs_them():
+    """Peak traced memory does not grow with the number of draws of a
+    single operator: no list of samples is built up front."""
+    small, _ = _traced_peak(20)
+    large, rep = _traced_peak(20_000)
+    assert rep.passed and rep.data["draws"] == 20_001
+    assert large < small + 16_384, (small, large)
