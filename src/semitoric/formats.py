@@ -456,10 +456,20 @@ def load_series(obj, path: str = "series") -> FormalSeries:
         except (TypeError, KeyError, FormatError):
             pass
         terms.append(_series_term(t, rank, f"{path}.terms[{i}]"))
-    try:
-        return FormalSeries(rank, tuple(terms), truncation, complete)
-    except ValueError as e:
-        raise FormatError(f"{path}: {e}") from None
+    # the checks of the FormalSeries constructor, in its order, once every
+    # term has parsed
+    clean = {}
+    for expo, coeff in terms:
+        if not coeff:
+            continue
+        if expo in clean:
+            raise FormatError(f"{path}: duplicate exponent {expo}")
+        if sum(map(abs, expo)) > truncation:
+            raise FormatError(f"{path}: term {expo} lies beyond the truncation {truncation}")
+        clean[expo] = coeff
+    if not 0 <= complete <= truncation:
+        raise FormatError(f"{path}: complete order must lie within the truncation")
+    return FormalSeries._of(rank, clean.items(), truncation, complete)
 
 
 # -- reports (output only) ---------------------------------------------------------------
