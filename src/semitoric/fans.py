@@ -188,8 +188,7 @@ def _meets(a: Cone, b: Cone) -> bool:
     zeros of the facet normals of C; summing such combinations gives one
     positive on all of them.  A zero cone needs no special case: the empty
     sum is the origin, which lies in the relative interior of a cone exactly
-    when the cone is a linear subspace.  With no generator to test (the zero
-    cone against a closed one) the answer is True without any facet normal.
+    when the cone is a linear subspace; the zero cone meets any closed cone.
     """
     tested = a.generators + b.generators if b.relint else a.generators
     if not tested:

@@ -456,8 +456,7 @@ def load_series(obj, path: str = "series") -> FormalSeries:
         except (TypeError, KeyError, FormatError):
             pass
         terms.append(_series_term(t, rank, f"{path}.terms[{i}]"))
-    # the checks of the FormalSeries constructor, in its order, once every
-    # term has parsed
+    # the FormalSeries constructor's checks, in its order, once all terms parse
     clean = {}
     for expo, coeff in terms:
         if not coeff:

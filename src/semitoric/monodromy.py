@@ -275,12 +275,10 @@ class MonodromySet:
         return self._scaled_logs
 
     def chain(self, a) -> tuple | None:
-        """(n, dims, top) for N_a = sum a_j M_j over the scaled logs and a
-        positive integer vector a: the nilpotency degree n, the weight piece
-        dims of ``_weight_dims`` and the last nonzero power N_a^n (the
-        identity when n = 0); None when N_a is not nilpotent.  N_ca = c N_a
-        has the ranks and images of N_a, so the answer depends only on the
-        ray of a and is computed once per primitive direction a / gcd(a)."""
+        """(nilpotency degree n, ``_weight_dims``, N_a^n) for N_a = sum a_j M_j
+        and a positive integer a, or None when N_a is not nilpotent.  N_ca =
+        c N_a has the ranks and images of N_a, so this is computed once per
+        primitive direction a / gcd(a)."""
         g = gcd(*a)
         key = tuple(x // g for x in a)
         if key not in self._chains:
@@ -313,8 +311,7 @@ def is_maximally_unipotent(
     ``data`` holds the observed nilpotency degree ``weight``, the weight
     piece ``dims`` and the number of ``draws`` (None, {} and 0 when skipped).
     Draws along one ray give the same weight data, so each direction is
-    evaluated once (``MonodromySet.chain``); the draws are generated one at
-    a time.
+    evaluated once (``MonodromySet.chain``), and draws are made as needed.
     """
     if draws < 0:
         raise DegenerateInputError(f"the number of draws must be nonnegative, got {draws}")
@@ -344,28 +341,17 @@ def is_maximally_unipotent(
         return Report(conds, data={"weight": None, "dims": {}, "draws": 0})
 
     rng = random.Random(seed)
-
-    def samples():
-        yield (1,) * mset.r
-        for _ in range(draws):
-            yield tuple(rng.randint(1, 9) for _ in range(mset.r))
-
-    weights = set()
-    dims0, dims1, dims2 = set(), set(), set()
-    for a in samples():
-        # commuting nilpotent logs: N_a is nilpotent
-        n, (d0, d1, d2), _ = mset.chain(a)
-        weights.add(n)
-        dims0.add(d0)
-        dims1.add(d1)
-        dims2.add(d2)
+    seen = set()  # (nilpotency degree, weight piece dims) over the draws
+    for k in range(draws + 1):
+        a = tuple(rng.randint(1, 9) for _ in range(mset.r)) if k else (1,) * mset.r
+        seen.add(mset.chain(a)[:2])  # commuting nilpotent logs: N_a is nilpotent
+    weights = {n for n, _ in seen}
+    dims0, dims1, dims2 = ({dims[i] for _, dims in seen} for i in range(3))
 
     stable = len(weights) == 1 and len(dims0) == 1 and len(dims1) == 1 and len(dims2) == 1
     n_obs = max(weights)
     weight_ok = weight is None or (weights == {weight})
-    d0 = max(dims0)
-    d1 = max(dims1)
-    d2 = max(dims2)
+    d0, d1, d2 = max(dims0), max(dims1), max(dims2)
     conds.append(
         Condition(
             "bottom-weight",
@@ -542,15 +528,12 @@ class QuasiCanonicalCoordinates:
         return tuple(out)
 
 
-def _covector(Q, g, n: int) -> tuple:
-    """The first n entries of the row g^T Q."""
-    g = [_frac(x) for x in g]
-    return tuple(sum(x * _frac(Q[i][j]) for i, x in enumerate(g)) for j in range(n))
-
-
 def pairing(Q, g, w) -> Fraction:
-    """g^T Q w."""
-    return sum(c * _frac(x) for c, x in zip(_covector(Q, g, len(w)), w))
+    return sum(
+        _frac(g[i]) * _frac(Q[i][j]) * _frac(w[j])
+        for i in range(len(g))
+        for j in range(len(w))
+    )
 
 
 def quasi_canonical_coordinates(
@@ -606,15 +589,13 @@ def quasi_canonical_coordinates(
     else:
         truncated = any(any(_apply(L, vec)) for vec in level.values() for L in logs)
 
-    # <g | omega(z)> as a series, with the 1/beta! weights; g^T Q is formed
-    # once per basis vector, as long as the longest vector of omega
+    # <g | omega(z)> as a series, with the 1/beta! weights; the row g^T Q is
+    # formed once per g, as wide as the widest vector of omega
     width = max(map(len, omega.values()))
 
     def pairing_series(g):
-        row = _covector(Q, g, width)
-        terms = [
-            (e, sum(map(mul, row, vec)) / prod(map(factorial, e))) for e, vec in omega.items()
-        ]
+        row = [sum(_frac(x) * _frac(Q[i][j]) for i, x in enumerate(g)) for j in range(width)]
+        terms = [(e, sum(map(mul, row, v)) / prod(map(factorial, e))) for e, v in omega.items()]
         return series(r, terms, order)
 
     bottom = pairing_series(g0)

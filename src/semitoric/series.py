@@ -14,10 +14,9 @@ coefficients are carried over unchanged or, in products and inverses, kept
 only when nonzero; the inverse collects each exponent in the one layer of
 its degree, so its exponents are distinct too; and each result's
 truncation bounds the l1 norm of its exponents and its complete order,
-which is nonnegative.  ``formats.load_series`` uses ``_of`` too, after
-making the constructor's checks itself, in the same order and with the
-same messages, while it reads each term: its exponents are int tuples of
-the right length and its coefficients Fractions by the parse.
+which is nonnegative.  ``formats.load_series`` uses ``_of`` after making
+the constructor's checks itself, in its order and with its messages, on
+terms whose parse yields int-tuple exponents and Fraction coefficients.
 """
 
 from __future__ import annotations
