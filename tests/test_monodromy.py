@@ -198,6 +198,16 @@ def test_pairing_contracts_first_slot_against_second():
     assert pairing(Q, (1, 1), (1, 1)) == 10
 
 
+def test_coordinates_contract_the_basis_against_the_first_slot():
+    """<g | w> = g^T Q w.  On the elliptic operator with omega0 = (0, 1),
+    g0 = (1, 0) and g1 = (0, 1), the Q below gives <g0 | omega> = 2 + z and
+    <g1 | omega> = 4 + 3z, so f = (4 + 3z) / (2 + z); its transpose would
+    give (4 + 2z) / (3 + z)."""
+    Q = ((1, 2), (3, 4))
+    qc = quasi_canonical_coordinates([fixtures.elliptic_operator()], Q, (0, 1), order=3)
+    assert qc.fs == ({(0,): 2, (1,): Fraction(1, 2), (2,): Fraction(-1, 4), (3,): Fraction(1, 8)},)
+
+
 def test_quasi_canonical_exact_on_chain_fixtures():
     qc = quasi_canonical_coordinates([fixtures.elliptic_operator()], Q2, (0, 1))
     assert qc.exact and not qc.degenerate
