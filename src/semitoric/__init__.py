@@ -78,7 +78,6 @@ from .monodromy import (
     is_maximally_unipotent,
     m_matrix,
     minimal_polynomial,
-    pairing,
     quasi_canonical_coordinates,
     unipotent_log,
     weight_spaces,

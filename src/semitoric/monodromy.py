@@ -528,14 +528,6 @@ class QuasiCanonicalCoordinates:
         return tuple(out)
 
 
-def pairing(Q, g, w) -> Fraction:
-    return sum(
-        _frac(g[i]) * _frac(Q[i][j]) * _frac(w[j])
-        for i in range(len(g))
-        for j in range(len(w))
-    )
-
-
 def quasi_canonical_coordinates(
     operators, Q, omega0, basis=None, order: int = 6
 ) -> QuasiCanonicalCoordinates:

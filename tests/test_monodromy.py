@@ -16,7 +16,6 @@ from semitoric import (
     is_maximally_unipotent,
     m_matrix,
     minimal_polynomial,
-    pairing,
     quasi_canonical_coordinates,
     unipotent_log,
     weight_spaces,
@@ -189,13 +188,6 @@ def test_m_matrix_values():
     g0q, gsq = integral_normalization(q)
     mq = m_matrix(q.logs(), g0q.as_fractions(), [g.as_fractions() for g in gsq])
     assert mq == [[1]]
-
-
-def test_pairing_contracts_first_slot_against_second():
-    Q = ((1, 2), (3, 4))
-    assert pairing(Q, (1, 0), (0, 1)) == 2
-    assert pairing(Q, (0, 1), (1, 0)) == 3
-    assert pairing(Q, (1, 1), (1, 1)) == 10
 
 
 def test_coordinates_contract_the_basis_against_the_first_slot():
