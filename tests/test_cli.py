@@ -472,6 +472,34 @@ def test_coords_of_noncommuting_logs_exit_two(tmp_path, capsys):
     assert "not nilpotent" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("operators", [[["1", "1", "0"], ["0", "1", "0"]]]),
+        ("operators", [[["1", "1"], ["0", "1"]], [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]]),
+        ("pairing", [["0", "1"]]),
+        ("pairing", [["0", "1", "0"], ["1", "0", "0"]]),
+        ("omega0", ["0", "1", "5"]),
+        ("omega0", ["1"]),
+        ("basis", {"g0": ["1"], "gs": [["0", "1"]]}),
+        ("basis", {"g0": ["1", "0"], "gs": [["0", "1", "0"]]}),
+        ("basis", {"g0": ["1", "0"], "gs": [["0", "1"], ["1", "1"]]}),
+    ],
+)
+def test_monodromy_documents_of_the_wrong_shape_exit_two(tmp_path, capsys, field, value):
+    """Every matrix and vector of a monodromy document has the operators'
+    dimension, and the basis one vector per operator; both commands name the
+    misshapen field instead of failing inside the computation."""
+    doc = dump_monodromy([[[1, 1], [0, 1]]], pairing=((0, 1), (1, 0)), omega0=(0, 1), weight=1)
+    doc[field] = value
+    path = _write(tmp_path, "mono.json", doc)
+    for command in ("coords", "check"):
+        assert cli.main(["monodromy", command, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: monodromy.{field}"), captured.err
+
+
 def _thin_fan(rank: int, steep: int) -> Decomposition:
     """The origin and the rays of the support cone on e_1 and steep*e_1 + e_i
     (i > 1): every face but the full-dimensional one."""
