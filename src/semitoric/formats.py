@@ -348,25 +348,42 @@ def load_atlas(obj, path: str = "atlas") -> BoundaryAtlas:
 # -- monodromy ---------------------------------------------------------------------------
 
 
-def _parse_frac_matrix(obj, path: str) -> tuple:
+def _frac_vector(obj, n: int, path: str) -> tuple:
+    """A list of n rationals; n is the operators' dimension."""
+    out = _frac_list(obj, path)
+    if len(out) != n:
+        raise FormatError(f"{path}: expected {n} entries, the operators' dimension, got {len(out)}")
+    return out
+
+
+def _parse_frac_matrix(obj, path: str, n=None) -> tuple:
+    """An n x n matrix of rationals; n is its number of rows unless given."""
     if not isinstance(obj, list) or not obj:
         raise FormatError(f"{path}: expected a nonempty matrix")
-    return tuple(_frac_list(row, f"{path}[{i}]") for i, row in enumerate(obj))
+    n = len(obj) if n is None else n
+    if len(obj) != n:
+        raise FormatError(f"{path}: expected {n} rows, the operators' dimension, got {len(obj)}")
+    return tuple(_frac_vector(row, n, f"{path}[{i}]") for i, row in enumerate(obj))
 
 
 def load_monodromy(obj, path: str = "monodromy") -> dict:
+    """The operators, square and of one dimension n, with the optional n x n
+    pairing, omega0 of length n, and basis of length-n vectors g0 and one g
+    per operator, all checked for shape here."""
     _check_format(obj, MONODROMY_FORMAT, path)
     ops_obj = _require(obj, "operators", path)
     if not isinstance(ops_obj, list) or not ops_obj:
         raise FormatError(f"{path}.operators: expected a nonempty list of matrices")
-    operators = tuple(
-        _parse_frac_matrix(T, f"{path}.operators[{i}]") for i, T in enumerate(ops_obj)
+    first = _parse_frac_matrix(ops_obj[0], f"{path}.operators[0]")
+    n = len(first)
+    operators = (first,) + tuple(
+        _parse_frac_matrix(T, f"{path}.operators[{i}]", n) for i, T in enumerate(ops_obj) if i
     )
     out = {"operators": operators, "pairing": None, "omega0": None, "basis": None, "weight": None}
     if obj.get("pairing") is not None:
-        out["pairing"] = _parse_frac_matrix(obj["pairing"], f"{path}.pairing")
+        out["pairing"] = _parse_frac_matrix(obj["pairing"], f"{path}.pairing", n)
     if obj.get("omega0") is not None:
-        out["omega0"] = _frac_list(obj["omega0"], f"{path}.omega0")
+        out["omega0"] = _frac_vector(obj["omega0"], n, f"{path}.omega0")
     if obj.get("basis") is not None:
         b = obj["basis"]
         g0 = _require(b, "g0", f"{path}.basis")
@@ -374,9 +391,13 @@ def load_monodromy(obj, path: str = "monodromy") -> dict:
         if not isinstance(gs, list):
             raise FormatError(f"{path}.basis.gs: expected a list")
         out["basis"] = (
-            _frac_list(g0, f"{path}.basis.g0"),
-            [_frac_list(g, f"{path}.basis.gs[{k}]") for k, g in enumerate(gs)],
+            _frac_vector(g0, n, f"{path}.basis.g0"),
+            [_frac_vector(g, n, f"{path}.basis.gs[{k}]") for k, g in enumerate(gs)],
         )
+        if len(gs) != len(operators):
+            raise FormatError(
+                f"{path}.basis.gs: expected {len(operators)} vectors, one per operator, got {len(gs)}"
+            )
     if obj.get("weight") is not None:
         w = obj["weight"]
         if not _is_int(w):
