@@ -110,12 +110,6 @@ class BoundaryAtlas:
         if len(set(labels)) != len(labels):
             raise DegenerateInputError("atlas point labels must be distinct")
 
-    def point(self, label: str) -> MaxDepthPoint:
-        for p in self.points:
-            if p.label == label:
-                return p
-        raise KeyError(label)
-
 
 def atlas_from_fan(P: Decomposition) -> BoundaryAtlas:
     """Atlas with one maximal-depth point per full-dimensional member.

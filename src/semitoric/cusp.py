@@ -84,12 +84,6 @@ class VertexChain:
     def m(self) -> int:
         return len(self.vertices)
 
-    def element(self, v):
-        return self.cusp.ideal.element(v[0], v[1])
-
-    def norms(self) -> tuple:
-        return tuple(self.element(v).norm() for v in self.vertices)
-
     def extended_vertices(self, periods: int = 1) -> tuple:
         """Vertices over several consecutive unit translates of the period."""
         if periods < 1:

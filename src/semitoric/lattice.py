@@ -525,17 +525,6 @@ class IntMatrix:
             raise DegenerateInputError(f"matrix has determinant {d}, not a lattice automorphism")
         return IntMatrix(_inverse(self.rows))
 
-    def power(self, k: int) -> "IntMatrix":
-        base = self if k >= 0 else self.inverse_unimodular()
-        k = abs(k)
-        out = IntMatrix.identity(self.nrows)
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def __repr__(self):
         return "IntMatrix(" + repr([list(r) for r in self.rows]) + ")"
 

@@ -8,7 +8,8 @@ Nothing public without a use: every public function, class and method is
 referenced by other library code, by an acceptance criterion or in a
 backtick span of README.md.  Names are matched by their last component, as
 a bare name or an attribute, so a method counts as used when any attribute
-of that name is read."""
+of that name is read; a bare name bound as a parameter or local of an
+enclosing function, lambda or comprehension is not a use."""
 
 import ast
 import pathlib
@@ -66,14 +67,52 @@ def test_module_uses_no_floating_point(name):
     assert float_uses(ast.parse((SOURCE / name).read_text())) == []
 
 
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ListComp, ast.SetComp,
+          ast.DictComp, ast.GeneratorExp)
+
+
+def local_names(scope) -> set:
+    """The names a function, lambda or comprehension binds for its own body:
+    parameters, and names stored to, defined or caught outside nested
+    scopes, less those declared global or nonlocal.  Imports are left out,
+    since an imported name still refers to its definition."""
+    if isinstance(scope, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+        names, stack = set(), [g.target for g in scope.generators]
+    else:
+        a = scope.args
+        names = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p}
+        stack = list(scope.body) if isinstance(scope.body, list) else [scope.body]
+    declared = set()
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
+        if not isinstance(node, SCOPES + (ast.ClassDef,)):
+            stack.extend(ast.iter_child_nodes(node))
+    return names - declared
+
+
 def references(tree) -> Counter:
-    """How often each name is read, as a bare name or as an attribute."""
+    """How often each name is read: as an attribute, or as a bare name that
+    no enclosing function, lambda or comprehension binds as a parameter or
+    local of its own."""
     found = Counter()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+    stack = [(tree, frozenset())]
+    while stack:
+        node, local = stack.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in local:
             found[node.id] += 1
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             found[node.attr] += 1
+        if isinstance(node, SCOPES):
+            local = local | local_names(node)
+        stack.extend((child, local) for child in ast.iter_child_nodes(node))
     return found
 
 
@@ -105,13 +144,30 @@ def test_unused_finds_functions_classes_and_methods():
     tree = ast.parse(
         "def used(): return 1\n"
         "def recursive(n): return recursive(n - 1)\n"
+        "def shadowed(): return 2\n"
+        "def reads_a_parameter(shadowed): return shadowed\n"
+        "def reads_a_local():\n"
+        "    shadowed = 3\n"
+        "    return lambda: [shadowed for shadowed in (shadowed,)]\n"
         "class Kept:\n"
         "    def called(self): return used()\n"
         "    def caller(self): return self.called()\n"
         "    def _private(self): pass\n"
     )
-    assert unused({"m": tree}, set()) == ["m.Kept", "m.Kept.caller", "m.recursive"]
-    assert unused({"m": tree}, {"Kept", "caller", "recursive"}) == []
+    assert unused({"m": tree}, set()) == [
+        "m.Kept",
+        "m.Kept.caller",
+        "m.reads_a_local",
+        "m.reads_a_parameter",
+        "m.recursive",
+        "m.shadowed",
+    ]
+    named = {"Kept", "caller", "reads_a_local", "reads_a_parameter", "recursive", "shadowed"}
+    assert unused({"m": tree}, named) == []
+    # a read outside the shadowing scopes, bare or as an attribute, is a use
+    for use in ("x = shadowed\n", "def f(g): return g.shadowed\n"):
+        other = ast.parse(use)
+        assert "m.shadowed" not in unused({"m": tree, "other": other}, set())
 
 
 def test_every_public_name_has_a_use():
