@@ -1,9 +1,16 @@
+import contextlib
+import io
+import json
 import random
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import fixtures
 import oracles
+import test_golden
 from semitoric import (
     Cone,
     CuspData,
@@ -25,8 +32,12 @@ from semitoric import (
     strata,
     validate_decomposition,
 )
-from semitoric import fans, lattice
+from semitoric import cli, connection, fans, lattice
 from semitoric.fans import zero_cone
+from semitoric.formats import canonical_dumps, dump_fan, load_fan
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 
 def _fan_without(fan: Decomposition, index: int) -> Decomposition:
@@ -402,3 +413,103 @@ def test_member_containing_is_unique_on_valid_fan():
         cusp_fan.members[-1].interior_sample()
     )
     assert len([c for c in cusp_fan.translated_members(2) if c.contains(far)]) == 1
+
+
+def _golden_fans() -> dict:
+    """The fans of the golden table: its cusp, deleted-member, Stern-Brocot
+    and octant fans, and the SBB decompositions of the cusp supports."""
+    out = test_golden._fans()
+    for D in test_golden.DISCRIMINANTS:
+        fan = out[f"cusp{D}"]
+        out[f"sbb{D}"] = sbb_decomposition(fan.support, fan.group)
+    return out
+
+
+GOLDEN_FANS = _golden_fans()
+
+
+def _fresh(fan: Decomposition) -> Decomposition:
+    """An equal decomposition that shares no object with ``fan``."""
+    return load_fan(json.loads(canonical_dumps(dump_fan(fan))))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_FANS))
+def test_validation_on_a_used_decomposition_matches_fresh_objects(name):
+    """What one decomposition keeps from a call (group spheres, member
+    translates, face closures) changes no later answer: reports at shell 3
+    then 1, and again after the refinement and matching helpers have run on
+    it, equal those of fresh objects."""
+    fan = GOLDEN_FANS[name]
+    expected = {depth: validate_decomposition(_fresh(fan), shell_depth=depth) for depth in (3, 1)}
+    P = _fresh(fan)
+    for depth in (3, 1):
+        assert validate_decomposition(P, shell_depth=depth) == expected[depth]
+    assert is_refinement(P, P) == is_refinement(_fresh(fan), _fresh(fan))
+    common = common_refinement(P, P)
+    assert dump_fan(common) == dump_fan(common_refinement(_fresh(fan), _fresh(fan)))
+    assert decompositions_match(P, common) == decompositions_match(_fresh(fan), _fresh(common))
+    for depth in (3, 1):
+        assert validate_decomposition(P, shell_depth=depth) == expected[depth]
+
+
+def test_validation_builds_each_translate_and_inverse_once(monkeypatch, tmp_path):
+    """Work guard over round 0 of the benchmark's fan-validate stream at
+    seed 4242, run through the CLI: a fan without a group has its probes
+    certified without an overlap test, each group generator is inverted at
+    most once, and a validation acts on a member by a group element at most
+    once."""
+    validated, inside, keep = [], [], []
+    probe_tests, inverses, images = Counter(), Counter(), Counter()
+    real = (fans.validate_decomposition, fans._meets, fans._act_linear, IntMatrix.inverse_unimodular)
+
+    def validate(P, *args, **kwargs):
+        validated.append(P)
+        inside.append(P)
+        try:
+            return real[0](P, *args, **kwargs)
+        finally:
+            inside.pop()
+
+    def meets(a, b):
+        if inside and not b.relint:
+            probe_tests[id(inside[-1])] += 1
+        return real[1](a, b)
+
+    def act_linear(t, cone, *args):
+        if inside:
+            keep.append(cone)
+            images[id(inside[-1]), t.rows, id(cone)] += 1
+        return real[2](t, cone, *args)
+
+    def inverse(M):
+        keep.append(M)
+        inverses[id(M)] += 1
+        return real[3](M)
+
+    for module in (cli, connection):
+        monkeypatch.setattr(module, "validate_decomposition", validate)
+    monkeypatch.setattr(fans, "_meets", meets)
+    monkeypatch.setattr(fans, "_act_linear", act_linear)
+    monkeypatch.setattr(IntMatrix, "inverse_unimodular", inverse)
+    for job in workloads.make_round("fan-validate", 4242, 0, str(tmp_path)):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(job["argv"]) in (0, 1)
+    assert any(P.group for P in validated) and any(not P.group for P in validated)
+    assert all(probe_tests[id(P)] == 0 for P in validated if not P.group)
+    assert all(inverses[id(g.linear)] <= 1 for P in validated for g in P.group)
+    assert images and max(images.values()) == 1
+
+
+def test_an_exhausted_ball_still_respects_the_probe_cap():
+    """With no group the sphere of radius 1 is empty, so every probe is
+    certified at any cap from 1 on; at cap 0 no sphere past the identity is
+    searched, and each probe stays a witness."""
+    fan = fixtures.stern_brocot_fan(random.Random(2), 4)
+    assert not fan.group
+    probes = [m.closure() for m in fan.members if m.dim() == 2][:4]
+    for cap in (1, 2):
+        cond = validate_decomposition(fan, probe_radius_cap=cap).condition("local-finiteness")
+        assert cond.passed and cond.details == f"{len(probes)} probes certified"
+    cond = validate_decomposition(fan, probe_radius_cap=0).condition("local-finiteness")
+    assert not cond.passed and cond.details == "0 probes certified"
+    assert [w[0] for w in cond.witnesses] == probes
