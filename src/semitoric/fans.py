@@ -26,7 +26,8 @@ collected into members.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import islice
 
 from .errors import DegenerateInputError, GroupMismatchError, RequiresRationalConeError
 from .lattice import (
@@ -51,6 +52,7 @@ class GroupElement:
 
     linear: IntMatrix
     translation: tuple = ()
+    _inverse: IntMatrix = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.linear.is_unimodular():
@@ -58,7 +60,10 @@ class GroupElement:
         object.__setattr__(self, "translation", tuple(int(t) for t in self.translation))
 
     def inverse_linear(self) -> IntMatrix:
-        return self.linear.inverse_unimodular()
+        """The inverse of the linear part, computed once and kept."""
+        if self._inverse is None:
+            object.__setattr__(self, "_inverse", self.linear.inverse_unimodular())
+        return self._inverse
 
 
 @dataclass(frozen=True)
@@ -101,10 +106,24 @@ def zero_cone(rank: int) -> Cone:
 
 @dataclass(frozen=True)
 class Decomposition:
+    """Representative members (relative interiors), the symmetry group and
+    the support.
+
+    Three tables are kept on the instance, filled as they are first needed,
+    as a ``Cone`` keeps its dual description: the spheres of the group ball,
+    the translates of the members by each ball element, and the closed cones
+    by generators (member closures, translate closures and faces).  So every
+    translate and face is built once per decomposition and keeps its dual
+    description across calls."""
+
     rank: int
     members: tuple
     group: tuple
     support: Support
+    _spheres: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _reached: set = field(default_factory=set, init=False, repr=False, compare=False)
+    _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _closed: dict = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         members = tuple(
@@ -119,39 +138,81 @@ class Decomposition:
         """Spheres of the group ball, radius 0 to ``depth`` in order: the
         products of exactly that many generator linear parts and inverses
         that no shorter product reaches.  Spheres past a finite group are
-        empty."""
-        gens = [t for g in self.group for t in (g.linear, g.inverse_linear())]
-        frontier = [IntMatrix.identity(self.rank)]
-        seen = {frontier[0].rows}
-        yield frontier
-        for _ in range(depth):
-            new_frontier = []
-            for m in frontier:
-                for g in gens:
-                    cand = g * m
-                    if cand.rows not in seen:
-                        seen.add(cand.rows)
-                        new_frontier.append(cand)
-            frontier = new_frontier
-            yield frontier
+        empty.  Each sphere is built once per decomposition, when first
+        reached, and kept."""
+        spheres, reached = self._spheres, self._reached
+        for radius in range(depth + 1):
+            if radius == len(spheres):
+                if spheres:
+                    steps = [t for g in self.group for t in (g.linear, g.inverse_linear())]
+                    candidates = (g * m for m in spheres[-1] for g in steps)
+                else:
+                    candidates = [IntMatrix.identity(self.rank)]
+                sphere = []
+                for cand in candidates:
+                    if cand.rows not in reached:
+                        reached.add(cand.rows)
+                        sphere.append(cand)
+                spheres.append(sphere)
+            yield spheres[radius]
 
     def linear_ball(self, depth: int) -> list:
         """Products of at most ``depth`` generator linear parts and inverses."""
         return [t for sphere in self.shells(depth) for t in sphere]
 
+    def _exhausted(self, radius: int) -> bool:
+        """Whether the ball of ``radius`` is the whole group: a sphere of
+        radius 1 to ``radius`` is empty.  Only the spheres built so far are
+        read, and the sphere of radius 1, which any search past the identity
+        builds."""
+        built = max(len(self._spheres), 2)
+        return any(not sphere for sphere in islice(self.shells(radius), 1, built))
+
     def translated_members(self, depth: int) -> list:
-        """The distinct translates of the members over the ball, in order."""
-        ball = self.linear_ball(depth)
-        return list(dict.fromkeys(_act_linear(t, m) for t in ball for m in self.members))
+        """The distinct translates of the members over the ball, in order.
+        Each is built once per decomposition (see ``_translates``)."""
+        return list(dict.fromkeys(c for t in self.linear_ball(depth) for c in self._translates(t)))
+
+    def _translates(self, t: IntMatrix) -> tuple:
+        """The members moved by ``t``, in order, built once per element; their
+        closures are the face table's cones of their generators."""
+        images = self._images.get(t.rows)
+        if images is None:
+            table = self._face_table()
+            images = self._images[t.rows] = tuple(_act_linear(t, m, table) for m in self.members)
+        return images
+
+    def _face_table(self) -> dict:
+        """Closed cones by generators, first the member closures, then every
+        translate closure and face as it is built."""
+        if self._closed is None:
+            table = {}
+            for m in self.members:
+                table.setdefault(m.generators, m.closure())
+            object.__setattr__(self, "_closed", table)
+        return self._closed
+
+    def _faces(self, member: Cone) -> list:
+        """The faces of the closure of ``member``, taken from the face table
+        where it holds them."""
+        return member.faces(self._face_table())
 
 
-def _act_linear(t: IntMatrix, cone: Cone) -> Cone:
+def _act_linear(t: IntMatrix, cone: Cone, closed=None) -> Cone:
     """The image of ``cone`` under the unimodular ``t`` (a GroupElement's
     linear part or a product of them).  Such a map keeps extremal primitive
-    generators extremal and primitive, so they are not reduced."""
+    generators extremal and primitive, so they are not reduced.  With
+    ``closed``, a table of closed cones by generators, the image's closure is
+    the table's cone of its generators, entered when new, so that its dual
+    description is computed once."""
     if t.rows == IntMatrix.identity(cone.rank).rows:
         return cone
-    return Cone(cone.rank, [t.apply(g) for g in cone.generators], relint=cone.relint, _reduce=False)
+    gens = [t.apply(g) for g in cone.generators]
+    if closed is None:
+        return Cone(cone.rank, gens, relint=cone.relint, _reduce=False)
+    image = Cone(cone.rank, gens, _reduce=False)
+    image = closed.setdefault(image.generators, image)
+    return image.relative_interior() if cone.relint else image
 
 
 # -- validation ---------------------------------------------------------------
@@ -232,10 +293,12 @@ def validate_decomposition(
           finitely many translated members: the list of those it meets stops
           growing at some radius of the group ball, at most
           ``probe_radius_cap``.  The details count the probes so certified;
-          a probe whose list still grows at the cap is a witness.  When
-          nothing is probed, because the group moves the support (its shells
-          need not stabilize) or no rational probe exists, the details say
-          why.
+          a probe whose list still grows at the cap is a witness.  Once a
+          sphere of radius 1 to the cap is empty (radius 1 with no group),
+          the ball is the whole group, the list cannot grow past it, and
+          every probe is certified without an overlap test.  When nothing
+          is probed, because the group moves the support (its shells need
+          not stabilize) or no rational probe exists, the details say why.
 
     The cover certificate is the pseudomanifold argument for complete fans,
     valid in every rank and so for the cones of rank at most 4 used here.
@@ -251,7 +314,9 @@ def validate_decomposition(
     itself (a cone facet matching already named is skipped).  Neighbours
     are searched over the group ball of radius max(``shell_depth``, 1),
     overlaps over radius ``shell_depth``: for an infinite group the
-    certificate covers the explored region.
+    certificate covers the explored region.  Every condition reads the
+    translates and faces from the tables of ``P``, so each is built once
+    per decomposition, however many conditions, probes and calls ask.
 
     A negative ``shell_depth`` raises DegenerateInputError.
     """
@@ -296,7 +361,7 @@ def validate_decomposition(
         if m.dim() != d_max or not m.generators:
             continue
         closure = m.closure()
-        for f in closure.faces():
+        for f in P._faces(m):
             if f.dim() != d_max - 1 or on_boundary(f):
                 continue
             normal = _facet_normal(closure, f)
@@ -356,7 +421,7 @@ def validate_decomposition(
     for m in P.members:
         if not m.generators:
             continue
-        for f in m.faces():
+        for f in P._faces(m):
             if f.generators == m.generators or not f.generators:
                 continue
             if not sup.contains_point(f.interior_sample()):
@@ -380,12 +445,14 @@ def validate_decomposition(
     witnesses_iv = []
     certified = 0
     for probe in probes:
+        if P._exhausted(probe_radius_cap):
+            certified += 1
+            continue
         meeting = set()
         for radius, sphere in enumerate(P.shells(probe_radius_cap)):
             added = False
             for t in sphere:
-                for m in P.members:
-                    c = _act_linear(t, m)
+                for c in P._translates(t):
                     if c not in meeting and _meets(c, probe):
                         meeting.add(c)
                         added = True
@@ -620,10 +687,7 @@ def decompositions_match(P1: Decomposition, P2: Decomposition) -> bool:
 def _orbit_keys(P: Decomposition) -> set:
     ball = P.linear_ball(2)
     keys = set()
-    for m in P.members:
-        orbit = []
-        for t in ball:
-            c = _act_linear(t, m)
-            orbit.append(tuple(g.key() for g in c.generators))
+    for i in range(len(P.members)):
+        orbit = [tuple(g.key() for g in P._translates(t)[i].generators) for t in ball]
         keys.add(min(orbit))
     return keys

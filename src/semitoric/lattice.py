@@ -920,11 +920,12 @@ class Cone:
         object.__setattr__(inner, "_closure", self)
         return inner
 
-    def faces(self) -> list:
-        """``faces`` of the closure, computed once and kept with the closure."""
+    def faces(self, known=None) -> list:
+        """``faces`` of the closure, computed once and kept with the closure;
+        ``known`` is passed on to it."""
         closed = self.closure()
         if closed._faces is None:
-            object.__setattr__(closed, "_faces", faces(closed))
+            object.__setattr__(closed, "_faces", faces(closed, known))
         return closed._faces
 
     def contains(self, v, relint=None) -> bool:
@@ -1069,24 +1070,29 @@ def is_strongly_convex(c: Cone) -> bool:
     return _vector_rank(normals + equations) == c.rank
 
 
-def faces(c: Cone) -> list:
+def faces(c: Cone, known=None) -> list:
     """All faces of the closure (including {0} and the cone itself), as closed
-    cones, sorted by dimension then generators.  Requires strong convexity."""
+    cones, sorted by dimension then generators.  Requires strong convexity.
+
+    ``known`` maps generator tuples to closed cones already built: a face
+    found there is that cone, with the dual description it may already
+    hold, and a face built here is entered in it."""
     if not is_strongly_convex(c):
         raise DegenerateInputError("face enumeration requires a strongly convex cone")
-    start = c.closure()
+    known = {} if known is None else known
     seen = {}
-    stack = [start]
+    stack = [c.closure()]
     while stack:
         cur = stack.pop()
-        key = (cur.generators,)
-        if key in seen:
+        if cur.generators in seen:
             continue
-        seen[key] = cur
+        seen[cur.generators] = cur
         normals, _ = cur.dual_description()
         for n in normals:
-            sub = [g for g in cur.generators if _dot_sign(n, g) == 0]
-            stack.append(Cone(c.rank, sub, _reduce=False))
+            sub = tuple(g for g in cur.generators if _dot_sign(n, g) == 0)
+            if sub not in known:
+                known[sub] = Cone(c.rank, sub, _reduce=False)
+            stack.append(known[sub])
     out = list(seen.values())
     out.sort(key=lambda f: (f.dim(), [g.key() for g in f.generators]))
     return out
