@@ -192,11 +192,6 @@ class Decomposition:
             object.__setattr__(self, "_closed", table)
         return self._closed
 
-    def _faces(self, member: Cone) -> list:
-        """The faces of the closure of ``member``, taken from the face table
-        where it holds them."""
-        return member.faces(self._face_table())
-
 
 def _act_linear(t: IntMatrix, cone: Cone, closed=None) -> Cone:
     """The image of ``cone`` under the unimodular ``t`` (a GroupElement's
@@ -361,7 +356,7 @@ def validate_decomposition(
         if m.dim() != d_max or not m.generators:
             continue
         closure = m.closure()
-        for f in P._faces(m):
+        for f in m.faces(P._face_table()):
             if f.dim() != d_max - 1 or on_boundary(f):
                 continue
             normal = _facet_normal(closure, f)
@@ -421,7 +416,7 @@ def validate_decomposition(
     for m in P.members:
         if not m.generators:
             continue
-        for f in P._faces(m):
+        for f in m.faces(P._face_table()):
             if f.generators == m.generators or not f.generators:
                 continue
             if not sup.contains_point(f.interior_sample()):
