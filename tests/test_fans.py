@@ -500,6 +500,28 @@ def test_validation_builds_each_translate_and_inverse_once(monkeypatch, tmp_path
     assert images and max(images.values()) == 1
 
 
+def _flip_fan() -> Decomposition:
+    """The quadrants of the plane up to -1: a finite group, whose sphere of
+    radius 2 is empty."""
+    e1, e2 = Vector((1, 0)), Vector((0, 1))
+    plane = Support(Cone(2, [e1, -e1, e2, -e2]))
+    members = (zero_cone(2), Cone(2, [e1]), Cone(2, [e2]), Cone(2, [e1, e2]), Cone(2, [-e1, e2]))
+    return Decomposition(2, members, (GroupElement(IntMatrix([[-1, 0], [0, -1]])),), plane)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_FANS) + ["flip"])
+def test_probes_of_an_exhausted_ball_are_certified_as_the_loop_would(name, monkeypatch):
+    """Certifying every probe once a sphere within the cap is empty gives
+    the report the full probe loop gives, at caps 0, 1, 2 and 16."""
+    fan = GOLDEN_FANS[name] if name in GOLDEN_FANS else _flip_fan()
+    caps = (0, 1, 2, 16)
+    shortcut = [validate_decomposition(_fresh(fan), probe_radius_cap=cap) for cap in caps]
+    monkeypatch.setattr(Decomposition, "_exhausted", lambda self, radius: False)
+    assert [validate_decomposition(_fresh(fan), probe_radius_cap=cap) for cap in caps] == shortcut
+    if name == "flip":
+        assert shortcut[-1].passed and [len(s) for s in fan.shells(3)] == [1, 1, 0, 0]
+
+
 def test_an_exhausted_ball_still_respects_the_probe_cap():
     """With no group the sphere of radius 1 is empty, so every probe is
     certified at any cap from 1 on; at cap 0 no sphere past the identity is
