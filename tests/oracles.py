@@ -6,7 +6,7 @@ separate derivations of the same quantities.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import gcd, isqrt, lcm
 
 
@@ -333,6 +333,27 @@ def oracle_log(T):
         if k > n + 1:
             raise ValueError("not unipotent")
     return out
+
+
+def leibniz_det(rows) -> int:
+    """Determinant of a square integer matrix as the signed sum over permutations."""
+    total = 0
+    for perm in permutations(range(len(rows))):
+        inversions = sum(perm[j] > perm[i] for i in range(len(perm)) for j in range(i))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def maximal_minor_gcd(rows, n: int) -> int:
+    """gcd of the k x k minors of k integer rows of length n (1 for no rows).
+    k rows extend to a basis of Z^n exactly when this is 1."""
+    g = 0 if rows else 1
+    for cols in combinations(range(n), len(rows)):
+        g = gcd(g, leibniz_det([[row[c] for c in cols] for row in rows]))
+    return g
 
 
 # -- brute-force maximal unipotency ----------------------------------------------

@@ -1,4 +1,3 @@
-import itertools
 import math
 import operator
 import random
@@ -638,17 +637,6 @@ def _exact_faces(c):
     )
 
 
-def _leibniz_det(rows):
-    total = 0
-    for perm in itertools.permutations(range(len(rows))):
-        inversions = sum(perm[j] > perm[i] for i in range(len(perm)) for j in range(i))
-        term = (-1) ** inversions
-        for i, j in enumerate(perm):
-            term *= rows[i][j]
-        total += term
-    return total
-
-
 def test_integer_echelon_rank_kernel_and_det_match_oracles():
     rng = random.Random(40)
     for _ in range(300):
@@ -661,7 +649,7 @@ def test_integer_echelon_rank_kernel_and_det_match_oracles():
         assert len(_int_echelon(rows)[1]) == oracles.rank(rows)
         assert [v.ints for v in _int_kernel(rows, ncols)] == oracles.kernel(rows, ncols)
         square = [v.ints for v in _random_gens(rng, ncols, ncols)]
-        assert IntMatrix(square).det() == _leibniz_det(square)
+        assert IntMatrix(square).det() == oracles.leibniz_det(square)
 
 
 def test_integer_dual_description_matches_exact_path():

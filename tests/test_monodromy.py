@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 from fractions import Fraction
@@ -12,6 +13,8 @@ from semitoric import (
     IntMatrix,
     MonodromySet,
     NotUnipotentError,
+    cli,
+    hermite_normal_form,
     integral_normalization,
     is_maximally_unipotent,
     m_matrix,
@@ -20,6 +23,7 @@ from semitoric import (
     unipotent_log,
     weight_spaces,
 )
+from semitoric.formats import canonical_dumps, dump_monodromy
 from semitoric.monodromy import combined_log
 
 Q2 = fixtures.antidiagonal_pairing(2)
@@ -462,3 +466,88 @@ def test_draws_are_generated_as_the_loop_needs_them():
     large, rep = _traced_peak(20_000)
     assert rep.passed and rep.data["draws"] == 20_001
     assert large < small + 16_384, (small, large)
+
+
+# -- conjugated fixtures through the CLI ------------------------------------------------
+
+MAX_UNIPOTENT_FIXTURES = {
+    name: (ops, weight) for name, ops, weight, passed in fixtures.max_unipotency_battery() if passed
+}
+
+# sha256 over the stdout of `monodromy check` and `monodromy coords` on four
+# seeded unimodular conjugates of each fixture (see _conjugated_stdout),
+# recorded while basis completion still went through a Smith form.
+CONJUGATED_STDOUT_SHA256 = {
+    "chain-2": "e244a92a310ae1815c21b2f597e3b7a1b578b25f7e9172effba8a7606cdad43c",
+    "chain-2-conjugated": "7687436e0351da5cefd63711d80994118f78ce4dc26c78e1b81429d1d1a5de6d",
+    "chain-3": "3afe147b48c46ec9020a52063b830afe8e32797936f29ce2e38f52f49fe053ea",
+    "chain-4": "0b9137ac44a0b66516ad7ea7eb3d79a3edb4057d648176b8490051d6a3aa1dfd",
+    "chain-4-conjugated": "096e41d98c1b4ceeb8a08a10b3b82b13424f2dc69b7773161e09bcd03ee0a0c6",
+    "chain-5": "ba87e138f39740a3d8d635c80321a0ff97bbf2cfaa9765364a5c8771acb74778",
+    "chain-6": "8295d0598202251e83fa7fb09be70e26fdce12fdf3d9cd1c18fff8e73f2dfa19",
+    "product": "1d5d3a26c327d267731df5a22b45136bc110fdb8fa3ab92633e3888c5cabe1c5",
+    "product-conjugated": "81339965420e882ef71574747f743895c1b3c237bb2b2ea1eefbda76b3465240",
+    "product-mixed": "235b455c41918f8df5cac78b28d34e080ebb1ee791d5f2a8b17eb1dbc76a3e8c",
+}
+
+
+def _conjugated_documents(name):
+    """Four (U, check document, coords document) triples: the fixture moved
+    by a seeded unimodular U, with the antidiagonal pairing Q moved to
+    U^-T Q U^-1 and omega0 = e_1 to U e_1, so every pairing is unchanged."""
+    ops, weight = MAX_UNIPOTENT_FIXTURES[name]
+    n = ops[0].nrows
+    rng = random.Random(f"conjugate {name}")
+    Q = fixtures.antidiagonal_pairing(n)
+    out = []
+    for _ in range(4):
+        U = oracles.random_unimodular(rng, n)
+        Ui = oracles.invert_unimodular(U)
+        moved = [[list(r) for r in fixtures.conjugate_operator(T, U).rows] for T in ops]
+        pairing = oracles.mat_mul(oracles.mat_mul(list(zip(*Ui)), Q), Ui)
+        omega0 = [row[0] for row in U]
+        out.append(
+            (
+                U,
+                dump_monodromy(moved, weight=weight),
+                dump_monodromy(moved, pairing=pairing, omega0=omega0),
+            )
+        )
+    return out
+
+
+def _conjugated_stdout(name, tmp_path, capsys) -> str:
+    digest = hashlib.sha256()
+    for i, (_, check, coords) in enumerate(_conjugated_documents(name)):
+        for command, doc in (("check", check), ("coords", coords)):
+            path = tmp_path / f"{command}{i}.json"
+            path.write_text(canonical_dumps(doc))
+            code = cli.main(["monodromy", command, str(path)])
+            digest.update(f"{code}\n".encode() + capsys.readouterr().out.encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(MAX_UNIPOTENT_FIXTURES))
+def test_conjugated_fixtures_keep_their_cli_output(name, tmp_path, capsys):
+    """`monodromy check` and `coords` print the recorded documents on
+    conjugated fixtures, and the adapted basis is a basis of the lattice of
+    v with every N_j v on the g0 line: g0 and the Hermite-reduced rest are
+    saturated, of rank r + 1, inside that lattice."""
+    assert _conjugated_stdout(name, tmp_path, capsys) == CONJUGATED_STDOUT_SHA256[name]
+    for U, _, _ in _conjugated_documents(name):
+        ops = [fixtures.conjugate_operator(T, U) for T in MAX_UNIPOTENT_FIXTURES[name][0]]
+        g0, gs = integral_normalization(ops)
+        g0, rest = g0.as_integers(), [g.as_integers() for g in gs]
+        assert hermite_normal_form(IntMatrix(rest))[0].rows == tuple(rest)
+        d, p = len(g0), next(i for i, x in enumerate(g0) if x)
+        logs = [oracles.oracle_log([list(r) for r in T.rows]) for T in ops]
+        constraints = [
+            [g0[p] * N[i][j] - g0[i] * N[p][j] for j in range(d)]
+            for N in logs
+            for i in range(d)
+            if i != p
+        ]
+        lattice = oracles.kernel(constraints, d)
+        assert len(lattice) == len(ops) + 1
+        assert oracles.rank(lattice + [g0] + rest) == len(ops) + 1
+        assert oracles.maximal_minor_gcd([g0] + rest, d) == 1
