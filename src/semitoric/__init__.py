@@ -69,7 +69,6 @@ from .lattice import (
     integer_kernel,
     is_strongly_convex,
     is_unimodular_part_of_basis,
-    smith_normal_form,
 )
 from .monodromy import (
     MonodromySet,

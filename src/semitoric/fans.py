@@ -612,7 +612,7 @@ def boundary_chart(cone: Cone, rank=None) -> Chart:
         raise DegenerateInputError("chart requires a unimodular cone")
     rows = [g.as_integers() for g in cone.generators]
     k = len(rows)
-    basis = complete_to_basis(rows, rank) if rows else IntMatrix.identity(rank)
+    basis = complete_to_basis(rows, rank)
     names = tuple(f"w_{i+1}" for i in range(rank))
     return Chart(cone.closure(), basis, k, rank, names)
 

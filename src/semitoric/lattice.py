@@ -6,8 +6,9 @@ in integers, as (num + irr*sqrt(D)) / den, so dot products, signs,
 containment and matrix images use plain integer arithmetic, and the sign of
 p + q*sqrt(D) is decided by one comparison of squares (``_quad_sign``).  One
 elimination loop, fraction-free Bareiss elimination (``_int_echelon``),
-computes every rank, kernel, determinant and inverse; Hermite and Smith
-forms do the unimodular work.  Quadratic data, such as the irrational rays
+computes every rank, kernel, determinant and inverse; one Hermite form
+does the unimodular work: integer kernels, basis completion and the test
+that rows extend to a Z-basis.  Quadratic data, such as the irrational rays
 of a cusp's support cone, reaches that loop through realification: writing
 x = y + z*sqrt(D), each vector (a + b*sqrt(D)) / den gives the two integer
 rows of the rational and the sqrt(D) part of den <v, x>, so ranks over
@@ -732,83 +733,6 @@ def hermite_normal_form(M: IntMatrix):
     return IntMatrix(h), IntMatrix(u)
 
 
-def smith_normal_form(M: IntMatrix):
-    """Smith normal form.  Returns (D, U, V) with D = U * M * V diagonal,
-    each diagonal entry nonnegative and dividing the next."""
-    a = [list(r) for r in M.rows]
-    nr, nc = M.nrows, M.ncols
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, q):
-        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst, src, q):
-        for row in a:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    t = 0
-    while t < min(nr, nc):
-        # find a nonzero pivot in the remaining block
-        piv = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if a[i][j] != 0:
-                    if piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]]):
-                        piv = (i, j)
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        while True:
-            reduced = True
-            for i in range(t + 1, nr):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    add_row(i, t, -q)
-                    if a[i][t] != 0:
-                        swap_rows(t, i)
-                        reduced = False
-            for j in range(t + 1, nc):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    add_col(j, t, -q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                        reduced = False
-            if reduced:
-                break
-        # divisibility: pivot must divide the rest of the block
-        fixed = True
-        for i in range(t + 1, nr):
-            for j in range(t + 1, nc):
-                if a[i][j] % a[t][t] != 0:
-                    add_row(t, i, 1)
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if fixed:
-            if a[t][t] < 0:
-                a[t] = [-x for x in a[t]]
-                u[t] = [-x for x in u[t]]
-            t += 1
-    return IntMatrix(a), IntMatrix(u), IntMatrix(v)
-
-
 def integer_kernel(M: IntMatrix) -> list:
     """Basis of {x in Z^ncols : M x = 0} (saturated by construction)."""
     h, u = hermite_normal_form(M.transpose())
@@ -819,26 +743,35 @@ def integer_kernel(M: IntMatrix) -> list:
     return out
 
 
+def _basis_transform(rows, n: int):
+    """Unimodular U with U * G^T = [I_k; 0] for the k x n integer matrix G
+    of ``rows``, or None when there is none.  U exists exactly when the rows
+    extend to a Z-basis of Z^n, for [I_k; 0] is then the row Hermite form of
+    G^T; G is the top k rows of the unimodular (U^-1)^T."""
+    k = len(rows)
+    if k > n or any(len(r) != n for r in rows):
+        return None
+    if not k:
+        return IntMatrix.identity(n)
+    if not any(map(any, rows)):
+        return None
+    H, U = hermite_normal_form(IntMatrix(zip(*rows)))
+    if H.rows != tuple(tuple(int(i == j) for j in range(k)) for i in range(n)):
+        return None
+    return U
+
+
 def complete_to_basis(vectors, rank: int) -> IntMatrix:
-    """Unimodular matrix whose first rows are the given saturated integer rows."""
-    vectors = [
+    """Unimodular matrix whose first rows are the given saturated integer
+    rows: (U^-1)^T for the U of ``_basis_transform``."""
+    rows = [
         v.as_integers() if isinstance(v, Vector) else tuple(int(x) for x in v)
         for v in vectors
     ]
-    G = IntMatrix(vectors)
-    d, u, v = smith_normal_form(G)
-    k = G.nrows
-    for i in range(k):
-        if d[i][i] != 1:
-            raise DegenerateInputError("rows are not part of a lattice basis")
-    vinv = v.inverse_unimodular()
-    rows = [list(r) for r in vectors]
-    for i in range(k, rank):
-        rows.append(list(vinv[i]))
-    B = IntMatrix(rows)
-    if not B.is_unimodular():
-        raise DegenerateInputError("basis completion failed")
-    return B
+    U = _basis_transform(rows, rank)
+    if U is None:
+        raise DegenerateInputError("rows are not part of a lattice basis")
+    return U.inverse_unimodular().transpose()
 
 
 # -- cones --------------------------------------------------------------------
@@ -1099,21 +1032,12 @@ def faces(c: Cone, known=None) -> list:
 
 
 def is_unimodular_part_of_basis(c: Cone) -> bool:
-    """True iff the minimal generators are primitive integer vectors that
-    extend to a Z-basis (gcd of the maximal minors of the generator matrix
-    is 1, and the generators are linearly independent)."""
+    """True iff the minimal generators, primitive integer vectors, extend to
+    a Z-basis: the row Hermite form of their transposed matrix is the
+    identity over zeros (``_basis_transform``)."""
     if not c.generators:
         return True
     if not c.is_rational:
         raise RequiresRationalConeError("unimodularity needs rational generators")
-    rows = [g.ints for g in c.generators]  # rational generators are primitive
-    k = len(rows)
-    if _vector_rank(c.generators) != k:
-        return False
-    g = 0
-    for cols in combinations(range(c.rank), k):
-        minor = IntMatrix([[row[c_] for c_ in cols] for row in rows]).det()
-        g = math.gcd(g, minor)
-        if g == 1:
-            return True
-    return g == 1
+    # rational generators are primitive
+    return _basis_transform([g.ints for g in c.generators], c.rank) is not None

@@ -23,7 +23,6 @@ from semitoric import (
     integer_kernel,
     is_strongly_convex,
     is_unimodular_part_of_basis,
-    smith_normal_form,
 )
 from semitoric.lattice import (
     _describe,
@@ -389,62 +388,6 @@ def test_hermite_normal_form_properties():
         assert H2 == H
 
 
-def test_smith_normal_form_properties():
-    rng = random.Random(5)
-    for _ in range(25):
-        n = rng.randrange(2, 4)
-        m = rng.randrange(2, 5)
-        M = IntMatrix(tuple(tuple(rng.randrange(-5, 6) for _ in range(m)) for _ in range(n)))
-        Dm, U, V = smith_normal_form(M)
-        assert abs(U.det()) == 1 and abs(V.det()) == 1
-        assert U * M * V == Dm
-        diag = [Dm[i][i] for i in range(min(n, m))]
-        for i in range(len(diag) - 1):
-            if diag[i + 1]:
-                assert diag[i] != 0 and diag[i + 1] % diag[i] == 0
-        # off-diagonal must vanish
-        for i in range(n):
-            for j in range(m):
-                if i != j:
-                    assert Dm[i][j] == 0
-
-
-def test_elementary_divisors_against_minor_gcd():
-    from math import gcd
-    from itertools import combinations
-
-    rng = random.Random(6)
-    for _ in range(15):
-        n, m = 3, rng.randrange(3, 5)
-        M = IntMatrix(tuple(tuple(rng.randrange(-4, 5) for _ in range(m)) for _ in range(n)))
-        snf, _, _ = smith_normal_form(M)
-        divs = [snf[i][i] for i in range(n) if snf[i][i] != 0]
-
-        def minor_gcd(k):
-            g = 0
-            for rows in combinations(range(n), k):
-                for cols in combinations(range(m), k):
-                    sub = [[M[i][j] for j in cols] for i in rows]
-                    if k == 1:
-                        det = sub[0][0]
-                    elif k == 2:
-                        det = sub[0][0] * sub[1][1] - sub[0][1] * sub[1][0]
-                    else:
-                        det = (
-                            sub[0][0] * (sub[1][1] * sub[2][2] - sub[1][2] * sub[2][1])
-                            - sub[0][1] * (sub[1][0] * sub[2][2] - sub[1][2] * sub[2][0])
-                            + sub[0][2] * (sub[1][0] * sub[2][1] - sub[1][1] * sub[2][0])
-                        )
-                    g = gcd(g, abs(det))
-            return g
-
-        prev = 1
-        for k, d in enumerate(divs, start=1):
-            gk = minor_gcd(k)
-            assert gk == prev * d
-            prev = gk
-
-
 def test_integer_kernel_saturated():
     M = IntMatrix(((2, 4, 6),))
     ker = integer_kernel(M)
@@ -470,6 +413,44 @@ def test_complete_to_basis_keeps_input_rows():
         assert abs(B.det()) == 1
         for i, v in enumerate(vectors):
             assert tuple(B[i]) == v
+    assert complete_to_basis([], 3) == IntMatrix.identity(3)
+    for vectors, n in (
+        ([(0, 0)], 2),  # a zero row
+        ([(2, 0)], 2),  # a row that is not primitive
+        ([(1, 2, 0), (2, 4, 0)], 3),  # dependent rows
+        ([(1, 0), (0, 1), (1, 1)], 2),  # more rows than the rank
+        ([(1, 0, 0)], 2),  # rows of the wrong length
+    ):
+        with pytest.raises(DegenerateInputError, match="not part of a lattice basis"):
+            complete_to_basis(vectors, n)
+
+
+def test_basis_completion_against_minor_gcd():
+    """k integer rows of length n extend to a Z-basis exactly when they are
+    independent and their k x k minors have gcd 1: complete_to_basis then
+    keeps them as its first rows with determinant +-1, and raises otherwise;
+    is_unimodular_part_of_basis agrees on every cone whose minimal
+    generators are those rows."""
+    rng = random.Random(6)
+    outcomes, cones = [], 0
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        k = rng.randint(1, n)
+        rows = [tuple(rng.randrange(-2, 3) for _ in range(n)) for _ in range(k)]
+        extends = oracles.rank(rows) == k and oracles.maximal_minor_gcd(rows, n) == 1
+        outcomes.append(extends)
+        if extends:
+            B = complete_to_basis(rows, n)
+            assert B.rows[:k] == tuple(rows)
+            assert abs(oracles.leibniz_det(B.rows)) == 1
+        else:
+            with pytest.raises(DegenerateInputError, match="not part of a lattice basis"):
+                complete_to_basis(rows, n)
+        cone = Cone(n, [Vector(r) for r in rows if any(r)])
+        if sorted(g.ints for g in cone.generators) == sorted(rows):
+            cones += 1
+            assert is_unimodular_part_of_basis(cone) == extends, rows
+    assert 100 < sum(outcomes) < 300 and cones > 150, (sum(outcomes), cones)
 
 
 def test_is_unimodular_part_of_basis():
