@@ -474,9 +474,10 @@ MAX_UNIPOTENT_FIXTURES = {
     name: (ops, weight) for name, ops, weight, passed in fixtures.max_unipotency_battery() if passed
 }
 
-# sha256 over the stdout of `monodromy check` and `monodromy coords` on four
-# seeded unimodular conjugates of each fixture (see _conjugated_stdout),
-# recorded while basis completion still went through a Smith form.
+# sha256 over the exit codes and stdout of `monodromy check` and `monodromy
+# coords` on four seeded unimodular conjugates of each fixture (see
+# _conjugates), recorded while basis completion still went through a Smith
+# form.
 CONJUGATED_STDOUT_SHA256 = {
     "chain-2": "e244a92a310ae1815c21b2f597e3b7a1b578b25f7e9172effba8a7606cdad43c",
     "chain-2-conjugated": "7687436e0351da5cefd63711d80994118f78ce4dc26c78e1b81429d1d1a5de6d",
@@ -491,10 +492,11 @@ CONJUGATED_STDOUT_SHA256 = {
 }
 
 
-def _conjugated_documents(name):
-    """Four (U, check document, coords document) triples: the fixture moved
-    by a seeded unimodular U, with the antidiagonal pairing Q moved to
-    U^-T Q U^-1 and omega0 = e_1 to U e_1, so every pairing is unchanged."""
+def _conjugates(name):
+    """Four (operators, check document, coords document) triples: the
+    fixture moved by a seeded unimodular U, with the antidiagonal pairing Q
+    moved to U^-T Q U^-1 and omega0 = e_1 to U e_1, so every pairing is
+    unchanged."""
     ops, weight = MAX_UNIPOTENT_FIXTURES[name]
     n = ops[0].nrows
     rng = random.Random(f"conjugate {name}")
@@ -503,28 +505,18 @@ def _conjugated_documents(name):
     for _ in range(4):
         U = oracles.random_unimodular(rng, n)
         Ui = oracles.invert_unimodular(U)
-        moved = [[list(r) for r in fixtures.conjugate_operator(T, U).rows] for T in ops]
+        moved = [fixtures.conjugate_operator(T, U) for T in ops]
+        rows = [[list(r) for r in T.rows] for T in moved]
         pairing = oracles.mat_mul(oracles.mat_mul(list(zip(*Ui)), Q), Ui)
         omega0 = [row[0] for row in U]
         out.append(
             (
-                U,
-                dump_monodromy(moved, weight=weight),
-                dump_monodromy(moved, pairing=pairing, omega0=omega0),
+                moved,
+                dump_monodromy(rows, weight=weight),
+                dump_monodromy(rows, pairing=pairing, omega0=omega0),
             )
         )
     return out
-
-
-def _conjugated_stdout(name, tmp_path, capsys) -> str:
-    digest = hashlib.sha256()
-    for i, (_, check, coords) in enumerate(_conjugated_documents(name)):
-        for command, doc in (("check", check), ("coords", coords)):
-            path = tmp_path / f"{command}{i}.json"
-            path.write_text(canonical_dumps(doc))
-            code = cli.main(["monodromy", command, str(path)])
-            digest.update(f"{code}\n".encode() + capsys.readouterr().out.encode())
-    return digest.hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(MAX_UNIPOTENT_FIXTURES))
@@ -533,9 +525,13 @@ def test_conjugated_fixtures_keep_their_cli_output(name, tmp_path, capsys):
     conjugated fixtures, and the adapted basis is a basis of the lattice of
     v with every N_j v on the g0 line: g0 and the Hermite-reduced rest are
     saturated, of rank r + 1, inside that lattice."""
-    assert _conjugated_stdout(name, tmp_path, capsys) == CONJUGATED_STDOUT_SHA256[name]
-    for U, _, _ in _conjugated_documents(name):
-        ops = [fixtures.conjugate_operator(T, U) for T in MAX_UNIPOTENT_FIXTURES[name][0]]
+    digest = hashlib.sha256()
+    for i, (ops, check, coords) in enumerate(_conjugates(name)):
+        for command, doc in (("check", check), ("coords", coords)):
+            path = tmp_path / f"{command}{i}.json"
+            path.write_text(canonical_dumps(doc))
+            code = cli.main(["monodromy", command, str(path)])
+            digest.update(f"{code}\n".encode() + capsys.readouterr().out.encode())
         g0, gs = integral_normalization(ops)
         g0, rest = g0.as_integers(), [g.as_integers() for g in gs]
         assert hermite_normal_form(IntMatrix(rest))[0].rows == tuple(rest)
@@ -551,3 +547,4 @@ def test_conjugated_fixtures_keep_their_cli_output(name, tmp_path, capsys):
         assert len(lattice) == len(ops) + 1
         assert oracles.rank(lattice + [g0] + rest) == len(ops) + 1
         assert oracles.maximal_minor_gcd([g0] + rest, d) == 1
+    assert digest.hexdigest() == CONJUGATED_STDOUT_SHA256[name]
