@@ -346,3 +346,47 @@ def test_parse_frac_agrees_with_fraction(text):
             parse_frac(text, "x")
         assert type(info.value.__context__) is expected[0]
         assert str(info.value) == f"x: bad rational {text!r}: {expected[1]}"
+
+
+# -- work at benchmark scale ---------------------------------------------------------------
+
+
+SPELLINGS = ("-5/2", "-3", "-2/3", "-1/4", "1", "2/3", "3/2", "4")
+
+
+def _large_series_doc(rng, rank, n=1500, side=12):
+    """A series/1 document of ``n`` distinct nonnegative exponents, its
+    coefficients drawn from the eight ``SPELLINGS``."""
+    exps = set()
+    while len(exps) < n:
+        exps.add(tuple(rng.randint(0, side) for _ in range(rank)))
+    terms = [{"exponent": list(e), "coefficient": rng.choice(SPELLINGS)} for e in exps]
+    rng.shuffle(terms)
+    return {"format": "series/1", "rank": rank, "truncation": rank * side, "terms": terms}
+
+
+def test_large_series_work_is_per_column_not_per_term(monkeypatch):
+    """Each distinct coefficient spelling is parsed once, and neither the
+    reframing nor the effectivity check applies a matrix term by term."""
+    from semitoric import formats
+
+    rng = random.Random(2201)
+    doc = _large_series_doc(rng, 3)
+    M = IntMatrix(oracles.random_unimodular(rng, 3))
+    framing = Framing(IntMatrix(oracles.random_unimodular(rng, 3)))
+    calls = {"parse_frac": 0, "apply_int": 0}
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(formats, "parse_frac", counted("parse_frac", formats.parse_frac))
+    monkeypatch.setattr(IntMatrix, "apply_int", counted("apply_int", IntMatrix.apply_int))
+    s = load_series(doc)
+    assert len(s.terms) == 1500
+    assert calls["parse_frac"] <= len(SPELLINGS)
+    reframe(s, M)
+    effectivity_check(s, framing)
+    assert calls["apply_int"] == 0
