@@ -43,8 +43,11 @@ from .series import Framing, effectivity_check, reframe, reframing_preserves_eff
 
 def _emit(args, text: str):
     if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise SemitoricError(f"{args.output}: {e}") from None
     else:
         sys.stdout.write(text)
 

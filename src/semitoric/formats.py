@@ -16,10 +16,11 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import chain, repeat
 
 from .connection import BoundaryAtlas, MaxDepthPoint, NondescentWitness
 from .cusp import CycleResolution, VertexChain
-from .errors import FormatError
+from .errors import DegenerateInputError, FormatError
 from .fans import Decomposition, GroupElement, Support
 from .lattice import Cone, ExactScalar, IntMatrix, Vector
 from .quadfield import CuspData, QuadIdeal
@@ -451,6 +452,31 @@ def _series_term(t, rank: int, tpath: str) -> tuple:
     return tuple(expo), parse_frac(_require(t, "coefficient", tpath), f"{tpath}.coefficient")
 
 
+def _regular_terms(terms_obj, rank: int, truncation: int):
+    """The exponent -> coefficient dict of a term list checked a column at a
+    time, or None unless every term has a list of ``rank`` ints and an int
+    or a string spelling a nonzero rational, no exponent repeats and none
+    lies beyond the truncation.  Each distinct spelling is parsed once."""
+    try:
+        lists = [t["exponent"] for t in terms_obj]
+        spellings = [t["coefficient"] for t in terms_obj]
+    except (TypeError, KeyError):
+        return None
+    if not (set(map(type, lists)) <= {list} and set(map(len, lists)) <= {rank}
+            and set(map(type, chain.from_iterable(lists))) <= {int}
+            and set(map(type, spellings)) <= {int, str}):
+        return None
+    try:
+        value = {c: parse_frac(c, "") for c in set(spellings)}
+    except FormatError:
+        return None
+    expos = list(map(tuple, lists))
+    terms = dict(zip(expos, map(value.__getitem__, spellings)))
+    if len(terms) < len(expos) or not all(value.values()):
+        return None
+    return terms if max(map(sum, map(map, repeat(abs), expos)), default=0) <= truncation else None
+
+
 def load_series(obj, path: str = "series") -> FormalSeries:
     _check_format(obj, SERIES_FORMAT, path)
     rank = _require(obj, "rank", path)
@@ -465,28 +491,13 @@ def load_series(obj, path: str = "series") -> FormalSeries:
     terms_obj = _require(obj, "terms", path)
     if not isinstance(terms_obj, list):
         raise FormatError(f"{path}.terms: expected a list")
-    terms = []
-    for i, t in enumerate(terms_obj):
+    clean = _regular_terms(terms_obj, rank, truncation)
+    if clean is None:
+        terms = tuple(_series_term(t, rank, f"{path}.terms[{i}]") for i, t in enumerate(terms_obj))
         try:
-            expo = t["exponent"]
-            if type(expo) is list and len(expo) == rank:
-                expo = tuple(expo)
-                if all(type(e) is int for e in expo):
-                    terms.append((expo, parse_frac(t["coefficient"], "")))
-                    continue
-        except (TypeError, KeyError, FormatError):
-            pass
-        terms.append(_series_term(t, rank, f"{path}.terms[{i}]"))
-    # the FormalSeries constructor's checks, in its order, once all terms parse
-    clean = {}
-    for expo, coeff in terms:
-        if not coeff:
-            continue
-        if expo in clean:
-            raise FormatError(f"{path}: duplicate exponent {expo}")
-        if sum(map(abs, expo)) > truncation:
-            raise FormatError(f"{path}: term {expo} lies beyond the truncation {truncation}")
-        clean[expo] = coeff
+            return FormalSeries(rank, terms, truncation, complete)
+        except DegenerateInputError as e:
+            raise FormatError(f"{path}: {e}") from None
     if not 0 <= complete <= truncation:
         raise FormatError(f"{path}: complete order must lie within the truncation")
     return FormalSeries._of(rank, clean.items(), truncation, complete)

@@ -14,15 +14,17 @@ coefficients are carried over unchanged or, in products and inverses, kept
 only when nonzero; the inverse collects each exponent in the one layer of
 its degree, so its exponents are distinct too; and each result's
 truncation bounds the l1 norm of its exponents and its complete order,
-which is nonnegative.  ``formats.load_series`` uses ``_of`` after making
-the constructor's checks itself, in its order and with its messages, on
-terms whose parse yields int-tuple exponents and Fraction coefficients.
+which is nonnegative.  ``formats.load_series`` uses ``_of`` only for a
+term list that passed the constructor's checks a column at a time, and the
+constructor itself for any other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mul
 
 from .errors import DegenerateInputError
 from .lattice import Cone, IntMatrix, Vector
@@ -66,6 +68,21 @@ def _l1(expo) -> int:
     return sum(map(abs, expo))
 
 
+def _apply_to_all(A: IntMatrix, expos) -> list:
+    """The int tuples A e for the int tuples e in ``expos``, a column at a
+    time: column i of the result is the sum over j of A[i][j] times column j
+    of the input, added and multiplied by C-level ``map``."""
+    columns = list(zip(*expos))
+    out = []
+    for row in A.rows:
+        acc = repeat(0, len(expos))
+        for a, col in zip(row, columns):
+            if a:
+                acc = map(add, acc, col if a == 1 else map(mul, repeat(a), col))
+        out.append(acc)
+    return list(zip(*out))
+
+
 @dataclass(frozen=True)
 class FormalSeries:
     """Finitely many terms plus a truncation bound.
@@ -81,6 +98,8 @@ class FormalSeries:
     complete_order: int
 
     def __post_init__(self):
+        if self.rank < 1:
+            raise DegenerateInputError("rank must be positive")
         clean = {}
         for expo, coeff in self.terms:
             expo = tuple(expo)
@@ -142,10 +161,11 @@ def effectivity_check(s: FormalSeries, framing: Framing | None = None) -> Report
     themselves, so the standard framing costs no matrix work."""
     if framing is not None and framing.rank != s.rank:
         raise DegenerateInputError("framing basis has the wrong rank")
-    for expo, _ in s.terms:
-        coords = framing.coordinates(expo) if framing else expo
-        if min(coords, default=0) < 0:
-            return Report([Condition("effective", False, "", [expo])])
+    expos = [e for e, _ in s.terms]
+    coords = _apply_to_all(framing._coordinate_map, expos) if framing else expos
+    negative = list(map((0).__gt__, map(min, coords)))
+    if True in negative:
+        return Report([Condition("effective", False, "", [expos[negative.index(True)]])])
     return Report([Condition("effective", True)])
 
 
@@ -160,15 +180,14 @@ def reframe(s: FormalSeries, M: IntMatrix) -> FormalSeries:
         raise DegenerateInputError("framing changes must be unimodular")
     if M.nrows != s.rank:
         raise DegenerateInputError("framing change has the wrong rank")
-    Mt = M.transpose()
-    new_terms = [(Mt.apply_int(expo), coeff) for expo, coeff in s.terms]
+    expos = _apply_to_all(M.transpose(), [e for e, _ in s.terms])
     inv_t = M.inverse_unimodular().transpose()
     rho = max(
         sum(abs(inv_t[i][j]) for i in range(s.rank)) for j in range(s.rank)
     )
     complete = s.complete_order // rho
-    truncation = max([complete] + [_l1(e) for e, _ in new_terms])
-    return FormalSeries._of(s.rank, new_terms, truncation, complete)
+    truncation = max(complete, max(map(_l1, expos), default=0))
+    return FormalSeries._of(s.rank, zip(expos, [c for _, c in s.terms]), truncation, complete)
 
 
 def reframing_preserves_effectivity(M: IntMatrix, framing: Framing | None = None):

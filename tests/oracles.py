@@ -5,6 +5,7 @@ and integers, without calling into the package, so the tests compare two
 separate derivations of the same quantities.
 """
 
+import json
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd, isqrt, lcm
@@ -603,6 +604,65 @@ def random_sl2(rng, words: int = 8):
         G = S if rng.random() < 0.4 else T
         M = [[sum(M[i][k] * G[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
     return M
+
+
+# -- instanton series --------------------------------------------------------------
+
+
+def _series_terms(doc):
+    """(exponent tuple, Fraction) for every term of a series/1 document
+    whose coefficient is nonzero, in document order."""
+    out = []
+    for t in doc["terms"]:
+        c = Fraction(t["coefficient"])
+        if c != 0:
+            out.append((tuple(t["exponent"]), c))
+    return out
+
+
+def reframed_series_text(doc, M) -> str:
+    """The canonical text (sorted keys, no spaces, one newline) of a
+    series/1 document after the framing change e -> M^T e, term by term.
+    Terms are sorted by exponent and coefficients written reduced, as "n" or
+    "p/q".  The complete order is the old one floor-divided by the largest
+    column l1 norm of M^-T, that is the largest row l1 norm of M^-1, and
+    the truncation is the larger of it and the l1 norms of the new
+    exponents."""
+    n = len(M)
+    terms = sorted(
+        (tuple(sum(M[j][i] * e[j] for j in range(n)) for i in range(n)), c)
+        for e, c in _series_terms(doc)
+    )
+    rho = max(sum(abs(x) for x in row) for row in invert_unimodular(M))
+    complete = doc.get("complete_order", doc["truncation"]) // rho
+    truncation = max([complete] + [sum(abs(x) for x in e) for e, _ in terms])
+    out = {
+        "format": "series/1",
+        "rank": n,
+        "truncation": truncation,
+        "complete_order": complete,
+        "terms": [
+            {
+                "exponent": list(e),
+                "coefficient": f"{c.numerator}" if c.denominator == 1
+                else f"{c.numerator}/{c.denominator}",
+            }
+            for e, c in terms
+        ],
+    }
+    return json.dumps(out, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def first_noneffective_exponent(doc, F):
+    """The smallest exponent of the document, in tuple order, whose
+    coordinates in the basis of the rows of F have a negative entry, or
+    None.  The coordinates c of e solve F^T c = e, so c = F^-T e."""
+    n = len(F)
+    inv = invert_unimodular(F)
+    for e, _ in sorted(_series_terms(doc)):
+        if any(sum(inv[j][i] * e[j] for j in range(n)) < 0 for i in range(n)):
+            return e
+    return None
 
 
 # -- fan construction ------------------------------------------------------------

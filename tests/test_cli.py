@@ -348,6 +348,21 @@ def test_input_errors_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["series-reframe", "cusp-resolve"])
+def test_unwritable_output_exits_two(tmp_path, capsys, command):
+    out = tmp_path / "no-such-directory" / "out.json"
+    if command == "series-reframe":
+        s = _write(tmp_path, "s.json", dump_series(series(2, {(1, 0): 1}, 4)))
+        argv = ["series", "reframe", s, "--matrix", "1,0;0,1"]
+    else:
+        argv = ["cusp", "resolve", "-D", "13"]
+    assert cli.main(argv + ["--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {out}: ")
+    assert captured.out == ""
+    assert not out.parent.exists()
+
+
 def test_boolean_integer_fields_exit_two(tmp_path, capsys):
     fan_doc = dump_fan(build_fan(CuspData.standard(5)))
     bad_rank = _write(tmp_path, "rank.json", {**fan_doc, "rank": True})

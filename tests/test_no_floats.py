@@ -4,6 +4,9 @@ Exact arithmetic throughout: no module of ``semitoric`` except ``figures``,
 which writes SVG coordinates, holds a float literal, calls ``float`` or
 uses the floating-point functions and constants of ``math``.
 
+Every module parses with the grammar of the oldest Python that
+``pyproject.toml`` declares in ``requires-python``.
+
 Nothing public without a use: every public function, class and method is
 referenced by other library code, by an acceptance criterion or in a
 backtick span of README.md.  Names are matched by their last component, as
@@ -65,6 +68,13 @@ def test_float_uses_finds_each_kind():
 )
 def test_module_uses_no_floating_point(name):
     assert float_uses(ast.parse((SOURCE / name).read_text())) == []
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SOURCE.glob("*.py")))
+def test_module_parses_as_the_oldest_supported_python(name):
+    floor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', (ROOT / "pyproject.toml").read_text())
+    version = tuple(map(int, floor.groups()))
+    ast.parse((SOURCE / name).read_text(), filename=name, feature_version=version)
 
 
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ListComp, ast.SetComp,

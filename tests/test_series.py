@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from semitoric import (
     Framing,
     IntMatrix,
     Vector,
+    cli,
     effectivity_check,
     reframe,
     reframing_preserves_effectivity,
@@ -53,6 +55,8 @@ def test_constructor_guards():
         series(2, [((1, 0), 1), ((1, 0), 2)], 4)
     with pytest.raises(DegenerateInputError, match="rank"):
         series(2, {(1, 0, 0): 1}, 4)
+    with pytest.raises(DegenerateInputError, match="rank must be positive"):
+        series(0, {(): 1}, 0)
     with pytest.raises(DegenerateInputError, match="beyond the truncation"):
         series(2, {(3, 2): 1}, 4)
     with pytest.raises(DegenerateInputError, match="complete order"):
@@ -354,13 +358,13 @@ def test_parse_frac_agrees_with_fraction(text):
 SPELLINGS = ("-5/2", "-3", "-2/3", "-1/4", "1", "2/3", "3/2", "4")
 
 
-def _large_series_doc(rng, rank, n=1500, side=12):
-    """A series/1 document of ``n`` distinct nonnegative exponents, its
-    coefficients drawn from the eight ``SPELLINGS``."""
+def _large_series_doc(rng, rank, n=1500, side=12, spellings=SPELLINGS):
+    """A series/1 document of ``n`` distinct exponents in [0, side]^rank, in
+    random order, its coefficients drawn from ``spellings``."""
     exps = set()
     while len(exps) < n:
         exps.add(tuple(rng.randint(0, side) for _ in range(rank)))
-    terms = [{"exponent": list(e), "coefficient": rng.choice(SPELLINGS)} for e in exps]
+    terms = [{"exponent": list(e), "coefficient": rng.choice(spellings)} for e in sorted(exps)]
     rng.shuffle(terms)
     return {"format": "series/1", "rank": rank, "truncation": rank * side, "terms": terms}
 
@@ -390,3 +394,113 @@ def test_large_series_work_is_per_column_not_per_term(monkeypatch):
     reframe(s, M)
     effectivity_check(s, framing)
     assert calls["apply_int"] == 0
+
+
+def _matrix_arg(M) -> str:
+    return ";".join(",".join(map(str, row)) for row in M)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_large_series_commands_match_the_oracle(tmp_path, capsys, rank):
+    """At the benchmark's scale: 1,500 terms, coefficients spelled reduced,
+    unreduced and as JSON integers, and random unimodular matrices."""
+    rng = random.Random(2200 + rank)
+    side = (40, 12, 6)[rank - 2]
+    doc = _large_series_doc(rng, rank, side=side, spellings=SPELLINGS + ("4/6", "-6/3", 3))
+    doc["complete_order"] = rng.randint(rank * side // 2, rank * side)
+    path = tmp_path / "reframe.json"
+    path.write_text(json.dumps(doc))
+    for _ in range(3):
+        M = oracles.random_unimodular(rng, rank)
+        assert cli.main(["series", "reframe", str(path), f"--matrix={_matrix_arg(M)}"]) == 0
+        assert capsys.readouterr().out == oracles.reframed_series_text(doc, M)
+
+    F = oracles.random_unimodular(rng, rank)
+
+    def framed(coords_doc):
+        """The document with each exponent c moved to F^T c, truncated at
+        the largest l1 norm."""
+        d = json.loads(json.dumps(coords_doc))
+        for t in d["terms"]:
+            c = t["exponent"]
+            t["exponent"] = [sum(F[j][i] * c[j] for j in range(rank)) for i in range(rank)]
+        d["truncation"] = max(sum(map(abs, t["exponent"])) for t in d["terms"])
+        return d
+
+    coords = _large_series_doc(rng, rank, side=side)
+    inside = framed(coords)
+    for k, t in enumerate(rng.sample(coords["terms"], 3), 1):
+        t["exponent"] = [-k] + [side + 1] * (rank - 1)
+    outside = framed(coords)
+    for d, effective in ((inside, True), (outside, False), (doc, None)):
+        path.write_text(json.dumps(d))
+        rc = cli.main(["series", "check", str(path), f"--framing={_matrix_arg(F)}"])
+        out = json.loads(capsys.readouterr().out)
+        witness = oracles.first_noneffective_exponent(d, F)
+        assert effective is None or effective is (witness is None)
+        assert out["effective"] is (witness is None)
+        assert out["witness"] == (list(witness) if witness else None)
+        assert rc == (0 if witness is None else 1)
+
+
+def _zero_division_text(text):
+    try:
+        Fraction(text)
+    except ZeroDivisionError as e:
+        return str(e)
+
+
+LATE_FAULTS = [
+    "zero-coefficient-repeat", "duplicate", "beyond", "bool-entry", "float-entry",
+    "bool-coefficient", "float-coefficient", "zero-denominator", "missing-exponent",
+    "missing-coefficient", "duplicate-then-float",
+]
+
+
+@pytest.mark.parametrize("fault", LATE_FAULTS)
+def test_one_late_bad_term_gets_the_term_by_term_message(fault):
+    """One seeded fault among the last tenth of 1,500 terms: the document
+    fails with the message of the first faulty term, every term parsing
+    before the duplicate and truncation checks, or, for a zero coefficient
+    on a repeated exponent, loads as if the term were absent."""
+    rng = random.Random(f"late {fault}")
+    doc = _large_series_doc(rng, 3)
+    terms = doc["terms"]
+    i = rng.randrange(len(terms) * 9 // 10, len(terms))
+    t = terms[i]
+    where = f"series.terms[{i}]"
+    earlier = tuple(terms[rng.randrange(i - 5)]["exponent"])
+    if fault == "zero-coefficient-repeat":
+        expected = load_series(doc)
+        terms.insert(i, {"exponent": list(earlier), "coefficient": "0/7"})
+        assert load_series(doc) == expected
+        return
+    if fault == "duplicate":
+        t["exponent"] = list(earlier)
+        message = f"series: duplicate exponent {earlier}"
+    elif fault == "beyond":
+        t["exponent"] = [doc["truncation"] + 1, 0, 0]
+        message = f"series: term {tuple(t['exponent'])} lies beyond the truncation {doc['truncation']}"
+    elif fault in ("bool-entry", "float-entry"):
+        t["exponent"][rng.randrange(3)] = True if fault == "bool-entry" else 1.0
+        message = f"{where}.exponent: expected 3 integers"
+    elif fault == "bool-coefficient":
+        t["coefficient"] = True
+        message = f"{where}.coefficient: expected a rational, got a boolean"
+    elif fault == "float-coefficient":
+        t["coefficient"] = 0.5
+        message = f"{where}.coefficient: expected a rational, got float"
+    elif fault == "zero-denominator":
+        t["coefficient"] = "1/0"
+        message = f"{where}.coefficient: bad rational '1/0': {_zero_division_text('1/0')}"
+    elif fault.startswith("missing"):
+        key = fault.split("-")[1]
+        del t[key]
+        message = f"{where}: missing the key {key!r}"
+    else:
+        terms[i - 5]["exponent"] = list(earlier)
+        t["coefficient"] = 0.5
+        message = f"{where}.coefficient: expected a rational, got float"
+    with pytest.raises(FormatError) as info:
+        load_series(doc)
+    assert str(info.value) == message
