@@ -474,7 +474,8 @@ def _regular_terms(terms_obj, rank: int, truncation: int):
     terms = dict(zip(expos, map(value.__getitem__, spellings)))
     if len(terms) < len(expos) or not all(value.values()):
         return None
-    return terms if max(map(sum, map(map, repeat(abs), expos)), default=0) <= truncation else None
+    l1 = max(map(sum, map(map, repeat(abs), expos)), default=0)
+    return terms if l1 <= truncation else None
 
 
 def load_series(obj, path: str = "series") -> FormalSeries:
