@@ -1,3 +1,5 @@
+import argparse
+import hashlib
 import json
 import time
 from fractions import Fraction
@@ -35,6 +37,8 @@ VALIDATION_KEYS = {"conditions", "notes", "passed"}
 COMPATIBILITY_KEYS = {"conditions", "lattice", "lattice_denominator", "passed"}
 UNIPOTENCY_KEYS = {"conditions", "dims", "draws", "passed", "weight"}
 CONDITION_KEYS = {"name", "passed", "details"}
+# sha256 of the option contract of the 17 commands (see _leaf_contract)
+LEAF_CONTRACT = "3d9c874433c3d1af684a575c69204c0294dc1b8788d97388c723f25d29bf99e8"
 
 
 def _assert_shape(doc, top, witnesses):
@@ -591,3 +595,49 @@ def test_fan_with_a_mixed_field_generator_exits_two(tmp_path, capsys):
     assert cli.main(["fan", "validate", _write(tmp_path, "mixed.json", doc)]) == 2
     captured = capsys.readouterr()
     assert "cannot mix sqrt(2) with sqrt(3)" in captured.err and captured.out == ""
+
+
+def _parsers(parser, path=()):
+    """(command path, parser) for ``parser`` and every parser below it."""
+    yield path, parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _parsers(sub, path + (name,))
+
+
+def _leaves():
+    return {
+        path: p for path, p in _parsers(cli.build_parser())
+        if not any(isinstance(a, argparse._SubParsersAction) for a in p._actions)
+    }
+
+
+def _leaf_contract(parser) -> list:
+    """What a command accepts: positionals in their order, then options by
+    flag, each as (flags, dest, type, default, required, choices, nargs).
+    Help texts and the order of options are left out."""
+    positional = [a for a in parser._actions if not a.option_strings]
+    optional = sorted((a for a in parser._actions if a.option_strings),
+                      key=lambda a: a.option_strings)
+    return [
+        [a.option_strings, a.dest, getattr(a.type, "__name__", a.type), a.default,
+         a.required, list(a.choices) if a.choices else None, a.nargs]
+        for a in positional + optional
+    ]
+
+
+def test_every_leaf_accepts_what_it_accepted_before():
+    leaves = _leaves()
+    assert len(leaves) == 17
+    contract = json.dumps(
+        [[list(path), _leaf_contract(p)] for path, p in sorted(leaves.items())],
+        sort_keys=True,
+    )
+    assert hashlib.sha256(contract.encode()).hexdigest() == LEAF_CONTRACT
+
+
+@pytest.mark.parametrize("path", [path for path, _ in _parsers(cli.build_parser())])
+def test_every_parser_prints_its_help(path, capsys):
+    assert cli.main([*path, "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: semitoric")
