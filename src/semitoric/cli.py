@@ -1,5 +1,8 @@
 """Command line interface.
 
+Every command is declared once, in ``_COMMANDS``.  Its handler returns the
+document it answers with (a dict, or the SVG text of ``cusp figure``) and
+its exit code; ``main`` writes the document to stdout or to ``--output``.
 Exit codes: 0 success (and positive verdicts), 1 negative mathematical
 verdict, 2 malformed input, 3 resource bound exceeded.
 """
@@ -41,19 +44,16 @@ from .quadfield import (
 from .series import Framing, effectivity_check, reframe, reframing_preserves_effectivity
 
 
-def _emit(args, text: str):
-    if getattr(args, "output", None):
-        try:
-            with open(args.output, "w") as fh:
-                fh.write(text)
-        except OSError as e:
-            raise SemitoricError(f"{args.output}: {e}") from None
-    else:
+def _emit(path: str | None, document):
+    text = document if isinstance(document, str) else formats.canonical_dumps(document)
+    if path is None:
         sys.stdout.write(text)
-
-
-def _emit_json(args, obj):
-    _emit(args, formats.canonical_dumps(obj))
+        return
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise SemitoricError(f"{path}: {e}") from None
 
 
 def _read_json(path: str):
@@ -89,87 +89,72 @@ def _parse_int_matrix(text: str) -> IntMatrix:
         raise SemitoricError(f"bad matrix {text!r}: {e}") from None
 
 
-def _cusp_from_args(args) -> CuspData:
+def _cusp_chain(args):
+    """The boundary chain of the cusp that the cusp options name."""
     D = args.discriminant
-    if args.ideal:
+    if args.ideal is None:
+        ideal = QuadIdeal.maximal_order(D)
+    else:
         rows = args.ideal.split(";")
         if len(rows) != 2:
             raise SemitoricError("an ideal takes two generators 'a1,b1;a2,b2'")
-        alpha = _parse_pair(rows[0], D)
-        beta = _parse_pair(rows[1], D)
-        ideal = QuadIdeal(alpha, beta, D)
-    else:
-        ideal = QuadIdeal.maximal_order(D)
-    if args.unit:
-        unit = _parse_pair(args.unit, D)
-    else:
+        ideal = QuadIdeal(_parse_pair(rows[0], D), _parse_pair(rows[1], D), D)
+    if args.unit is None:
         unit = fundamental_totally_positive_unit(D, bound=args.pell_bound)
-    return CuspData(ideal, unit)
+    else:
+        unit = _parse_pair(args.unit, D)
+    return hull_vertices(CuspData(ideal, unit), box_limit=args.box_limit)
 
 
 # -- cusp commands ------------------------------------------------------------------
 
 
-def cmd_cusp_resolve(args) -> int:
-    cusp = _cusp_from_args(args)
-    chain = hull_vertices(cusp, box_limit=args.box_limit)
+def cmd_cusp_resolve(args):
+    chain = _cusp_chain(args)
     cycle = self_intersections(chain, strict=False)
-    _emit_json(
-        args,
-        {"chain": formats.dump_chain(chain), "cycle": formats.dump_cycle(cycle)},
-    )
-    return 0
+    return {"chain": formats.dump_chain(chain), "cycle": formats.dump_cycle(cycle)}, 0
 
 
-def cmd_cusp_fan(args) -> int:
-    cusp = _cusp_from_args(args)
-    chain = hull_vertices(cusp, box_limit=args.box_limit)
-    _emit_json(args, formats.dump_fan(build_fan(chain)))
-    return 0
+def cmd_cusp_fan(args):
+    return formats.dump_fan(build_fan(_cusp_chain(args))), 0
 
 
-def cmd_cusp_figure(args) -> int:
-    cusp = _cusp_from_args(args)
-    chain = hull_vertices(cusp, box_limit=args.box_limit)
+def cmd_cusp_figure(args):
+    chain = _cusp_chain(args)
     obj = chain if args.kind == "hull" else self_intersections(chain, strict=False)
-    _emit(args, emit_figure(obj, args.kind))
-    return 0
+    return emit_figure(obj, args.kind), 0
 
 
 # -- fan commands -------------------------------------------------------------------
 
 
-def cmd_fan_validate(args) -> int:
+def cmd_fan_validate(args):
     P = formats.load_fan(_read_json(args.file))
     rep = validate_decomposition(P, shell_depth=args.shell)
-    _emit_json(args, formats.dump_report(rep, witnesses=True))
-    return 0 if rep.passed else 1
+    return formats.dump_report(rep, witnesses=True), 0 if rep.passed else 1
 
 
-def cmd_fan_sbb(args) -> int:
-    if args.file:
+def cmd_fan_sbb(args):
+    if (args.file is None) == (args.discriminant is None):
+        raise SemitoricError("sbb needs exactly one of --file and a discriminant")
+    if args.file is not None:
         P = formats.load_fan(_read_json(args.file))
         support, group = P.support, P.group
-    elif args.discriminant:
+    else:
         cusp = CuspData.standard(args.discriminant, bound=args.pell_bound)
         support = Support(
             cusp_cone(cusp.ideal).closure(), interior_only=True, include_origin=False
         )
         group = (GroupElement(cusp.unit_action()),)
-    else:
-        raise SemitoricError("sbb needs either --file or a discriminant")
-    _emit_json(args, formats.dump_fan(sbb_decomposition(support, group)))
-    return 0
+    return formats.dump_fan(sbb_decomposition(support, group)), 0
 
 
-def cmd_fan_mumford(args) -> int:
-    P = formats.load_fan(_read_json(args.file))
-    verdict = is_mumford_type(P)
-    _emit_json(args, {"mumford_type": verdict})
-    return 0 if verdict else 1
+def cmd_fan_mumford(args):
+    verdict = is_mumford_type(formats.load_fan(_read_json(args.file)))
+    return {"mumford_type": verdict}, 0 if verdict else 1
 
 
-def cmd_fan_strata(args) -> int:
+def cmd_fan_strata(args):
     P = formats.load_fan(_read_json(args.file))
     out = [
         {
@@ -179,73 +164,60 @@ def cmd_fan_strata(args) -> int:
         }
         for s in strata(P)
     ]
-    _emit_json(args, {"strata": out})
-    return 0
+    return {"strata": out}, 0
 
 
-def cmd_fan_refines(args) -> int:
+def cmd_fan_refines(args):
     fine = formats.load_fan(_read_json(args.fine))
     coarse = formats.load_fan(_read_json(args.coarse))
     verdict = is_refinement(fine, coarse)
-    _emit_json(args, {"refines": verdict})
-    return 0 if verdict else 1
+    return {"refines": verdict}, 0 if verdict else 1
 
 
-def cmd_fan_common(args) -> int:
+def cmd_fan_common(args):
     a = formats.load_fan(_read_json(args.first))
     b = formats.load_fan(_read_json(args.second))
-    _emit_json(args, formats.dump_fan(common_refinement(a, b)))
-    return 0
+    return formats.dump_fan(common_refinement(a, b)), 0
 
 
 # -- atlas commands -----------------------------------------------------------------
 
 
-def cmd_atlas_from_fan(args) -> int:
+def cmd_atlas_from_fan(args):
     P = formats.load_fan(_read_json(args.file))
-    _emit_json(args, formats.dump_atlas(atlas_from_fan(P)))
-    return 0
+    return formats.dump_atlas(atlas_from_fan(P)), 0
 
 
-def cmd_atlas_check(args) -> int:
-    atlas = formats.load_atlas(_read_json(args.file))
-    rep = compatibility_check(atlas)
-    _emit_json(args, formats.dump_report(rep))
-    return 0 if rep.passed else 1
+def cmd_atlas_check(args):
+    rep = compatibility_check(formats.load_atlas(_read_json(args.file)))
+    return formats.dump_report(rep), 0 if rep.passed else 1
 
 
-def cmd_atlas_reconstruct(args) -> int:
-    atlas = formats.load_atlas(_read_json(args.file))
-    rec = reconstruct(atlas)
-    _emit_json(
-        args,
-        {
-            **formats.dump_lattice(rec.lattice),
-            "support": formats.dump_support(rec.support),
-            "fan": formats.dump_fan(rec.decomposition),
-        },
-    )
-    return 0
+def cmd_atlas_reconstruct(args):
+    rec = reconstruct(formats.load_atlas(_read_json(args.file)))
+    return {
+        **formats.dump_lattice(rec.lattice),
+        "support": formats.dump_support(rec.support),
+        "fan": formats.dump_fan(rec.decomposition),
+    }, 0
 
 
-def cmd_atlas_witness(args) -> int:
-    _emit_json(args, formats.dump_nondescent_witness(nondescent_witness(args.order)))
-    return 0
+def cmd_atlas_witness(args):
+    return formats.dump_nondescent_witness(nondescent_witness(args.order)), 0
 
 
 # -- monodromy commands --------------------------------------------------------------
 
 
-def cmd_monodromy_check(args) -> int:
+def cmd_monodromy_check(args):
     data = formats.load_monodromy(_read_json(args.file))
     rep = is_maximally_unipotent(
         data["operators"], weight=data["weight"], draws=args.draws, seed=args.seed
     )
-    _emit_json(args, formats.dump_report(rep))
-    return 0 if rep.passed else 1
+    return formats.dump_report(rep), 0 if rep.passed else 1
 
 
-def cmd_monodromy_coords(args) -> int:
+def cmd_monodromy_coords(args):
     data = formats.load_monodromy(_read_json(args.file))
     if data["pairing"] is None or data["omega0"] is None:
         raise SemitoricError("coordinates need both 'pairing' and 'omega0'")
@@ -256,26 +228,24 @@ def cmd_monodromy_coords(args) -> int:
         basis=data["basis"],
         order=args.order,
     )
-    _emit_json(args, formats.dump_coordinates(qc))
-    return 0 if not qc.degenerate else 1
+    return formats.dump_coordinates(qc), 0 if not qc.degenerate else 1
 
 
 # -- series commands -------------------------------------------------------------------
 
 
-def cmd_series_reframe(args) -> int:
+def cmd_series_reframe(args):
     s = formats.load_series(_read_json(args.file))
     M = _parse_int_matrix(args.matrix)
-    _emit_json(args, formats.dump_series(reframe(s, M)))
-    return 0
+    return formats.dump_series(reframe(s, M)), 0
 
 
-def cmd_series_check(args) -> int:
+def cmd_series_check(args):
     s = formats.load_series(_read_json(args.file))
-    framing = Framing(_parse_int_matrix(args.framing)) if args.framing else None
+    framing = None if args.framing is None else Framing(_parse_int_matrix(args.framing))
     rep = effectivity_check(s, framing)
     out = {"effective": rep.passed, "witness": list(rep.witness) if rep.witness else None}
-    if args.matrix:
+    if args.matrix is not None:
         M = _parse_int_matrix(args.matrix)
         if M.nrows != s.rank:
             raise SemitoricError("framing change has the wrong rank")
@@ -283,28 +253,79 @@ def cmd_series_check(args) -> int:
         out["reframing_preserves_effectivity"] = pres.passed
         out["reframing_witness"] = list(pres.witness) if pres.witness else None
         rep.conditions += pres.conditions
-    _emit_json(args, out)
-    return 0 if rep.passed else 1
+    return out, 0 if rep.passed else 1
 
 
 # -- parser ------------------------------------------------------------------------------
 
 
-def _add_pell_bound(p: argparse.ArgumentParser):
-    p.add_argument("--pell-bound", type=int, default=10**8,
+def _arg(*flags, **options):
+    return flags, options
+
+
+_FILE = _arg("file")
+_PELL_BOUND = _arg("--pell-bound", type=int, default=10**8,
                    help="largest sqrt(D) coefficient (times 2 when D = 1 mod 4) "
                    "of the fundamental unit")
+_CUSP = (
+    _arg("-D", "--discriminant", type=int, required=True,
+         help="squarefree discriminant of the real quadratic field"),
+    _arg("--ideal", help="module generators 'a1,b1;a2,b2' as a+b*sqrt(D)"),
+    _arg("--unit", help="totally positive unit 'a,b' fixing the module"),
+    _PELL_BOUND,
+    _arg("--box-limit", type=int,
+         help="largest |coordinate| a chain vertex may take (default: no limit)"),
+)
 
-
-def _add_cusp_options(p: argparse.ArgumentParser):
-    p.add_argument("-D", "--discriminant", type=int, required=True,
-                   help="squarefree discriminant of the real quadratic field")
-    p.add_argument("--ideal", help="module generators 'a1,b1;a2,b2' as a+b*sqrt(D)")
-    p.add_argument("--unit", help="totally positive unit 'a,b' fixing the module")
-    _add_pell_bound(p)
-    p.add_argument("--box-limit", type=int, default=None,
-                   help="largest |coordinate| a chain vertex may take (default: no limit)")
-    p.add_argument("--output", help="write to this file instead of stdout")
+# (group, help, commands); a command is (name, help, handler, its arguments),
+# and every command also takes --output.
+_COMMANDS = (
+    ("cusp", "cusp cross-section geometry", (
+        ("resolve", "boundary chain and resolution cycle", cmd_cusp_resolve, _CUSP),
+        ("fan", "decomposition induced by the chain", cmd_cusp_fan, _CUSP),
+        ("figure", "SVG picture of the hull or the cycle", cmd_cusp_figure,
+         _CUSP + (_arg("--kind", choices=("hull", "cycle"), default="hull"),)),
+    )),
+    ("fan", "cone decompositions", (
+        ("validate", "check the decomposition conditions", cmd_fan_validate,
+         (_FILE, _arg("--shell", type=int, default=1))),
+        ("sbb", "face decomposition of a support", cmd_fan_sbb, (
+            _arg("--file", help="fan file whose support and group to reuse"),
+            _arg("-D", "--discriminant", type=int,
+                 help="use the cusp cone of this discriminant as support"),
+            _PELL_BOUND,
+        )),
+        ("mumford", "are all members unimodular", cmd_fan_mumford, (_FILE,)),
+        ("strata", "boundary strata by dimension", cmd_fan_strata, (_FILE,)),
+        ("refines", "does the first fan refine the second", cmd_fan_refines,
+         (_arg("fine"), _arg("coarse"))),
+        ("common", "common refinement of two fans", cmd_fan_common,
+         (_arg("first"), _arg("second"))),
+    )),
+    ("atlas", "boundary atlases for flat connections", (
+        ("from-fan", "atlas of a full-dimensional fan", cmd_atlas_from_fan, (_FILE,)),
+        ("check", "compatibility of the local data", cmd_atlas_check, (_FILE,)),
+        ("reconstruct", "lattice, support and fan of a compatible atlas",
+         cmd_atlas_reconstruct, (_FILE,)),
+        ("witness", "model computation behind the compatibility conditions",
+         cmd_atlas_witness, (_arg("--order", type=int, default=4),)),
+    )),
+    ("monodromy", "unipotency and canonical coordinates", (
+        ("check", "maximal unipotency test", cmd_monodromy_check,
+         (_FILE, _arg("--draws", type=int, default=20), _arg("--seed", type=int, default=7))),
+        ("coords", "quasi-canonical coordinates", cmd_monodromy_coords,
+         (_FILE, _arg("--order", type=int, default=6))),
+    )),
+    ("series", "instanton series and framings", (
+        ("reframe", "apply a framing change", cmd_series_reframe,
+         (_FILE, _arg("--matrix", required=True, help="unimodular matrix 'a,b;c,d'"))),
+        ("check", "effectivity, optionally under a reframing", cmd_series_check, (
+            _FILE,
+            _arg("--framing", help="framing basis 'a,b;c,d'"),
+            _arg("--matrix", help="also test this framing change"),
+        )),
+    )),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -313,101 +334,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact cusp resolutions, cone decompositions, flat boundary "
         "atlases, monodromy weight data and instanton series",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    cusp = sub.add_parser("cusp", help="cusp cross-section geometry")
-    cusp_sub = cusp.add_subparsers(dest="subcommand", required=True)
-    p = cusp_sub.add_parser("resolve", help="boundary chain and resolution cycle")
-    _add_cusp_options(p)
-    p.set_defaults(func=cmd_cusp_resolve)
-    p = cusp_sub.add_parser("fan", help="decomposition induced by the chain")
-    _add_cusp_options(p)
-    p.set_defaults(func=cmd_cusp_fan)
-    p = cusp_sub.add_parser("figure", help="SVG picture of the hull or the cycle")
-    _add_cusp_options(p)
-    p.add_argument("--kind", choices=("hull", "cycle"), default="hull")
-    p.set_defaults(func=cmd_cusp_figure)
-
-    fan = sub.add_parser("fan", help="cone decompositions")
-    fan_sub = fan.add_subparsers(dest="subcommand", required=True)
-    p = fan_sub.add_parser("validate", help="check the decomposition conditions")
-    p.add_argument("file")
-    p.add_argument("--shell", type=int, default=1)
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_fan_validate)
-    p = fan_sub.add_parser("sbb", help="face decomposition of a support")
-    p.add_argument("--file", help="fan file whose support and group to reuse")
-    p.add_argument("-D", "--discriminant", type=int,
-                   help="use the cusp cone of this discriminant as support")
-    _add_pell_bound(p)
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_fan_sbb)
-    p = fan_sub.add_parser("mumford", help="are all members unimodular")
-    p.add_argument("file")
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_fan_mumford)
-    p = fan_sub.add_parser("strata", help="boundary strata by dimension")
-    p.add_argument("file")
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_fan_strata)
-    p = fan_sub.add_parser("refines", help="does the first fan refine the second")
-    p.add_argument("fine")
-    p.add_argument("coarse")
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_fan_refines)
-    p = fan_sub.add_parser("common", help="common refinement of two fans")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_fan_common)
-
-    atlas = sub.add_parser("atlas", help="boundary atlases for flat connections")
-    atlas_sub = atlas.add_subparsers(dest="subcommand", required=True)
-    p = atlas_sub.add_parser("from-fan", help="atlas of a full-dimensional fan")
-    p.add_argument("file")
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_atlas_from_fan)
-    p = atlas_sub.add_parser("check", help="compatibility of the local data")
-    p.add_argument("file")
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_atlas_check)
-    p = atlas_sub.add_parser("reconstruct", help="lattice, support and fan of a compatible atlas")
-    p.add_argument("file")
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_atlas_reconstruct)
-    p = atlas_sub.add_parser("witness", help="model computation behind the compatibility conditions")
-    p.add_argument("--order", type=int, default=4)
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_atlas_witness)
-
-    mono = sub.add_parser("monodromy", help="unipotency and canonical coordinates")
-    mono_sub = mono.add_subparsers(dest="subcommand", required=True)
-    p = mono_sub.add_parser("check", help="maximal unipotency test")
-    p.add_argument("file")
-    p.add_argument("--draws", type=int, default=20)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_monodromy_check)
-    p = mono_sub.add_parser("coords", help="quasi-canonical coordinates")
-    p.add_argument("file")
-    p.add_argument("--order", type=int, default=6)
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_monodromy_coords)
-
-    ser = sub.add_parser("series", help="instanton series and framings")
-    ser_sub = ser.add_subparsers(dest="subcommand", required=True)
-    p = ser_sub.add_parser("reframe", help="apply a framing change")
-    p.add_argument("file")
-    p.add_argument("--matrix", required=True, help="unimodular matrix 'a,b;c,d'")
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_series_reframe)
-    p = ser_sub.add_parser("check", help="effectivity, optionally under a reframing")
-    p.add_argument("file")
-    p.add_argument("--framing", help="framing basis 'a,b;c,d'")
-    p.add_argument("--matrix", help="also test this framing change")
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_series_check)
-
+    groups = parser.add_subparsers(dest="command", required=True)
+    for group, group_help, commands in _COMMANDS:
+        sub = groups.add_parser(group, help=group_help)
+        leaves = sub.add_subparsers(dest="subcommand", required=True)
+        for name, command_help, handler, arguments in commands:
+            p = leaves.add_parser(name, help=command_help)
+            for flags, options in arguments:
+                p.add_argument(*flags, **options)
+            p.add_argument("--output", help="write to this file instead of stdout")
+            p.set_defaults(func=handler)
     return parser
 
 
@@ -417,7 +353,9 @@ def main(argv=None) -> int:
     except SystemExit as e:  # argparse ends --help with 0 and a bad flag with 2
         return e.code
     try:
-        return args.func(args)
+        document, code = args.func(args)
+        _emit(args.output, document)
+        return code
     except ResourceBoundError as e:
         print(f"resource bound exceeded: {e}", file=sys.stderr)
         return 3

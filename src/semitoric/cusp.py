@@ -108,10 +108,13 @@ def hull_vertices(cusp: CuspData, box_limit: int | None = None) -> VertexChain:
     The period window holds the points with ratio x/x' in [1, eps^2), where
     eps is the unit, and starts at its point of least (norm, coordinates).
     Raises ResourceBoundError when a vertex coordinate exceeds ``box_limit``
-    (None sets no limit), and DegenerateInputError when the unit is below 1
-    or the basis has alpha*beta' - alpha'*beta > 0: the chain then runs the
-    other way, against the determinant-one order of the vertices.
+    (None sets no limit), and DegenerateInputError when ``box_limit`` is
+    negative, the unit is below 1 or the basis has alpha*beta' - alpha'*beta
+    > 0: the chain then runs the other way, against the determinant-one
+    order of the vertices.
     """
+    if box_limit is not None and box_limit < 0:
+        raise DegenerateInputError(f"box limit must be nonnegative, got {box_limit}")
     D = cusp.ideal.D
     basis = Vector([cusp.ideal.alpha, cusp.ideal.beta])
     (u0, u1), (v0, v1) = basis.num, basis.irr

@@ -52,9 +52,12 @@ def fundamental_unit(D: int, bound: int = PELL_BOUND) -> QuadNum:
     they first return to the state after w, the period has length l, and
     the unit is p - q*w' for the convergent p/q = p_{l-1}/q_{l-1}.  Its
     sqrt(D) coefficient is q, or q/2 when D = 1 mod 4; ResourceBoundError is
-    raised once a convergent's q exceeds ``bound``.
+    raised once a convergent's q exceeds ``bound``, and DegenerateInputError
+    when ``bound`` is negative.
     """
     check_discriminant(D)
+    if bound < 0:
+        raise DegenerateInputError(f"pell bound must be nonnegative, got {bound}")
     s = math.isqrt(D)
     P, Q = (1, 2) if D % 4 == 1 else (0, 1)
     a = (P + s) // Q

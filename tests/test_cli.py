@@ -1,6 +1,8 @@
 import argparse
 import hashlib
 import json
+import pathlib
+import re
 import time
 from fractions import Fraction
 
@@ -415,6 +417,46 @@ def test_resource_bounds_exit_three(capsys):
     assert "resource bound" in err
 
 
+def test_negative_bounds_exit_two_and_zero_bounds_three(capsys):
+    for flag, value, want in (("--pell-bound", "-5", 2), ("--box-limit", "-1", 2),
+                              ("--pell-bound", "0", 3), ("--box-limit", "0", 3)):
+        assert cli.main(["cusp", "resolve", "-D", "13", flag, value]) == want
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        if want == 2:
+            assert captured.err.startswith(f"error: {flag[2:].replace('-', ' ')} must be nonnegative")
+        else:
+            assert captured.err.startswith("resource bound exceeded:")
+    assert cli.main(["fan", "sbb", "-D", "13", "--pell-bound", "-5"]) == 2
+    assert "pell bound must be nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["cusp", "resolve", "-D", "13", "--ideal", ""], "an ideal takes two generators"),
+        (["cusp", "resolve", "-D", "13", "--unit", ""], "expected 'a,b'"),
+        (["cusp", "resolve", "-D", "13", "--output", ""], "No such file or directory"),
+        (["fan", "sbb", "--file", "", "-D", "13"], "exactly one of --file and a discriminant"),
+        (["fan", "sbb", "--file", ""], "No such file or directory"),
+        (["fan", "sbb", "-D", "0"], "discriminant must be a squarefree integer >= 2, got 0"),
+        (["fan", "sbb", "--file", "FAN", "-D", "13"], "exactly one of --file and a discriminant"),
+        (["series", "check", "SERIES", "--framing", ""], "bad matrix ''"),
+        (["series", "check", "SERIES", "--matrix", ""], "bad matrix ''"),
+    ],
+)
+def test_empty_or_zero_values_are_not_absent_options(argv, message, cusp_fan_file, tmp_path,
+                                                     capsys):
+    """An option given an empty or zero value is given: it is read, found
+    malformed and exits 2, instead of answering as if it were absent."""
+    s = _write(tmp_path, "s.json", dump_series(series(2, {(1, 0): 1}, 4)))
+    argv = [{"FAN": cusp_fan_file, "SERIES": s}.get(a, a) for a in argv]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
 def test_main_keeps_no_state_between_calls(tmp_path, capsys):
     mono = _write(tmp_path, "mono.json", dump_monodromy([[[1, 1], [0, 1]]], weight=1))
     assert cli.main(["monodromy", "check", mono]) == 0
@@ -641,3 +683,41 @@ def test_every_leaf_accepts_what_it_accepted_before():
 def test_every_parser_prints_its_help(path, capsys):
     assert cli.main([*path, "--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: semitoric")
+
+
+def test_every_leaf_takes_output_with_one_help_text():
+    for path, p in _leaves().items():
+        helps = [a.help for a in p._actions if "--output" in a.option_strings]
+        assert helps == ["write to this file instead of stdout"], path
+
+
+def _synopsis() -> list:
+    """The README's command synopsis: (group, leaf names, options) for each
+    entry, an entry being a line that starts with ``semitoric`` together
+    with the indented lines under it."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    entries = re.sub(r"\n\s+", " ", block).splitlines()
+    return [
+        (words[1], words[2].split("|"), set(re.findall(r"(?:^|[\s\[|])(--?[A-Za-z][\w-]*)", entry)))
+        for entry in entries
+        for words in [entry.split()]
+    ]
+
+
+def test_readme_synopsis_lists_every_leaf_and_its_options():
+    """Each synopsis entry names real commands and lists every option they
+    take, and only those, apart from ``--output``: every command takes it,
+    and the text under the synopsis says so once."""
+    leaves = _leaves()
+    listed = set()
+    for group, names, options in _synopsis():
+        for name in names:
+            listed.add((group, name))
+            actions = [a for a in leaves[group, name]._actions
+                       if a.option_strings and a.dest not in ("help", "output")]
+            flags = {flag for a in actions for flag in a.option_strings}
+            assert options - {"--output"} <= flags, (group, name, options - flags)
+            missing = [a.option_strings for a in actions if not options & set(a.option_strings)]
+            assert missing == [], (group, name)
+    assert listed == set(leaves)

@@ -123,6 +123,11 @@ def test_box_growth_is_bounded():
 def test_box_limit_raises():
     with pytest.raises(ResourceBoundError):
         hull_vertices(CuspData.standard(94), box_limit=64)
+    # zero is a limit that no chain meets; a negative limit is malformed
+    with pytest.raises(ResourceBoundError):
+        hull_vertices(CuspData.standard(13), box_limit=0)
+    with pytest.raises(DegenerateInputError, match="box limit must be nonnegative, got -1"):
+        hull_vertices(CuspData.standard(13), box_limit=-1)
 
 
 def test_build_fan_shape():

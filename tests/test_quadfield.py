@@ -63,6 +63,11 @@ def test_totally_positive_unit():
 def test_unit_search_bound():
     with pytest.raises(ResourceBoundError):
         fundamental_unit(61, bound=3)  # needs b = 5/2 scale, far beyond 3
+    # zero is a bound that no unit meets; a negative bound is malformed
+    with pytest.raises(ResourceBoundError):
+        fundamental_unit(2, bound=0)
+    with pytest.raises(DegenerateInputError, match="pell bound must be nonnegative, got -5"):
+        fundamental_unit(2, bound=-5)
 
 
 def test_ideal_coordinates_roundtrip():
