@@ -98,7 +98,9 @@ def _cusp_chain(args):
         rows = args.ideal.split(";")
         if len(rows) != 2:
             raise SemitoricError("an ideal takes two generators 'a1,b1;a2,b2'")
-        ideal = QuadIdeal(_parse_pair(rows[0], D), _parse_pair(rows[1], D), D)
+        alpha = _parse_pair(rows[0], D)
+        beta = _parse_pair(rows[1], D)
+        ideal = QuadIdeal(alpha, beta, D)
     if args.unit is None:
         unit = fundamental_totally_positive_unit(D, bound=args.pell_bound)
     else:
@@ -150,7 +152,8 @@ def cmd_fan_sbb(args):
 
 
 def cmd_fan_mumford(args):
-    verdict = is_mumford_type(formats.load_fan(_read_json(args.file)))
+    P = formats.load_fan(_read_json(args.file))
+    verdict = is_mumford_type(P)
     return {"mumford_type": verdict}, 0 if verdict else 1
 
 
@@ -189,12 +192,14 @@ def cmd_atlas_from_fan(args):
 
 
 def cmd_atlas_check(args):
-    rep = compatibility_check(formats.load_atlas(_read_json(args.file)))
+    atlas = formats.load_atlas(_read_json(args.file))
+    rep = compatibility_check(atlas)
     return formats.dump_report(rep), 0 if rep.passed else 1
 
 
 def cmd_atlas_reconstruct(args):
-    rec = reconstruct(formats.load_atlas(_read_json(args.file)))
+    atlas = formats.load_atlas(_read_json(args.file))
+    rec = reconstruct(atlas)
     return {
         **formats.dump_lattice(rec.lattice),
         "support": formats.dump_support(rec.support),
