@@ -9,7 +9,6 @@ the lattice, support and cone decomposition from a compatible atlas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -36,27 +35,26 @@ from .lattice import (
 from .report import Condition, Report
 
 
-@dataclass(frozen=True)
 class MaxDepthPoint:
     """Maximal-depth boundary point: its cone and the flat frame matrix A
     whose rows express flat sections in the d log v chart basis."""
 
-    label: str
-    cone: Cone
-    frame: tuple  # rows of A, entries Fraction
+    __slots__ = ("label", "cone", "frame")
 
-    def __post_init__(self):
-        r = self.cone.rank
-        if self.cone.dim() != r:
+    def __init__(self, label: str, cone: Cone, frame: tuple):
+        r = cone.rank
+        if cone.dim() != r:
             raise DegenerateInputError("maximal-depth point needs a full-dimensional cone")
-        if not self.cone.is_rational:
+        if not cone.is_rational:
             raise RequiresRationalConeError("chart cones must be rational")
-        rows = tuple(tuple(Fraction(x) for x in row) for row in self.frame)
+        rows = tuple(tuple(Fraction(x) for x in row) for row in frame)
         if len(rows) != r or any(len(row) != r for row in rows):
             raise DegenerateInputError("frame must be a square matrix of chart rank")
         if _int_rank(_times(rows, _denominator(rows))) != r:
             raise DegenerateInputError("frame matrix must be invertible")
-        object.__setattr__(self, "frame", rows)
+        self.label = label
+        self.cone = cone
+        self.frame = rows  # rows of A, entries Fraction
 
     @staticmethod
     def from_cone(label: str, cone: Cone) -> "MaxDepthPoint":
@@ -97,18 +95,16 @@ def _lattice_canonical(columns) -> tuple:
     return (den // g, tuple(tuple(x // g for x in row) for row in hrows))
 
 
-@dataclass(frozen=True)
 class BoundaryAtlas:
-    rank: int
-    points: tuple
-    group: tuple
-    covers_boundary: bool = True
-    support_hint: Support | None = None
+    __slots__ = ("rank", "points", "group", "covers_boundary", "support_hint")
 
-    def __post_init__(self):
-        labels = [p.label for p in self.points]
+    def __init__(self, rank: int, points: tuple, group: tuple, covers_boundary: bool = True,
+                 support_hint: Support | None = None):
+        labels = [p.label for p in points]
         if len(set(labels)) != len(labels):
             raise DegenerateInputError("atlas point labels must be distinct")
+        self.rank, self.points, self.group = rank, points, group
+        self.covers_boundary, self.support_hint = covers_boundary, support_hint
 
 
 def atlas_from_fan(P: Decomposition) -> BoundaryAtlas:
@@ -243,12 +239,13 @@ def _face_decomposition(atlas: BoundaryAtlas) -> Decomposition:
     return Decomposition(atlas.rank, tuple(_one_per_orbit(pieces, ball)), linear_group, support)
 
 
-@dataclass(frozen=True)
 class Reconstruction:
-    lattice: tuple  # (denominator, HNF rows) of the common local lattice
-    support: Support
-    decomposition: Decomposition
-    group: tuple
+    __slots__ = ("lattice", "support", "decomposition", "group")
+
+    def __init__(self, lattice: tuple, support: Support, decomposition: Decomposition,
+                 group: tuple):
+        self.lattice = lattice  # (denominator, HNF rows) of the common local lattice
+        self.support, self.decomposition, self.group = support, decomposition, group
 
 
 def reconstruct(atlas: BoundaryAtlas) -> Reconstruction:
@@ -298,18 +295,21 @@ def disc_translation_pullback(order: int, c: Fraction = Fraction(1)) -> dict:
     return {k: Fraction((-1) ** (k - 1)) / c**k for k in range(1, order + 1)}
 
 
-@dataclass(frozen=True)
 class NondescentWitness:
     """Exact one-variable computation: translations of the disc coordinate
     break flatness while torus scalings (the shadows of lattice
     translations upstairs) preserve it."""
 
-    sample_section: dict
-    sample_nabla: dict
-    pole_order: int
-    lead_coefficient: Fraction
-    scaling_obstruction: dict
-    translation_obstruction: dict
+    __slots__ = ("sample_section", "sample_nabla", "pole_order", "lead_coefficient",
+                 "scaling_obstruction", "translation_obstruction")
+
+    def __init__(self, sample_section: dict, sample_nabla: dict, pole_order: int,
+                 lead_coefficient: Fraction, scaling_obstruction: dict,
+                 translation_obstruction: dict):
+        self.sample_section, self.sample_nabla = sample_section, sample_nabla
+        self.pole_order, self.lead_coefficient = pole_order, lead_coefficient
+        self.scaling_obstruction = scaling_obstruction
+        self.translation_obstruction = translation_obstruction
 
     @property
     def descends_under_scalings(self) -> bool:

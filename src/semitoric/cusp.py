@@ -18,7 +18,6 @@ Every sign test and floor is done in integers on the two embeddings
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .errors import DegenerateInputError, ResourceBoundError
@@ -44,7 +43,6 @@ def _complement(P) -> tuple:
     return (-y0 * a, x0 * a)
 
 
-@dataclass(frozen=True)
 class VertexChain:
     """One period of the boundary polyline of the lattice hull.
 
@@ -56,12 +54,10 @@ class VertexChain:
     is the largest absolute coordinate among the vertices.
     """
 
-    cusp: CuspData
-    vertices: tuple
-    b: tuple
-    box_used: int
+    __slots__ = ("cusp", "vertices", "b", "box_used")
 
-    def __post_init__(self):
+    def __init__(self, cusp: CuspData, vertices: tuple, b: tuple, box_used: int):
+        self.cusp, self.vertices, self.b, self.box_used = cusp, vertices, b, box_used
         if len(self.vertices) != len(self.b) or not self.vertices:
             raise DegenerateInputError("chain needs matching vertices and b values")
         E = self.cusp.unit_action()
@@ -172,16 +168,16 @@ def hull_vertices(cusp: CuspData, box_limit: int | None = None) -> VertexChain:
     return VertexChain(cusp, tuple(vertices), tuple(bs[start:] + bs[:start]), box)
 
 
-@dataclass(frozen=True)
 class CycleResolution:
     """Cycle of rational curves resolving the cusp: curve j has
     self-intersection -b[j].  ``b`` is the lexicographically smallest
     rotation of the chain values; ``offset`` says where it starts in the
     chain."""
 
-    chain: VertexChain
-    b: tuple
-    offset: int
+    __slots__ = ("chain", "b", "offset")
+
+    def __init__(self, chain: VertexChain, b: tuple, offset: int):
+        self.chain, self.b, self.offset = chain, b, offset
 
     @property
     def m(self) -> int:

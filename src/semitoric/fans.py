@@ -26,7 +26,6 @@ collected into members.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import islice
 
 from .errors import DegenerateInputError, GroupMismatchError, RequiresRationalConeError
@@ -45,19 +44,30 @@ from .lattice import (
 from .report import Condition, Report
 
 
-@dataclass(frozen=True)
 class GroupElement:
     """Affine symmetry: integer linear part (a lattice automorphism) plus an
     integer translation.  Only the linear part acts on cones."""
 
-    linear: IntMatrix
-    translation: tuple = ()
-    _inverse: IntMatrix = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("linear", "translation", "_inverse")
 
-    def __post_init__(self):
-        if not self.linear.is_unimodular():
+    def __init__(self, linear: IntMatrix, translation: tuple = ()):
+        if not linear.is_unimodular():
             raise DegenerateInputError("group element linear part must be unimodular")
-        object.__setattr__(self, "translation", tuple(int(t) for t in self.translation))
+        put = object.__setattr__
+        put(self, "linear", linear)
+        put(self, "translation", tuple(int(t) for t in translation))
+        put(self, "_inverse", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GroupElement is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not GroupElement:
+            return NotImplemented
+        return (self.linear, self.translation) == (other.linear, other.translation)
+
+    def __hash__(self):
+        return hash((self.linear, self.translation))
 
     def inverse_linear(self) -> IntMatrix:
         """The inverse of the linear part, computed once and kept."""
@@ -66,7 +76,6 @@ class GroupElement:
         return self._inverse
 
 
-@dataclass(frozen=True)
 class Support:
     """Support region: a cone with interpretation flags.
 
@@ -75,9 +84,10 @@ class Support:
     included or excluded explicitly, independent of the other flags.
     """
 
-    cone: Cone
-    interior_only: bool = False
-    include_origin: bool = True
+    __slots__ = ("cone", "interior_only", "include_origin")
+
+    def __init__(self, cone: Cone, interior_only: bool = False, include_origin: bool = True):
+        self.cone, self.interior_only, self.include_origin = cone, interior_only, include_origin
 
     def contains_point(self, v) -> bool:
         v = as_vector(v, self.cone.rank)
@@ -104,7 +114,6 @@ def zero_cone(rank: int) -> Cone:
     return Cone(rank, [], relint=True)
 
 
-@dataclass(frozen=True)
 class Decomposition:
     """Representative members (relative interiors), the symmetry group and
     the support.
@@ -116,21 +125,15 @@ class Decomposition:
     translate and face is built once per decomposition and keeps its dual
     description across calls."""
 
-    rank: int
-    members: tuple
-    group: tuple
-    support: Support
-    _spheres: list = field(default_factory=list, init=False, repr=False, compare=False)
-    _reached: set = field(default_factory=set, init=False, repr=False, compare=False)
-    _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _closed: dict = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("rank", "members", "group", "support", "_spheres", "_reached", "_images",
+                 "_closed")
 
-    def __post_init__(self):
-        members = tuple(
-            m if m.relint else m.relative_interior() for m in self.members
-        )
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "group", tuple(self.group))
+    def __init__(self, rank: int, members: tuple, group: tuple, support: Support):
+        self.rank = rank
+        self.members = tuple(m if m.relint else m.relative_interior() for m in members)
+        self.group = tuple(group)
+        self.support = support
+        self._spheres, self._reached, self._images, self._closed = [], set(), {}, None
 
     # -- group exploration ----------------------------------------------------
 
@@ -189,7 +192,7 @@ class Decomposition:
             table = {}
             for m in self.members:
                 table.setdefault(m.generators, m.closure())
-            object.__setattr__(self, "_closed", table)
+            self._closed = table
         return self._closed
 
 
@@ -572,11 +575,11 @@ def is_mumford_type(P: Decomposition) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class Stratum:
-    cone: Cone
-    complex_dim: int
-    torus_dim: int
+    __slots__ = ("cone", "complex_dim", "torus_dim")
+
+    def __init__(self, cone: Cone, complex_dim: int, torus_dim: int):
+        self.cone, self.complex_dim, self.torus_dim = cone, complex_dim, torus_dim
 
 
 def strata(P: Decomposition) -> list:
@@ -591,16 +594,15 @@ def strata(P: Decomposition) -> list:
     return out
 
 
-@dataclass(frozen=True)
 class Chart:
     """Boundary chart data for a Mumford-type cone: the cone generators as
     the first k vectors of a Z-basis, plus coordinate names."""
 
-    cone: Cone
-    basis: IntMatrix
-    k: int
-    rank: int
-    coordinate_names: tuple
+    __slots__ = ("cone", "basis", "k", "rank", "coordinate_names")
+
+    def __init__(self, cone: Cone, basis: IntMatrix, k: int, rank: int, coordinate_names: tuple):
+        self.cone, self.basis, self.k, self.rank = cone, basis, k, rank
+        self.coordinate_names = coordinate_names
 
     def torus_coordinates(self) -> tuple:
         return self.coordinate_names[self.k :]

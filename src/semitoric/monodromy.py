@@ -15,7 +15,6 @@ its kernel, and power sums are taken over one common denominator.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, gcd, lcm, prod
 from operator import mul
@@ -222,24 +221,22 @@ def weight_spaces(N, n: int) -> tuple:
 # -- the maximal unipotency test ----------------------------------------------------
 
 
-@dataclass(frozen=True)
 class MonodromySet:
     """Commuting monodromy operators around the branches of a normal
     crossings boundary point."""
 
-    operators: tuple
-    _logs: tuple = field(default=None, init=False, repr=False, compare=False)
-    _scaled_logs: tuple = field(default=None, init=False, repr=False, compare=False)
-    _chains: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("operators", "_logs", "_scaled_logs", "_chains")
 
-    def __post_init__(self):
-        ops = tuple(_mat(T) for T in self.operators)
+    def __init__(self, operators: tuple):
+        ops = tuple(_mat(T) for T in operators)
         if not ops:
             raise DegenerateInputError("need at least one operator")
         d = len(ops[0])
         if any(len(T) != d for T in ops):
             raise DegenerateInputError("operators must share a dimension")
-        object.__setattr__(self, "operators", ops)
+        self.operators = ops
+        self._logs = self._scaled_logs = None
+        self._chains = {}
 
     @property
     def r(self) -> int:
@@ -260,7 +257,7 @@ class MonodromySet:
     def logs(self) -> tuple:
         """The logarithms of the operators, computed once."""
         if self._logs is None:
-            object.__setattr__(self, "_logs", tuple(unipotent_log(T) for T in self.operators))
+            self._logs = tuple(unipotent_log(T) for T in self.operators)
         return self._logs
 
     def scaled_logs(self) -> tuple:
@@ -271,7 +268,7 @@ class MonodromySet:
         if self._scaled_logs is None:
             logs = self.logs()
             den = lcm(*(_denominator(L) for L in logs))
-            object.__setattr__(self, "_scaled_logs", (den, tuple(_times(L, den) for L in logs)))
+            self._scaled_logs = (den, tuple(_times(L, den) for L in logs))
         return self._scaled_logs
 
     def chain(self, a) -> tuple | None:
@@ -489,7 +486,6 @@ def _multiple_of(vec, g0) -> Fraction:
     return coeff if coeff is not None else Fraction(0)
 
 
-@dataclass(frozen=True)
 class QuasiCanonicalCoordinates:
     """Coordinates f_j = z_j + c_j + rho_j.
 
@@ -498,14 +494,14 @@ class QuasiCanonicalCoordinates:
     linear part is not exactly z_j, with the offending coefficients kept for
     inspection."""
 
-    fs: tuple
-    constants: tuple
-    remainders: tuple
-    m: tuple
-    exact: bool
-    degenerate: bool
-    linear_parts: tuple
-    order: int
+    __slots__ = ("fs", "constants", "remainders", "m", "exact", "degenerate", "linear_parts",
+                 "order")
+
+    def __init__(self, fs: tuple, constants: tuple, remainders: tuple, m: tuple, exact: bool,
+                 degenerate: bool, linear_parts: tuple, order: int):
+        self.fs, self.constants, self.remainders, self.m = fs, constants, remainders, m
+        self.exact, self.degenerate = exact, degenerate
+        self.linear_parts, self.order = linear_parts, order
 
     def q_descriptions(self) -> tuple:
         out = []

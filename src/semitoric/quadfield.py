@@ -11,7 +11,6 @@ generator, in O(period) integer steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateInputError, MixedDiscriminantError, ResourceBoundError
@@ -91,16 +90,14 @@ def fundamental_totally_positive_unit(D: int, bound: int = PELL_BOUND) -> QuadNu
     return eps * eps
 
 
-@dataclass(frozen=True)
 class QuadIdeal:
     """Fractional-ideal data: an ordered Z-basis (alpha, beta) of a rank-2
     module in Q(sqrt(D))."""
 
-    alpha: QuadNum
-    beta: QuadNum
-    D: int
+    __slots__ = ("alpha", "beta", "D")
 
-    def __post_init__(self):
+    def __init__(self, alpha: QuadNum, beta: QuadNum, D: int):
+        self.alpha, self.beta, self.D = alpha, beta, D
         check_discriminant(self.D)
         for x in (self.alpha, self.beta):
             if x.D not in (None, self.D):
@@ -153,15 +150,14 @@ def cusp_cone(ideal: QuadIdeal) -> Cone:
     return cone
 
 
-@dataclass(frozen=True)
 class CuspData:
     """A cusp: module basis plus a totally positive unit stabilizing it."""
 
-    ideal: QuadIdeal
-    unit: QuadNum
+    __slots__ = ("ideal", "unit", "_action")
 
-    def __post_init__(self):
-        eps = self.unit
+    def __init__(self, ideal: QuadIdeal, unit: QuadNum):
+        self.ideal = ideal
+        self.unit = eps = unit
         if eps.norm() != 1:
             raise DegenerateInputError(f"unit must have norm +1, got norm {eps.norm()}")
         if not eps.is_totally_positive():
@@ -182,7 +178,7 @@ class CuspData:
         E = IntMatrix([[cols[0][0], cols[1][0]], [cols[0][1], cols[1][1]]])
         if E.det() != 1:
             raise DegenerateInputError("unit action must have determinant 1")
-        object.__setattr__(self, "_action", E)
+        self._action = E
 
     def unit_action(self) -> IntMatrix:
         """Matrix of multiplication by the unit on (alpha, beta) coordinates:

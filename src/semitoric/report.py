@@ -5,22 +5,36 @@ on the way (a common lattice, an observed weight)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
-
-@dataclass
 class Condition:
-    name: str
-    passed: bool
-    details: str = ""
-    witnesses: list = field(default_factory=list)
+    __slots__ = ("name", "passed", "details", "witnesses")
+
+    def __init__(self, name: str, passed: bool, details: str = "", witnesses: list | None = None):
+        self.name = name
+        self.passed = passed
+        self.details = details
+        self.witnesses = [] if witnesses is None else witnesses
+
+    def __eq__(self, other):
+        if type(other) is not Condition:
+            return NotImplemented
+        return (self.name, self.passed, self.details, self.witnesses) == (
+            other.name, other.passed, other.details, other.witnesses)
 
 
-@dataclass
 class Report:
-    conditions: list
-    notes: list = field(default_factory=list)
-    data: dict = field(default_factory=dict)
+    __slots__ = ("conditions", "notes", "data")
+
+    def __init__(self, conditions: list, notes: list | None = None, data: dict | None = None):
+        self.conditions = conditions
+        self.notes = [] if notes is None else notes
+        self.data = {} if data is None else data
+
+    def __eq__(self, other):
+        if type(other) is not Report:
+            return NotImplemented
+        return (self.conditions, self.notes, self.data) == (
+            other.conditions, other.notes, other.data)
 
     @property
     def passed(self) -> bool:

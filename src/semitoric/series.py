@@ -21,7 +21,6 @@ constructor itself for any other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from operator import add, mul
@@ -31,24 +30,23 @@ from .lattice import Cone, IntMatrix, Vector
 from .report import Condition, Report
 
 
-@dataclass(frozen=True)
 class Framing:
     """Basis of the exponent lattice whose nonnegative span is the
     effectivity cone, optionally constrained to lie in a support cone."""
 
-    basis: IntMatrix
-    support: Cone | None = None
-    _coordinate_map: IntMatrix = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("basis", "support", "_coordinate_map")
 
-    def __post_init__(self):
-        if self.basis.nrows != self.basis.ncols:
+    def __init__(self, basis: IntMatrix, support: Cone | None = None):
+        if basis.nrows != basis.ncols:
             raise DegenerateInputError("framing basis must be square")
-        if not self.basis.is_unimodular():
+        if not basis.is_unimodular():
             raise DegenerateInputError("framing basis must be unimodular")
-        object.__setattr__(self, "_coordinate_map", self.basis.inverse_unimodular().transpose())
-        if self.support is not None:
-            closure = self.support.closure()
-            for row in self.basis.rows:
+        self.basis = basis
+        self.support = support
+        self._coordinate_map = basis.inverse_unimodular().transpose()
+        if support is not None:
+            closure = support.closure()
+            for row in basis.rows:
                 if not closure.contains(Vector(row)):
                     raise DegenerateInputError("framing basis leaves the support cone")
 
@@ -83,7 +81,6 @@ def _apply_to_all(A: IntMatrix, expos) -> list:
     return list(zip(*out))
 
 
-@dataclass(frozen=True)
 class FormalSeries:
     """Finitely many terms plus a truncation bound.
 
@@ -92,20 +89,17 @@ class FormalSeries:
     which the term list is guaranteed complete (it can sink below the
     truncation after a reframing)."""
 
-    rank: int
-    terms: tuple
-    truncation: int
-    complete_order: int
+    __slots__ = ("rank", "terms", "truncation", "complete_order")
 
-    def __post_init__(self):
-        if self.rank < 1:
+    def __init__(self, rank: int, terms: tuple, truncation: int, complete_order: int):
+        if rank < 1:
             raise DegenerateInputError("rank must be positive")
         clean = {}
-        for expo, coeff in self.terms:
+        for expo, coeff in terms:
             expo = tuple(expo)
             if any(type(e) is not int for e in expo):
                 raise DegenerateInputError(f"exponent {expo} has a non-integer entry")
-            if len(expo) != self.rank:
+            if len(expo) != rank:
                 raise DegenerateInputError("exponent length does not match the rank")
             if type(coeff) is not Fraction:
                 coeff = Fraction(coeff)
@@ -113,14 +107,14 @@ class FormalSeries:
                 continue
             if expo in clean:
                 raise DegenerateInputError(f"duplicate exponent {expo}")
-            if _l1(expo) > self.truncation:
+            if _l1(expo) > truncation:
                 raise DegenerateInputError(
-                    f"term {expo} lies beyond the truncation {self.truncation}"
+                    f"term {expo} lies beyond the truncation {truncation}"
                 )
             clean[expo] = coeff
-        object.__setattr__(self, "terms", tuple(sorted(clean.items())))
-        if not (0 <= self.complete_order <= self.truncation):
+        if not (0 <= complete_order <= truncation):
             raise DegenerateInputError("complete order must lie within the truncation")
+        self._put(rank, clean.items(), truncation, complete_order)
 
     @classmethod
     def _of(cls, rank: int, terms, truncation: int, complete_order: int) -> "FormalSeries":
@@ -128,12 +122,27 @@ class FormalSeries:
         guarantees distinct int-tuple exponents of length ``rank`` and l1 norm
         at most ``truncation``, nonzero Fraction coefficients, and
         0 <= complete_order <= truncation."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "rank", rank)
-        object.__setattr__(s, "terms", tuple(sorted(terms)))
-        object.__setattr__(s, "truncation", truncation)
-        object.__setattr__(s, "complete_order", complete_order)
-        return s
+        return object.__new__(cls)._put(rank, terms, truncation, complete_order)
+
+    def _put(self, rank: int, terms, truncation: int, complete_order: int) -> "FormalSeries":
+        put = object.__setattr__
+        put(self, "rank", rank)
+        put(self, "terms", tuple(sorted(terms)))
+        put(self, "truncation", truncation)
+        put(self, "complete_order", complete_order)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FormalSeries is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not FormalSeries:
+            return NotImplemented
+        return (self.rank, self.terms, self.truncation, self.complete_order) == (
+            other.rank, other.terms, other.truncation, other.complete_order)
+
+    def __hash__(self):
+        return hash((self.rank, self.terms, self.truncation, self.complete_order))
 
     def coefficient(self, expo) -> Fraction:
         expo = tuple(expo)
