@@ -38,6 +38,7 @@ from .monodromy import is_maximally_unipotent, quasi_canonical_coordinates
 from .quadfield import (
     CuspData,
     QuadIdeal,
+    check_bound,
     cusp_cone,
     fundamental_totally_positive_unit,
 )
@@ -53,7 +54,7 @@ def _emit(path: str | None, document):
         with open(path, "w") as fh:
             fh.write(text)
     except OSError as e:
-        raise SemitoricError(f"{path}: {e}") from None
+        raise SemitoricError(f"{path!r}: {e}") from None
 
 
 def _read_json(path: str):
@@ -63,9 +64,9 @@ def _read_json(path: str):
         with open(path) as fh:
             return json.load(fh)
     except json.JSONDecodeError as e:
-        raise SemitoricError(f"{path}: not valid JSON: {e}") from None
+        raise SemitoricError(f"{path!r}: not valid JSON: {e}") from None
     except OSError as e:
-        raise SemitoricError(f"{path}: {e}") from None
+        raise SemitoricError(f"{path!r}: {e}") from None
 
 
 def _parse_pair(text: str, D: int) -> ExactScalar:
@@ -91,6 +92,8 @@ def _parse_int_matrix(text: str) -> IntMatrix:
 
 def _cusp_chain(args):
     """The boundary chain of the cusp that the cusp options name."""
+    check_bound("pell bound", args.pell_bound)
+    check_bound("box limit", args.box_limit)
     D = args.discriminant
     if args.ideal is None:
         ideal = QuadIdeal.maximal_order(D)
@@ -143,6 +146,7 @@ def cmd_fan_sbb(args):
         P = formats.load_fan(_read_json(args.file))
         support, group = P.support, P.group
     else:
+        check_bound("pell bound", args.pell_bound)
         cusp = CuspData.standard(args.discriminant, bound=args.pell_bound)
         support = Support(
             cusp_cone(cusp.ideal).closure(), interior_only=True, include_origin=False

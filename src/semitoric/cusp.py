@@ -23,7 +23,7 @@ from math import gcd
 from .errors import DegenerateInputError, ResourceBoundError
 from .fans import Decomposition, GroupElement, Support
 from .lattice import Cone, IntMatrix, Vector, _floor_quotient, _quad_sign
-from .quadfield import CuspData, cusp_cone
+from .quadfield import CuspData, check_bound, cusp_cone
 
 
 def _cross(p, q) -> int:
@@ -109,8 +109,7 @@ def hull_vertices(cusp: CuspData, box_limit: int | None = None) -> VertexChain:
     > 0: the chain then runs the other way, against the determinant-one
     order of the vertices.
     """
-    if box_limit is not None and box_limit < 0:
-        raise DegenerateInputError(f"box limit must be nonnegative, got {box_limit}")
+    check_bound("box limit", box_limit)
     D = cusp.ideal.D
     basis = Vector([cusp.ideal.alpha, cusp.ideal.beta])
     (u0, u1), (v0, v1) = basis.num, basis.irr

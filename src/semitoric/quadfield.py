@@ -27,6 +27,12 @@ def check_discriminant(D: int) -> int:
     return D
 
 
+def check_bound(name: str, bound) -> None:
+    """A bound is None (no bound) or a nonnegative int; a negative one is malformed."""
+    if bound is not None and bound < 0:
+        raise DegenerateInputError(f"{name} must be nonnegative, got {bound}")
+
+
 def sqrtD(D: int) -> QuadNum:
     return ExactScalar(0, 1, check_discriminant(D))
 
@@ -55,8 +61,7 @@ def fundamental_unit(D: int, bound: int = PELL_BOUND) -> QuadNum:
     when ``bound`` is negative.
     """
     check_discriminant(D)
-    if bound < 0:
-        raise DegenerateInputError(f"pell bound must be nonnegative, got {bound}")
+    check_bound("pell bound", bound)
     s = math.isqrt(D)
     P, Q = (1, 2) if D % 4 == 1 else (0, 1)
     a = (P + s) // Q

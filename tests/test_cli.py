@@ -364,7 +364,7 @@ def test_unwritable_output_exits_two(tmp_path, capsys, command):
         argv = ["cusp", "resolve", "-D", "13"]
     assert cli.main(argv + ["--output", str(out)]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith(f"error: {out}: ")
+    assert captured.err.startswith(f"error: {str(out)!r}: ")
     assert captured.out == ""
     assert not out.parent.exists()
 
@@ -429,6 +429,17 @@ def test_negative_bounds_exit_two_and_zero_bounds_three(capsys):
             assert captured.err.startswith("resource bound exceeded:")
     assert cli.main(["fan", "sbb", "-D", "13", "--pell-bound", "-5"]) == 2
     assert "pell bound must be nonnegative" in capsys.readouterr().err
+    # a bound is checked before any work: a given unit never reads the Pell
+    # bound, and D = 151 would exhaust the default Pell bound first
+    for argv, message in ((["-D", "5", "--unit", "3/2,1/2", "--pell-bound", "-5"], "pell bound"),
+                          (["-D", "151", "--box-limit", "-1"], "box limit"),
+                          (["-D", "151", "--pell-bound", "-1"], "pell bound")):
+        assert cli.main(["cusp", "resolve", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message} must be nonnegative, got -")
+    assert cli.main(["fan", "sbb", "-D", "151", "--pell-bound", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("error: pell bound must be nonnegative, got -1")
 
 
 @pytest.mark.parametrize(
@@ -455,6 +466,8 @@ def test_empty_or_zero_values_are_not_absent_options(argv, message, cusp_fan_fil
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
+    if message == "No such file or directory":  # the line names the empty path
+        assert captured.err.startswith("error: '': [Errno 2] ")
 
 
 def test_main_keeps_no_state_between_calls(tmp_path, capsys):
