@@ -812,6 +812,32 @@ def quad_dot(xs, ys, D):
     return acc
 
 
+def cusp_cone_edges(D: int, alpha, beta) -> list:
+    """The two edge directions of the open cone
+    {y : alpha y1 + beta y2 > 0, alpha' y1 + beta' y2 > 0}, for pairs (a, b)
+    of a + b*sqrt(D): each edge spans the line where one form vanishes and
+    points to the side where the other is positive."""
+    a, b = tuple(map(Fraction, alpha)), tuple(map(Fraction, beta))
+    ac, bc = (a[0], -a[1]), (b[0], -b[1])
+
+    def neg(x):
+        return (-x[0], -x[1])
+
+    edges = []
+    for edge, form in (((bc, neg(ac)), (a, b)), ((b, neg(a)), (ac, bc))):
+        if _q_sign(quad_dot(form, edge, D), D) < 0:
+            edge = tuple(map(neg, edge))
+        edges.append(edge)
+    return edges
+
+
+def same_ray(u, v, D: int) -> bool:
+    """Whether the plane vectors u and v, with entries (a, b) for
+    a + b*sqrt(D), are positive multiples of one another."""
+    cross = quad_dot(u, (v[1], (-v[0][0], -v[0][1])), D)
+    return cross == (0, 0) and _q_sign(quad_dot(u, v, D), D) > 0
+
+
 def quad_rref(rows, D):
     """(reduced echelon rows, pivot columns) over Q(sqrt(D)) for rows of
     (a, b) pairs."""

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +13,7 @@ from semitoric import (
     ResourceBoundError,
     Vector,
     build_fan,
+    cusp_cone,
     emit_figure,
     hull_vertices,
     ring_basis,
@@ -206,6 +208,11 @@ def _oracle_cases():
         for k in (2, 3):
             cases.append(_stabilized(QuadIdeal(one, omega * k, D), CuspData.standard(D).unit))
     cases.append(CuspData(QuadIdeal(ExactScalar(2), sqrtD(2), 2), CuspData.standard(2).unit))
+    # thin modules Z + Z*(1 + sqrt(D)/k)/2: the reduced basis lies below the
+    # period window, so the chain walks forward into it
+    for D, k in ((2, 3), (3, 3), (5, 7)):
+        thin = QuadIdeal(ExactScalar(1), ExactScalar(Fraction(1, 2), Fraction(1, 2 * k), D), D)
+        cases.append(_stabilized(thin, CuspData.standard(D).unit))
     # squared and cubed units: two and three periods of the fundamental chain
     for D in (2, 3, 5):
         base = CuspData.standard(D)
@@ -225,6 +232,30 @@ def test_chain_matches_box_hull_oracle():
         assert (chain.vertices, chain.b) == want[:2], cusp
         assert [list(r) for r in cusp.unit_action().rows] == want[2]
         assert chain.box_used == max(abs(t) for v in chain.vertices for t in v)
+
+
+def _seeded_bases():
+    """(D, alpha, beta) for maximal-order bases moved by SL2(Z) and scaled
+    by a field element, in both orders."""
+    rng = random.Random(25)
+    for D in (2, 3, 5, 6, 7, 13, 14, 21):
+        one, omega = ring_basis(D)
+        for _ in range(6):
+            (a, b), (c, d) = oracles.random_sl2(rng, 6)
+            scale = ExactScalar(Fraction(rng.randint(1, 5), rng.randint(1, 3)), rng.randint(-2, 2), D)
+            alpha, beta = scale * (a * one + c * omega), scale * (b * one + d * omega)
+            yield D, alpha, beta
+            yield D, beta, alpha
+
+
+def test_cusp_cone_matches_oracle_edges():
+    for D, alpha, beta in _seeded_bases():
+        cone = cusp_cone(QuadIdeal(alpha, beta, D))
+        assert cone.relint and cone.dim() == 2 and len(cone.generators) == 2
+        edges = oracles.cusp_cone_edges(D, _pair(alpha), _pair(beta))
+        for g in cone.generators:
+            g = tuple(map(_pair, g))
+            assert [oracles.same_ray(g, e, D) for e in edges].count(True) == 1, (D, alpha, beta)
 
 
 def test_every_discriminant_below_1000_matches_minus_cf_oracles():
