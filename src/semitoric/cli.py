@@ -36,6 +36,7 @@ from .fans import (
 from .lattice import ExactScalar, IntMatrix
 from .monodromy import is_maximally_unipotent, quasi_canonical_coordinates
 from .quadfield import (
+    PELL_BOUND,
     CuspData,
     QuadIdeal,
     check_bound,
@@ -125,9 +126,7 @@ def cmd_cusp_fan(args):
 
 
 def cmd_cusp_figure(args):
-    chain = _cusp_chain(args)
-    obj = chain if args.kind == "hull" else self_intersections(chain, strict=False)
-    return emit_figure(obj, args.kind), 0
+    return emit_figure(_cusp_chain(args), args.kind), 0
 
 
 # -- fan commands -------------------------------------------------------------------
@@ -273,7 +272,7 @@ def _arg(*flags, **options):
 
 
 _FILE = _arg("file")
-_PELL_BOUND = _arg("--pell-bound", type=int, default=10**8,
+_PELL_BOUND = _arg("--pell-bound", type=int, default=PELL_BOUND,
                    help="largest sqrt(D) coefficient (times 2 when D = 1 mod 4) "
                    "of the fundamental unit")
 _CUSP = (

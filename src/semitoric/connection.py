@@ -206,17 +206,12 @@ def _basis_rows(canonical) -> list:
 
 
 def _covolume_ratio(lat_a, lat_b) -> Fraction:
+    """covol(lat_a) / covol(lat_b) for two full-rank chart lattices."""
     def covol(lat):
         den, rows = lat
-        if len(rows) != len(rows[0]):
-            return Fraction(0)
-        M = IntMatrix(rows)
-        return abs(Fraction(M.det(), den ** len(rows)))
+        return abs(Fraction(IntMatrix(rows).det(), den ** len(rows)))
 
-    ca, cb = covol(lat_a), covol(lat_b)
-    if cb == 0 or ca == 0:
-        return Fraction(0)
-    return ca / cb
+    return covol(lat_a) / covol(lat_b)
 
 
 def _face_decomposition(atlas: BoundaryAtlas) -> Decomposition:

@@ -13,7 +13,8 @@ boundary points, and A_{k+1} = b_k A_k - A_{k-1} with
 b_k = floor(x'(A_{k-1}) / x'(A_k)) + 1 walks one unit period from there.
 Every sign test and floor is done in integers on the two embeddings
 (u.c +- (v.c) sqrt(D)) / d of the module element with coordinates c, where
-(u + v sqrt(D)) / d is the basis (alpha, beta) as a lattice vector.
+(u + v sqrt(D)) / d is the ideal's ``basis``, (alpha, beta) as a lattice
+vector.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class VertexChain:
     v_{j-1} + v_{j+1} = b_j v_j, aligned with ``vertices``.  Consecutive
     vertices (with the unit-translate wraparound) always have determinant
     one, every b_j is at least 2, and at least one exceeds 2.  ``box_used``
-    is the largest absolute coordinate among the vertices.
+    must be the largest absolute coordinate among the vertices.
     """
 
     __slots__ = ("cusp", "vertices", "b", "box_used")
@@ -60,6 +61,11 @@ class VertexChain:
         self.cusp, self.vertices, self.b, self.box_used = cusp, vertices, b, box_used
         if len(self.vertices) != len(self.b) or not self.vertices:
             raise DegenerateInputError("chain needs matching vertices and b values")
+        box = max(abs(t) for v in self.vertices for t in v)
+        if self.box_used != box:
+            raise DegenerateInputError(
+                f"box {self.box_used} is not the largest vertex coordinate {box}"
+            )
         E = self.cusp.unit_action()
         prev = E.inverse_unimodular().apply_int(self.vertices[-1])
         ext = [prev] + list(self.vertices) + [E.apply_int(self.vertices[0])]
@@ -111,8 +117,7 @@ def hull_vertices(cusp: CuspData, box_limit: int | None = None) -> VertexChain:
     """
     check_bound("box limit", box_limit)
     D = cusp.ideal.D
-    basis = Vector([cusp.ideal.alpha, cusp.ideal.beta])
-    (u0, u1), (v0, v1) = basis.num, basis.irr
+    (u0, u1), (v0, v1) = cusp.ideal.basis.num, cusp.ideal.basis.irr
     if u0 * v1 - u1 * v0 < 0:
         raise DegenerateInputError("basis must have alpha*beta' - alpha'*beta < 0")
     if cusp.unit < 1:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 
-from .lattice import Vector, _quad_sign
+from .lattice import _quad_sign
 
 
 def _fmt(x: float) -> str:
@@ -33,8 +33,7 @@ def hull_figure(chain) -> str:
     ideal = chain.cusp.ideal
     cone = cusp_cone(ideal)
     # totally positive lattice points with coordinates in [-r, r]
-    basis = Vector([ideal.alpha, ideal.beta])
-    (u0, u1), (v0, v1) = basis.num, basis.irr
+    (u0, u1), (v0, v1) = ideal.basis.num, ideal.basis.irr
     r = min(span + 1, 64)
     dots = []
     for c1 in range(-r, r + 1):

@@ -260,7 +260,7 @@ def load_chain(obj, path: str = "chain") -> VertexChain:
         raise FormatError(f"{path}.vertices: expected a list of integer pairs")
     if not _int_list(b):
         raise FormatError(f"{path}.b: expected a list of integers")
-    box = obj.get("box", 0)
+    box = obj.get("box", max((abs(t) for v in vertices for t in v), default=0))
     if not _is_int(box):
         raise FormatError(f"{path}.box: expected an integer")
     try:

@@ -367,10 +367,6 @@ class Vector:
         num = tuple(c.num * x + c.irr * y * (D or 0) for x, y in zip(a, b))
         return Vector._of(num, tuple(c.num * y + c.irr * x for x, y in zip(a, b)), c.den * self.den, D)
 
-    def dot(self, other) -> ExactScalar:
-        p, q, D = _dot_parts(self, other)
-        return ExactScalar._of(p, q, self.den * other.den, D)
-
     @property
     def is_zero(self) -> bool:
         return self.irr is None and not any(self.num)
@@ -940,26 +936,23 @@ def _satisfies(v, normals, equations, strict: bool) -> bool:
 
 def _dual_description(gens, rank):
     """Facet normals and span equations for cone(gens) in ambient ``rank``,
-    each primitive, normals sorted.  Integral generators take the integer
-    kernel directly; quadratic data takes it through realification."""
+    each primitive, normals sorted.  Facets are enumerated by brute force:
+    each normal is the kernel line of d - 1 generators plus the span
+    equations, oriented nonnegative on ``gens``.  Integral generators take
+    the integer kernel directly; quadratic data takes it through
+    realification."""
     if rank > MAX_CONE_RANK:
         raise UnsupportedRankError(
             f"facet enumeration supports rank <= {MAX_CONE_RANK}, got {rank}"
         )
     gens = [v for v in (as_vector(g, rank) for g in gens) if not v.is_zero]
-    return _describe(gens, rank, _kernel)
-
-
-def _describe(gens, rank, kernel):
-    """Brute-force facet enumeration: each normal is the kernel line of d - 1
-    generators plus the span equations, oriented nonnegative on ``gens``."""
-    equations = kernel(gens, rank)
+    equations = _kernel(gens, rank)
     d = rank - len(equations)
     if d == 0:
         return (), tuple(equations)
     normals = set()
     for subset in combinations(gens, d - 1):
-        kern = kernel(list(subset) + equations, rank)
+        kern = _kernel(list(subset) + equations, rank)
         if len(kern) != 1:
             continue
         n = kern[0]

@@ -97,9 +97,11 @@ def fundamental_totally_positive_unit(D: int, bound: int = PELL_BOUND) -> QuadNu
 
 class QuadIdeal:
     """Fractional-ideal data: an ordered Z-basis (alpha, beta) of a rank-2
-    module in Q(sqrt(D))."""
+    module in Q(sqrt(D)).  ``basis`` is (alpha, beta) as a lattice vector,
+    whose integer form (u + v*sqrt(D)) / d gives the cusp cone, the unit
+    action and the chain."""
 
-    __slots__ = ("alpha", "beta", "D")
+    __slots__ = ("alpha", "beta", "D", "basis")
 
     def __init__(self, alpha: QuadNum, beta: QuadNum, D: int):
         self.alpha, self.beta, self.D = alpha, beta, D
@@ -107,25 +109,25 @@ class QuadIdeal:
         for x in (self.alpha, self.beta):
             if x.D not in (None, self.D):
                 raise DegenerateInputError("basis element from the wrong field")
-        if not self.twist():
+        self.basis = Vector([alpha, beta])
+        # alpha*beta' - alpha'*beta = 2 (u1 v0 - u0 v1) sqrt(D) / d^2
+        (u0, u1), (v0, v1) = self.basis.num, self.basis.irr or (0, 0)
+        if u1 * v0 == u0 * v1:
             raise DegenerateInputError(
                 "basis is degenerate: alpha*beta' - alpha'*beta = 0"
             )
 
-    def twist(self) -> QuadNum:
-        return self.alpha * self.beta.conjugate() - self.alpha.conjugate() * self.beta
-
     def coordinates(self, x: QuadNum) -> tuple:
         """(c1, c2) in Q^2 with x = c1*alpha + c2*beta, by Cramer's rule on
-        the integer rational and sqrt(D) parts.  The determinant is nonzero
-        because the twist is -2*det*sqrt(D)."""
+        the integer rational and sqrt(D) parts of ``basis``, whose
+        determinant is nonzero for a nondegenerate basis."""
         x = ExactScalar.lift(x)
         if x.D not in (None, self.D):
             raise MixedDiscriminantError(f"{x} does not lie in Q(sqrt({self.D}))")
-        a, b = self.alpha, self.beta
-        det = (a.num * b.irr - b.num * a.irr) * x.den
-        c1 = Fraction((x.num * b.irr - b.num * x.irr) * a.den, det)
-        return c1, Fraction((a.num * x.irr - x.num * a.irr) * b.den, det)
+        (u0, u1), (v0, v1) = self.basis.num, self.basis.irr
+        det = (u0 * v1 - u1 * v0) * x.den
+        c1 = Fraction((x.num * v1 - u1 * x.irr) * self.basis.den, det)
+        return c1, Fraction((u0 * x.irr - x.num * v0) * self.basis.den, det)
 
     def element(self, c1, c2) -> QuadNum:
         return ExactScalar.lift(c1) * self.alpha + ExactScalar.lift(c2) * self.beta
@@ -138,21 +140,14 @@ class QuadIdeal:
 
 def cusp_cone(ideal: QuadIdeal) -> Cone:
     """Open cone C = {(y1, y2) : alpha y1 + beta y2 > 0, alpha' y1 + beta' y2 > 0}
-    in the tube coordinate plane, returned as a relative interior."""
-    a, b = ideal.alpha, ideal.beta
-    n1 = Vector([a, b])
-    n2 = Vector([a.conjugate(), b.conjugate()])
-    # edge directions: orthogonal to one normal, positive on the other
-    g1 = Vector([b.conjugate(), -a.conjugate()])
-    if n1.dot(g1).sign() < 0:
-        g1 = -g1
-    g2 = Vector([b, -a])
-    if n2.dot(g2).sign() < 0:
-        g2 = -g2
-    cone = Cone(2, [g1, g2], relint=True)
-    if cone.dim() != 2:
-        raise DegenerateInputError("cusp cone is degenerate")
-    return cone
+    in the tube coordinate plane, returned as a relative interior.  Its
+    edges are s*(beta', -alpha') and -s*(beta, -alpha), with s the sign of
+    alpha*beta' - alpha'*beta, that is of u1 v0 - u0 v1."""
+    (u0, u1), (v0, v1), d = ideal.basis.num, ideal.basis.irr, ideal.basis.den
+    s = 1 if u1 * v0 > u0 * v1 else -1
+    g1 = Vector._of((s * u1, -s * u0), (-s * v1, s * v0), d, ideal.D)
+    g2 = Vector._of((-s * u1, s * u0), (-s * v1, s * v0), d, ideal.D)
+    return Cone(2, [g1, g2], relint=True)
 
 
 class CuspData:
@@ -169,21 +164,17 @@ class CuspData:
             raise DegenerateInputError("unit must be totally positive")
         if eps == ExactScalar(1):
             raise DegenerateInputError("unit must differ from 1")
-        # stabilization: eps * basis must stay in the Z-span of the basis; the
-        # action is kept for unit_action()
-        cols = []
-        for x in (self.ideal.alpha, self.ideal.beta):
-            c1, c2 = self.ideal.coordinates(eps * x)
-            for c in (c1, c2):
-                if c.denominator != 1:
-                    raise DegenerateInputError(
-                        "unit does not stabilize the module: non-integer action"
-                    )
-            cols.append((c1.numerator, c2.numerator))
-        E = IntMatrix([[cols[0][0], cols[1][0]], [cols[0][1], cols[1][1]]])
-        if E.det() != 1:
-            raise DegenerateInputError("unit action must have determinant 1")
-        self._action = E
+        if eps.D != ideal.D:
+            raise MixedDiscriminantError(f"cannot mix sqrt({eps.D}) with sqrt({ideal.D})")
+        # the action is adj(B) M B / (det B * e): on (1, sqrt(D)), B holds the
+        # integer basis and M is e times the unit (p + q sqrt(D)) / e
+        (u0, u1), (v0, v1) = ideal.basis.num, ideal.basis.irr
+        M = IntMatrix([[eps.num, eps.irr * ideal.D], [eps.irr, eps.num]])
+        N = IntMatrix([[v1, -u1], [-v0, u0]]) * M * IntMatrix([[u0, u1], [v0, v1]])
+        n = (u0 * v1 - u1 * v0) * eps.den
+        if any(x % n for row in N.rows for x in row):
+            raise DegenerateInputError("unit does not stabilize the module: non-integer action")
+        self._action = IntMatrix([[x // n for x in row] for row in N.rows])
 
     def unit_action(self) -> IntMatrix:
         """Matrix of multiplication by the unit on (alpha, beta) coordinates:

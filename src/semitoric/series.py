@@ -54,9 +54,6 @@ class Framing:
     def rank(self) -> int:
         return self.basis.nrows
 
-    def cone(self) -> Cone:
-        return Cone(self.rank, [Vector(r) for r in self.basis.rows], relint=True)
-
     def coordinates(self, expo) -> tuple:
         """Integer coordinates of an exponent in this framing."""
         return self._coordinate_map.apply_int(expo)

@@ -258,6 +258,36 @@ def test_cusp_cone_matches_oracle_edges():
             assert [oracles.same_ray(g, e, D) for e in edges].count(True) == 1, (D, alpha, beta)
 
 
+def test_cusp_construction_makes_no_scalar_arithmetic(monkeypatch):
+    """Given the basis and the unit, the ideal, its cone, the cusp and its
+    chain are computed in integers: no ExactScalar +, -, * or / call."""
+    cases = [(D, alpha, beta, CuspData.standard(D).unit) for D, alpha, beta in _seeded_bases()]
+    calls = []
+
+    def counted(op):
+        def wrapper(*args):
+            calls.append(op.__name__)
+            return op(*args)
+        return wrapper
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__"):
+        monkeypatch.setattr(ExactScalar, name, counted(getattr(ExactScalar, name)))
+    oriented = 0
+    for D, alpha, beta, unit in cases:
+        ideal = QuadIdeal(alpha, beta, D)
+        cusp_cone(ideal)
+        cusp = CuspData(ideal, unit)
+        try:
+            hull_vertices(cusp)
+            oriented += 1
+        except DegenerateInputError:
+            pass
+    monkeypatch.undo()
+    assert oriented == len(cases) // 2
+    assert calls == []
+
+
 def test_every_discriminant_below_1000_matches_minus_cf_oracles():
     count = 0
     for D in range(2, 1000):

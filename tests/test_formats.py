@@ -40,6 +40,10 @@ def test_chain_round_trip_bytes():
     parsed = _round_trip(dump_chain, load_chain, chain)
     assert parsed.b == chain.b
     assert parsed.vertices == chain.vertices
+    # a chain without "box" takes it from its vertices
+    doc = dump_chain(chain)
+    del doc["box"]
+    assert load_chain(doc).box_used == chain.box_used == 3
 
 
 def test_fan_round_trip_bytes_irrational_support():
@@ -295,6 +299,8 @@ def test_booleans_are_not_integers():
          r"chain\.vertices"),
         (load_chain, patched(chain_doc, lambda d: d.update(b=[True])), r"chain\.b"),
         (load_chain, patched(chain_doc, lambda d: d.update(box=True)), r"chain\.box"),
+        (load_chain, patched(chain_doc, lambda d: d.update(box=999)), r"chain: box 999"),
+        (load_chain, patched(chain_doc, lambda d: d.update(box=-5)), r"chain: box -5"),
         (load_monodromy, {"format": "monodromy/1", "operators": [[["1"]]], "weight": True},
          r"monodromy\.weight"),
         (load_series, patched(series_doc, lambda d: d.update(rank=True)), r"series\.rank"),

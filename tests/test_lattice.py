@@ -2,6 +2,7 @@ import math
 import operator
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -24,8 +25,9 @@ from semitoric import (
     is_strongly_convex,
     is_unimodular_part_of_basis,
 )
+from semitoric import lattice
 from semitoric.lattice import (
-    _describe,
+    _dot_parts,
     _dot_sign,
     _dual_description,
     _int_echelon,
@@ -217,7 +219,7 @@ def test_scalars_stay_in_canonical_integer_form():
         D = rng.choice([2, 5, 13])
         u, v = (_quad_vector(_random_pairs(rng, 3), D) for _ in range(2))
         keys = () if u.ints is not None else tuple(e for key in u.key() for e in key[:2])
-        for x in u.entries + (u.dot(v),) + keys:
+        for x in u.entries + (_dot(u, v),) + keys:
             _assert_canonical(x)
     assert (ExactScalar(Fraction(4, 6), Fraction(2, 6), 5).num, ExactScalar(0).den) == (2, 1)
 
@@ -257,6 +259,12 @@ def _quad_vector(pairs, D):
     return Vector(ExactScalar(a, b, D) for a, b in pairs)
 
 
+def _dot(u, v):
+    """<u, v> as an ExactScalar, from the integer parts of ``_dot_parts``."""
+    p, q, D = _dot_parts(u, v)
+    return ExactScalar._of(p, q, u.den * v.den, D)
+
+
 def test_vector_dot_and_sign_match_quadratic_oracle():
     rng = random.Random(48)
     for _ in range(600):
@@ -268,7 +276,7 @@ def test_vector_dot_and_sign_match_quadratic_oracle():
             ys[2:] = [(Fraction(0), Fraction(0))] * (n - 2)
         u, v = _quad_vector(xs, D), _quad_vector(ys, D)
         expected = oracles.quad_dot(xs, ys, D)
-        got = u.dot(v)
+        got = _dot(u, v)
         assert (got.a, got.b) == expected
         assert _dot_sign(u, v) == oracles._q_sign(expected, D) == _dot_sign(v, u)
 
@@ -336,7 +344,7 @@ def test_vector_rejects_mixed_discriminants_when_built():
     with pytest.raises(MixedDiscriminantError):
         Vector([ExactScalar(0, 1, 2), ExactScalar(0, 1, 3)])
     with pytest.raises(MixedDiscriminantError):
-        Vector([ExactScalar(0, 1, 2), 1]).dot(Vector([1, ExactScalar(0, 1, 3)]))
+        _dot_parts(Vector([ExactScalar(0, 1, 2), 1]), Vector([1, ExactScalar(0, 1, 3)]))
 
 
 def test_int_matrix_basics():
@@ -485,10 +493,10 @@ def test_cone_dual_description():
         c = Cone(n, gens)
         normals, equations = c.dual_description()
         for g in c.generators:
-            assert all(nrm.dot(g).sign() >= 0 for nrm in normals)
-            assert all(eq.dot(g).sign() == 0 for eq in equations)
+            assert all(_dot_sign(nrm, g) >= 0 for nrm in normals)
+            assert all(_dot_sign(eq, g) == 0 for eq in equations)
         s = c.interior_sample()
-        assert all(nrm.dot(s).sign() > 0 for nrm in normals)
+        assert all(_dot_sign(nrm, s) > 0 for nrm in normals)
 
 
 def test_cone_from_inequalities_double_dual():
@@ -572,7 +580,9 @@ def test_rational_rank_matches_oracle():
 
 
 def _exact_dual_description(gens, n):
-    return _describe(gens, n, _realified_kernel)
+    """``_dual_description`` with every kernel taken through realification."""
+    with mock.patch.object(lattice, "_kernel", _realified_kernel):
+        return _dual_description(gens, n)
 
 
 def _random_gens(rng, n, count=None):
