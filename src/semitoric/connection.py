@@ -17,6 +17,7 @@ from .fans import (
     Decomposition,
     GroupElement,
     Support,
+    _ORBIT_RADIUS,
     _one_per_orbit,
     validate_decomposition,
 )
@@ -24,10 +25,7 @@ from .lattice import (
     Cone,
     IntMatrix,
     Vector,
-    _denominator,
-    _int_rank,
     _inverse,
-    _times,
     hermite_normal_form,
     is_strongly_convex,
     is_unimodular_part_of_basis,
@@ -39,7 +37,7 @@ class MaxDepthPoint:
     """Maximal-depth boundary point: its cone and the flat frame matrix A
     whose rows express flat sections in the d log v chart basis."""
 
-    __slots__ = ("label", "cone", "frame")
+    __slots__ = ("label", "cone", "frame", "_frame_inverse")
 
     def __init__(self, label: str, cone: Cone, frame: tuple):
         r = cone.rank
@@ -50,11 +48,13 @@ class MaxDepthPoint:
         rows = tuple(tuple(Fraction(x) for x in row) for row in frame)
         if len(rows) != r or any(len(row) != r for row in rows):
             raise DegenerateInputError("frame must be a square matrix of chart rank")
-        if _int_rank(_times(rows, _denominator(rows))) != r:
+        inverse = _inverse(rows)
+        if inverse is None:
             raise DegenerateInputError("frame matrix must be invertible")
         self.label = label
         self.cone = cone
         self.frame = rows  # rows of A, entries Fraction
+        self._frame_inverse = inverse
 
     @staticmethod
     def from_cone(label: str, cone: Cone) -> "MaxDepthPoint":
@@ -69,14 +69,11 @@ class MaxDepthPoint:
         frame = W.inverse_unimodular().transpose().rows
         return MaxDepthPoint(label, cone.closure(), frame)
 
-    def frame_inverse(self) -> list:
-        return _inverse(self.frame)
-
 
 def local_lattice(point: MaxDepthPoint) -> tuple:
     """Generators of the local lattice: the columns of the inverse frame
     matrix.  For a chart built from a cone these are the cone generators."""
-    inv = point.frame_inverse()
+    inv = point._frame_inverse
     r = len(inv)
     return tuple(Vector(tuple(inv[i][j] for i in range(r))) for j in range(r))
 
@@ -182,7 +179,8 @@ def compatibility_check(atlas: BoundaryAtlas) -> Report:
             ok3 = False
             details3 = "a generator acts trivially"
         if g.linear.rows != ident.rows:
-            moved = _lattice_canonical([g.linear.apply(Vector(row)) for row in _basis_rows(base)])
+            den, rows = base
+            moved = _lattice_canonical([g.linear.apply(Vector._of(row, None, den)) for row in rows])
             if moved != base:
                 ok3 = False
                 details3 = "a linear part does not preserve the lattice"
@@ -198,11 +196,6 @@ def compatibility_check(atlas: BoundaryAtlas) -> Report:
     conds.append(Condition("face-decomposition", ok4, details4))
 
     return Report(conds, data={"lattice": base if all(c.passed for c in conds) else None})
-
-
-def _basis_rows(canonical) -> list:
-    den, rows = canonical
-    return [tuple(Fraction(x, den) for x in row) for row in rows]
 
 
 def _covolume_ratio(lat_a, lat_b) -> Fraction:
@@ -230,7 +223,7 @@ def _face_decomposition(atlas: BoundaryAtlas) -> Decomposition:
         for f in p.cone.faces()
         if support.contains_point(f.interior_sample())
     ]
-    ball = Decomposition(atlas.rank, (), linear_group, support).linear_ball(2)
+    ball = Decomposition(atlas.rank, (), linear_group, support).linear_ball(_ORBIT_RADIUS)
     return Decomposition(atlas.rank, tuple(_one_per_orbit(pieces, ball)), linear_group, support)
 
 

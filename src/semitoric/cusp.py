@@ -23,25 +23,12 @@ from math import gcd
 
 from .errors import DegenerateInputError, ResourceBoundError
 from .fans import Decomposition, GroupElement, Support
-from .lattice import Cone, IntMatrix, Vector, _floor_quotient, _quad_sign
+from .lattice import Cone, IntMatrix, Vector, _floor_quotient, _quad_sign, complete_to_basis
 from .quadfield import CuspData, check_bound, cusp_cone
 
 
 def _cross(p, q) -> int:
     return p[0] * q[1] - p[1] * q[0]
-
-
-def _complement(P) -> tuple:
-    """Q with det(P, Q) = 1 for a primitive integer vector P."""
-    a, b = P
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    while b:
-        k = a // b
-        a, b = b, a - k * b
-        x0, x1 = x1, x0 - k * x1
-        y0, y1 = y1, y0 - k * y1
-    # a = +-1 = x0*P[0] + y0*P[1]
-    return (-y0 * a, x0 * a)
 
 
 class VertexChain:
@@ -138,13 +125,16 @@ def hull_vertices(cusp: CuspData, box_limit: int | None = None) -> VertexChain:
         return b, (b * cur[0] - prev[0], b * cur[1] - prev[1])
 
     # P is the positive generator of the module's rational line (positive by
-    # the orientation test above); Q completes it to a lattice basis.  Minus
+    # the orientation test above); any Q with det(P, Q) = 1 completes it to
+    # a lattice basis, and gives the same first step below.  Minus
     # continued fraction steps on z = x(Q)/x(P) keep P totally positive and
     # x(Q) > x(P), x'(Q) > 0; once x'(Q) < x'(P), z is reduced and P, Q are
     # consecutive boundary points with ratio below 1.
     g = gcd(v0, v1)
     P = (v1 // g, -v0 // g)
-    Q = _complement(P)
+    Q = complete_to_basis([P], 2).rows[1]
+    if _cross(P, Q) < 0:
+        Q = (-Q[0], -Q[1])
     while True:
         b = _floor_quotient(*x(Q), *x(P), D) + 1
         P, Q = (b * P[0] - Q[0], b * P[1] - Q[1]), P

@@ -43,6 +43,11 @@ from .lattice import (
 )
 from .report import Condition, Report
 
+# Radius of the group ball searched for orbit partners: pieces one generator
+# step from the representatives differ by a word of length at most 2.  It
+# bounds a search; partners lying farther apart are missed.
+_ORBIT_RADIUS = 2
+
 
 class GroupElement:
     """Affine symmetry: integer linear part (a lattice automorphism) plus an
@@ -409,7 +414,7 @@ def validate_decomposition(
 
     # condition (iii): face closure up to the group
     witnesses_iii = []
-    member_keys = {c.generators for c in P.translated_members(2)}
+    member_keys = {c.generators for c in P.translated_members(_ORBIT_RADIUS)}
     if (
         sup.include_origin
         and any(m.generators for m in P.members)
@@ -669,7 +674,7 @@ def common_refinement(P1: Decomposition, P2: Decomposition) -> Decomposition:
         for b in second
         if _meets(a, b)
     ]
-    members = _one_per_orbit(pieces, P1.linear_ball(2))
+    members = _one_per_orbit(pieces, P1.linear_ball(_ORBIT_RADIUS))
     return Decomposition(P1.rank, tuple(members), P1.group, P1.support)
 
 
@@ -682,7 +687,7 @@ def decompositions_match(P1: Decomposition, P2: Decomposition) -> bool:
 
 
 def _orbit_keys(P: Decomposition) -> set:
-    ball = P.linear_ball(2)
+    ball = P.linear_ball(_ORBIT_RADIUS)
     keys = set()
     for i in range(len(P.members)):
         orbit = [tuple(g.key() for g in P._translates(t)[i].generators) for t in ball]

@@ -158,11 +158,12 @@ def parse_support(obj, path: str) -> Support:
     vectors = [
         parse_vector(g, rank, f"{path}.generators[{i}]") for i, g in enumerate(gens)
     ]
-    return Support(
-        Cone(rank, vectors),
-        bool(obj.get("interior_only", False)),
-        bool(obj.get("include_origin", True)),
-    )
+    flags = {"interior_only": False, "include_origin": True}
+    for key in flags:
+        flags[key] = obj.get(key, flags[key])
+        if not isinstance(flags[key], bool):
+            raise FormatError(f"{path}.{key}: expected a boolean")
+    return Support(Cone(rank, vectors), **flags)
 
 
 def dump_group_element(g: GroupElement) -> dict:
@@ -334,14 +335,11 @@ def load_atlas(obj, path: str = "atlas") -> BoundaryAtlas:
     ]
     support = obj.get("support")
     support = parse_support(support, f"{path}.support") if support else None
+    covers = obj.get("covers_boundary", True)
+    if not isinstance(covers, bool):
+        raise FormatError(f"{path}.covers_boundary: expected a boolean")
     try:
-        return BoundaryAtlas(
-            rank,
-            tuple(points),
-            tuple(group),
-            bool(obj.get("covers_boundary", True)),
-            support,
-        )
+        return BoundaryAtlas(rank, tuple(points), tuple(group), covers, support)
     except ValueError as e:
         raise FormatError(f"{path}: {e}") from None
 

@@ -130,7 +130,8 @@ def unipotent_log(T) -> tuple:
     """Exact logarithm of a unipotent operator.
 
     Raises NotUnipotentError naming the minimal-polynomial factor left after
-    removing every (x - 1); verifies exp(log T) == T before returning.
+    removing every (x - 1).  exp(log T) == T is tested against
+    ``oracles.oracle_exp`` in ``tests/test_monodromy.py`` and criterion 09.
     """
     T = _mat(T)
     d = len(T)
@@ -150,26 +151,7 @@ def unipotent_log(T) -> tuple:
     L = lcm(*range(1, n + 1)) * den**n
     coeffs = [(-1) ** (k + 1) * (L // (k * den**k)) for k in range(1, n + 1)]
     S = _mat_combination(coeffs, powers) if powers else A
-    # exp(S / L) = E / M must be T = 1 + A / den
-    E, M = _mat_exp(S, L)
-    one = IntMatrix.identity(d).rows
-    if _mat_combination([den], [E]) != _mat_combination([M * den, M], [one, A]):
-        raise DegenerateInputError("logarithm verification failed")
     return tuple(tuple(Fraction(x, L) for x in row) for row in S)
-
-
-def _mat_exp(S, L) -> tuple:
-    """exp(S / L) of a nilpotent integer matrix S as (E, M) with
-    exp(S / L) = E / M over the common denominator M = m! L^m, where S^m is
-    the last nonzero power."""
-    d = len(S)
-    powers = _nonzero_powers(S, d)
-    if powers is None:
-        raise DegenerateInputError("logarithm verification failed")
-    m = len(powers)
-    M = factorial(m) * L**m
-    coeffs = [M // (factorial(j) * L**j) for j in range(m + 1)]
-    return _mat_combination(coeffs, [IntMatrix.identity(d).rows] + powers), M
 
 
 # -- weight spaces -------------------------------------------------------------------
@@ -401,13 +383,15 @@ def integral_normalization(operators) -> tuple:
     _, dims, top = chain  # top = N^n, whose image is W0
     if dims[0] != 1:
         raise DegenerateInputError("bottom weight piece is not a line")
-    g0 = _primitive_integer(next(col for col in zip(*top) if any(col)))
+    g0 = Vector(next(col for col in zip(*top) if any(col))).primitive().ints
+    p = next(i for i, x in enumerate(g0) if x)
+    if g0[p] < 0:
+        g0 = tuple(-x for x in g0)
 
     # lattice of v with N_j v in the g0 line: with p the first nonzero entry
     # of g0, the functionals g0_p x_i - g0_i x_p (i != p) cut out that line.
     # The rational constraint rows are rows / (g0_p den); they are cleared by
     # the lcm of their denominators.
-    p = next(i for i, x in enumerate(g0) if x)
     rows = [
         tuple(g0[p] * M[i][j] - g0[i] * M[p][j] for j in range(d))
         for M in scaled
@@ -424,24 +408,13 @@ def integral_normalization(operators) -> tuple:
         raise DegenerateInputError(
             f"adapted lattice has rank {len(basis_rows)}, expected {mset.r + 1}"
         )
-    # rewrite so g0 is the first basis vector, then Hermite-reduce the rest
+    # U's first row is g0's coordinates, so U * basis_rows starts with g0;
+    # Hermite-reduce the rows after it
     coords = _integer_coordinates(basis_rows, g0)
     U = complete_to_basis([coords], len(coords)).rows
-    new_basis = list(_mat_mul(U, basis_rows))
-    assert new_basis[0] == tuple(g0) or new_basis[0] == tuple(-x for x in g0)
-    if new_basis[0] != tuple(g0):
-        new_basis[0] = tuple(-x for x in new_basis[0])
-    H, _ = hermite_normal_form(IntMatrix([tuple(r) for r in new_basis[1:]]))
+    H, _ = hermite_normal_form(IntMatrix(_mat_mul(U[1:], basis_rows)))
     rest = [row for row in H.rows if any(row)]
     return Vector(g0), tuple(Vector(r) for r in rest)
-
-
-def _primitive_integer(vec) -> tuple:
-    """The primitive integer vector on the line of a nonzero integer vector,
-    with a positive first nonzero entry."""
-    g = gcd(*vec)
-    lead = next(x for x in vec if x)
-    return tuple(x // g if lead > 0 else -x // g for x in vec)
 
 
 def _integer_coordinates(basis_rows, target) -> tuple:
@@ -458,32 +431,21 @@ def _integer_coordinates(basis_rows, target) -> tuple:
 
 
 def m_matrix(logs, g0, gs) -> list:
-    """Pairing matrix m[j][k] with N_j g^k = m[j][k] g0."""
+    """Pairing matrix m[j][k] with N_j g^k = m[j][k] g0; raises
+    DegenerateInputError when some N_j g^k is off the g0 line."""
+    g0 = tuple(map(_frac, g0))
+    p = next((i for i, y in enumerate(g0) if y), None)
     out = []
     for L in logs:
         row = []
         for g in gs:
-            img = _apply(L, tuple(_frac(x) for x in g))
-            coeff = _multiple_of(img, g0)
-            row.append(coeff)
+            img = _apply(L, tuple(map(_frac, g)))
+            c = Fraction(0) if p is None else img[p] / g0[p]
+            if img != tuple(c * y for y in g0):
+                raise DegenerateInputError("vector is not a multiple of the bottom vector")
+            row.append(c)
         out.append(row)
     return out
-
-
-def _multiple_of(vec, g0) -> Fraction:
-    coeff = None
-    for x, y in zip(vec, g0):
-        y = _frac(y)
-        if y == 0:
-            if x != 0:
-                raise DegenerateInputError("vector is not a multiple of the bottom vector")
-            continue
-        c = _frac(x) / y
-        if coeff is None:
-            coeff = c
-        elif coeff != c:
-            raise DegenerateInputError("vector is not a multiple of the bottom vector")
-    return coeff if coeff is not None else Fraction(0)
 
 
 class QuasiCanonicalCoordinates:

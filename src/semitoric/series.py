@@ -221,17 +221,15 @@ def reframing_preserves_effectivity(M: IntMatrix, framing: Framing | None = None
 # -- arithmetic ------------------------------------------------------------------
 
 
-def series_multiply(
-    a: FormalSeries, b: FormalSeries, framing: Framing | None = None
-) -> FormalSeries:
+def series_multiply(a: FormalSeries, b: FormalSeries) -> FormalSeries:
     """Cauchy product of two effective series.
 
-    Effectivity (in the given framing) makes l1 norms additive on exponents,
-    so the product is complete up to the smaller complete order."""
+    Effectivity makes l1 norms additive on exponents, so the product is
+    complete up to the smaller complete order."""
     if a.rank != b.rank:
         raise DegenerateInputError("series ranks differ")
     for s in (a, b):
-        rep = effectivity_check(s, framing)
+        rep = effectivity_check(s)
         if not rep:
             raise DegenerateInputError(
                 f"product needs effective series; exponent {rep.witness} is not"

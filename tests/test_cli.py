@@ -9,7 +9,15 @@ from fractions import Fraction
 import pytest
 
 import fixtures
-from semitoric import CuspData, Decomposition, GroupElement, IntMatrix, build_fan, cli
+from semitoric import (
+    CuspData,
+    Decomposition,
+    GroupElement,
+    IntMatrix,
+    build_fan,
+    cli,
+    sbb_decomposition,
+)
 from semitoric.connection import atlas_from_fan
 from semitoric.fans import Cone, Support, Vector, zero_cone
 from semitoric.formats import (
@@ -157,6 +165,27 @@ def test_fan_sbb_refinement_pair(tmp_path, cusp_fan_file, capsys):
     assert _json_out(capsys)["refines"] is False
 
 
+def test_fans_in_different_settings_are_not_compared(tmp_path, cusp_fan_file, capsys):
+    """``fan refines`` and ``fan common`` take two fans of one rank, support
+    and group; any other pair exits 2, in either order, naming what differs."""
+    cusp = build_fan(CuspData.standard(5))
+    E = cusp.group[0].linear
+    others = {
+        "different ranks": sbb_decomposition(fixtures.octant_support()),
+        "different supports": sbb_decomposition(fixtures.quadrant_support()),
+        "different group generators": Decomposition(
+            2, cusp.members, (GroupElement(E * E),), cusp.support),
+    }
+    for message, other in others.items():
+        path = _write(tmp_path, "other.json", dump_fan(other))
+        for command in ("refines", "common"):
+            for pair in ((cusp_fan_file, path), (path, cusp_fan_file)):
+                assert cli.main(["fan", command, *pair]) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err.startswith("error: ") and message in captured.err
+
+
 def test_fan_common_and_strata(tmp_path, cusp_fan_file, capsys):
     common = tmp_path / "common.json"
     code = cli.main(
@@ -210,6 +239,31 @@ def test_atlas_check_flags_frame_defect(tmp_path, capsys):
     assert names["common-lattice"] is False
     _assert_shape(out, COMPATIBILITY_KEYS, witnesses=False)
     assert out["lattice"] is None and out["lattice_denominator"] is None
+
+
+def test_atlas_without_a_support_infers_the_cone_of_its_charts(tmp_path, capsys):
+    """Without a support an atlas stands for the cone spanned by its chart
+    cones with the origin: that is the quadrant for the one-chart quadrant
+    atlas, but not the cusp support for the D = 5 cusp-fan atlas, whose unit
+    does not preserve the cone of its two charts."""
+    quadrant = dump_atlas(atlas_from_fan(sbb_decomposition(fixtures.quadrant_support())))
+    cusp = dump_atlas(atlas_from_fan(build_fan(CuspData.standard(5))))
+    for doc in (quadrant, cusp):
+        del doc["support"]
+    path = _write(tmp_path, "quadrant.json", quadrant)
+    assert cli.main(["atlas", "check", path]) == 0
+    assert _json_out(capsys)["passed"] is True
+    assert cli.main(["atlas", "reconstruct", path]) == 0
+    support = {"generators": [["0", "1"], ["1", "0"]], "include_origin": True,
+               "interior_only": False, "rank": 2}
+    rec = _json_out(capsys)
+    assert rec["support"] == rec["fan"]["support"] == support
+    path = _write(tmp_path, "cusp.json", cusp)
+    assert cli.main(["atlas", "check", path]) == 1
+    failed = [c["name"] for c in _json_out(capsys)["conditions"] if not c["passed"]]
+    assert failed == ["face-decomposition"]
+    assert cli.main(["atlas", "reconstruct", path]) == 2
+    assert capsys.readouterr().err == "error: atlas is not compatible: face-decomposition\n"
 
 
 def test_atlas_witness_numbers(capsys):
@@ -384,6 +438,36 @@ def test_boolean_integer_fields_exit_two(tmp_path, capsys):
     assert cli.main(["atlas", "check", bool_atlas]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, edit, message",
+    [
+        (["fan", "sbb", "--file"], lambda d: d["support"].update(interior_only="false"),
+         "fan.support.interior_only: expected a boolean"),
+        (["fan", "sbb", "--file"], lambda d: d["support"].update(include_origin="no"),
+         "fan.support.include_origin: expected a boolean"),
+        (["fan", "validate"], lambda d: d["support"].update(include_origin=0),
+         "fan.support.include_origin: expected a boolean"),
+        (["fan", "validate"], lambda d: d["support"].update(interior_only=None),
+         "fan.support.interior_only: expected a boolean"),
+        (["atlas", "check"], lambda d: d.update(covers_boundary="false"),
+         "atlas.covers_boundary: expected a boolean"),
+        (["atlas", "reconstruct"], lambda d: d["support"].update(interior_only=1),
+         "atlas.support.interior_only: expected a boolean"),
+    ],
+)
+def test_flags_that_are_not_booleans_exit_two(tmp_path, capsys, command, edit, message):
+    """A support or atlas flag given as anything but a JSON boolean is
+    malformed, instead of being read by its truth value."""
+    fan = build_fan(CuspData.standard(5))
+    doc = json.loads(canonical_dumps(
+        dump_atlas(atlas_from_fan(fan)) if command[0] == "atlas" else dump_fan(fan)))
+    edit(doc)
+    assert cli.main([*command, _write(tmp_path, "doc.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_non_list_containers_exit_two(tmp_path, capsys):

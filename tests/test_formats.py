@@ -242,6 +242,43 @@ def test_non_list_containers_are_format_errors():
             load(doc)
 
 
+def test_flags_are_json_booleans():
+    """A present ``interior_only``, ``include_origin`` or ``covers_boundary``
+    must be a JSON boolean, and is read as given; an absent one takes its
+    default."""
+    fan_doc = json.loads(canonical_dumps(dump_fan(build_fan(CuspData.standard(5)))))
+    atlas_doc = json.loads(canonical_dumps(dump_atlas(atlas_from_fan(build_fan(
+        CuspData.standard(5))))))
+    cases = []
+    for value in ("false", "no", "true", 0, 1, None, [], {}):
+        for key in ("interior_only", "include_origin"):
+            support = {**fan_doc["support"], key: value}
+            cases += [
+                (load_fan, {**fan_doc, "support": support}, rf"fan\.support\.{key}: "),
+                (load_atlas, {**atlas_doc, "support": support}, rf"atlas\.support\.{key}: "),
+            ]
+        cases.append(
+            (load_atlas, {**atlas_doc, "covers_boundary": value}, r"atlas\.covers_boundary: ")
+        )
+    for load, doc, where in cases:
+        with pytest.raises(FormatError, match=where + "expected a boolean$"):
+            load(doc)
+
+    flags = ("interior_only", "include_origin")
+    assert tuple(fan_doc["support"][k] for k in flags) == (True, False)
+    bare = {k: v for k, v in fan_doc["support"].items() if k not in flags}
+    support = load_fan({**fan_doc, "support": bare}).support
+    assert (support.interior_only, support.include_origin) == (False, True)
+    for a in (False, True):
+        for b in (False, True):
+            support = load_fan({**fan_doc, "support": {**bare, "interior_only": a,
+                                                       "include_origin": b}}).support
+            assert (support.interior_only, support.include_origin) == (a, b)
+    bare = {k: v for k, v in atlas_doc.items() if k != "covers_boundary"}
+    assert load_atlas(bare).covers_boundary
+    assert not load_atlas({**atlas_doc, "covers_boundary": False}).covers_boundary
+
+
 def test_atlas_frame_fractions_survive():
     atlas = atlas_from_fan(build_fan(CuspData.standard(13)))
     doc = dump_atlas(atlas)

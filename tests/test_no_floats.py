@@ -7,9 +7,10 @@ uses the floating-point functions and constants of ``math``.
 Every module parses with the grammar of the oldest Python that
 ``pyproject.toml`` declares in ``requires-python``.
 
-Nothing public without a use: every public function, class and method is
-referenced by other library code, by an acceptance criterion or in a
-backtick span of README.md.  Names are matched by their last component, as
+Nothing defined without a use: every public function, class and method,
+and every private top-level function and class, is referenced by other
+library code, by an acceptance criterion or in a backtick span of
+README.md.  Names are matched by their last component, as
 a bare name or an attribute; a bare name bound as a parameter or local of an
 enclosing function, lambda or comprehension is not a use.  A plain method
 counts as used only where a method of its name is called, ``x.name(...)``,
@@ -150,11 +151,11 @@ def is_plain_method(qualified: str, node) -> bool:
     )
 
 
-def public_definitions(tree):
-    """(qualified name, node) for each public top-level function or class
-    and each public method of a top-level class."""
+def definitions(tree):
+    """(qualified name, node) for each top-level function or class, public
+    or private, and each public method of a top-level class."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
@@ -163,7 +164,7 @@ def public_definitions(tree):
 
 
 def unused(modules: dict, named: set, readers=()) -> list:
-    """The public definitions of ``modules`` (module name -> tree) that no
+    """The scanned ``definitions`` of ``modules`` (module name -> tree) that no
     code outside their own body uses, in ``modules`` or in the ``readers``
     trees, and that ``named`` leaves out."""
     trees = list(modules.values()) + list(readers)
@@ -171,7 +172,7 @@ def unused(modules: dict, named: set, readers=()) -> list:
     calls = sum(map(method_uses, trees), Counter())
     found = []
     for module, tree in modules.items():
-        for qualified, node in public_definitions(tree):
+        for qualified, node in definitions(tree):
             uses, own = (calls, method_uses) if is_plain_method(qualified, node) else (reads, references)
             if node.name not in named and uses[node.name] == own(node)[node.name]:
                 found.append(f"{module}.{qualified}")
@@ -180,7 +181,10 @@ def unused(modules: dict, named: set, readers=()) -> list:
 
 def test_unused_finds_functions_classes_and_methods():
     tree = ast.parse(
-        "def used(): return 1\n"
+        "def used(): return _helper()\n"
+        "def _helper(): return 1\n"
+        "def _unused_helper(n): return _unused_helper(n - 1)\n"
+        "class _Unused: pass\n"
         "def recursive(n): return recursive(n - 1)\n"
         "def shadowed(): return 2\n"
         "def reads_a_parameter(shadowed): return shadowed\n"
@@ -195,12 +199,15 @@ def test_unused_finds_functions_classes_and_methods():
     assert unused({"m": tree}, set()) == [
         "m.Kept",
         "m.Kept.caller",
+        "m._Unused",
+        "m._unused_helper",
         "m.reads_a_local",
         "m.reads_a_parameter",
         "m.recursive",
         "m.shadowed",
     ]
-    named = {"Kept", "caller", "reads_a_local", "reads_a_parameter", "recursive", "shadowed"}
+    named = {"Kept", "caller", "_Unused", "_unused_helper", "reads_a_local", "reads_a_parameter",
+             "recursive", "shadowed"}
     assert unused({"m": tree}, named) == []
     # a read outside the shadowing scopes, bare or as an attribute, is a use
     for use in ("x = shadowed\n", "def f(g): return g.shadowed\n"):
